@@ -24,21 +24,38 @@ from .errors import (
 FULL_VALIDATE_LIMIT = 512
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True, eq=False)
 class Quandle:
-    """A validated finite quandle.  Construct via :func:`validate_quandle`."""
+    """A validated finite quandle.  Construct via :func:`validate_quandle`.
 
-    table: tuple[tuple[int, ...], ...]
+    The only stored field is ``array``, a read-only C-contiguous int32 copy
+    of the table; equality compares its shape and bytes, hashing its bytes.
+    ``table`` and ``row()`` are a lazily cached tuple view for code that
+    walks small tables element by element.
+    """
+
+    array: np.ndarray
+
+    def __post_init__(self):
+        arr = np.array(self.array, dtype=np.int32, order="C")
+        arr.setflags(write=False)
+        object.__setattr__(self, "array", arr)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Quandle):
+            return NotImplemented
+        return np.array_equal(self.array, other.array)
+
+    def __hash__(self) -> int:
+        return hash(self.array.tobytes())
 
     @property
     def n(self) -> int:
-        return len(self.table)
+        return len(self.array)
 
     @cached_property
-    def array(self) -> np.ndarray:
-        arr = np.asarray(self.table, dtype=np.int32)
-        arr.setflags(write=False)
-        return arr
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.array.tolist()))
 
     @cached_property
     def ldiv_table(self) -> tuple[tuple[int, ...], ...]:
@@ -106,29 +123,43 @@ def singleton_partition(n: int) -> Partition:
     return Partition(tuple((i,) for i in range(n)))
 
 
+def _check_table(table) -> np.ndarray:
+    """Shape, range, idempotence and row bijectivity, first witness each.
+
+    Returns the table as an int32 array.
+    """
+    rows = table if isinstance(table, np.ndarray) else list(table)
+    n = len(rows)
+    if n == 0:
+        raise ValueError("empty table")
+    bad = next((a for a, row in enumerate(rows) if len(row) != n), None)
+    # an out-of-range entry in a row before the first bad one comes first
+    arr = np.asarray(rows[:bad]).reshape(-1, n)
+    if arr.size and (arr.min() < 0 or arr.max() >= n):
+        a, b = map(int, np.argwhere((arr < 0) | (arr >= n))[0])
+        raise ValueError(f"entry {arr[a, b]} in row {a} out of range 0..{n - 1}")
+    if bad is not None:
+        raise ValueError(f"row {bad} has length {len(rows[bad])}, expected {n}")
+    arr = arr.astype(np.int32, copy=False)
+    wrong = np.flatnonzero(np.diagonal(arr) != np.arange(n))
+    if wrong.size:
+        raise NotIdempotent(int(wrong[0]))
+    step = max(1, (1 << 20) // n)  # rows sorted per block, to bound memory
+    for start in range(0, n, step):
+        block = np.sort(arr[start:start + step], axis=1)
+        wrong = np.flatnonzero((block != np.arange(n)).any(axis=1))
+        if wrong.size:
+            raise RowNotBijective(start + int(wrong[0]))
+    return arr
+
+
 def validate_quandle(table) -> Quandle:
     """Check idempotence, row bijectivity and left self-distributivity.
 
     Scans in lexicographic order and reports the first witness found.
     """
-    rows = tuple(tuple(int(x) for x in row) for row in table)
-    n = len(rows)
-    if n == 0:
-        raise ValueError("empty table")
-    for a, row in enumerate(rows):
-        if len(row) != n:
-            raise ValueError(f"row {a} has length {len(row)}, expected {n}")
-        for x in row:
-            if not 0 <= x < n:
-                raise ValueError(f"entry {x} in row {a} out of range 0..{n - 1}")
-    for a in range(n):
-        if rows[a][a] != a:
-            raise NotIdempotent(a)
-    for a in range(n):
-        if len(set(rows[a])) != n:
-            raise RowNotBijective(a)
-    arr = np.asarray(rows, dtype=np.int32)
-    for a in range(n):
+    arr = _check_table(table)
+    for a in range(len(arr)):
         # a*(b*c) == (a*b)*(a*c), vectorized over (b,c)
         lhs = arr[a][arr]
         lrow = arr[a]
@@ -136,22 +167,19 @@ def validate_quandle(table) -> Quandle:
         if not np.array_equal(lhs, rhs):
             b, c = map(int, np.argwhere(lhs != rhs)[0])
             raise NotLeftDistributive(a, b, c)
-    return Quandle(rows)
+    return Quandle(arr)
 
 
 def unchecked_quandle(table: np.ndarray) -> Quandle:
     """Wrap a table that is a quandle by construction.
 
-    Idempotence and row bijectivity are still asserted (they are cheap);
-    the cubic distributivity scan runs only below FULL_VALIDATE_LIMIT.
+    Shape, range, idempotence and row bijectivity are still checked (they
+    are quadratic); the cubic distributivity scan runs only up to
+    FULL_VALIDATE_LIMIT.
     """
-    n = len(table)
-    if n <= FULL_VALIDATE_LIMIT:
+    if len(table) <= FULL_VALIDATE_LIMIT:
         return validate_quandle(table)
-    arr = np.asarray(table, dtype=np.int32)
-    assert np.array_equal(np.diagonal(arr), np.arange(n))
-    assert np.array_equal(np.sort(arr, axis=1), np.tile(np.arange(n), (n, 1)))
-    return Quandle(tuple(tuple(int(x) for x in row) for row in arr))
+    return Quandle(_check_table(table))
 
 
 def left_divide(q: Quandle, a: int, c: int) -> int:

@@ -26,13 +26,13 @@ from .errors import (
     NotAGroup,
     NotHomImage,
     OplusUndefined,
+    QuandleError,
 )
 from .groups import (
     AbelianGroup,
     GroupAutomorphism,
     check_abelian_table,
     direct_product,
-    validate_automorphism,
 )
 from .perms import Perm, compose, inverse, translation_set
 
@@ -243,7 +243,11 @@ def dis_as_group(q: Quandle) -> AbelianGroup:
 
 
 def build_cover(q: Quandle, t: Multitransversal) -> CoverResult:
-    """Construct Aff(A,f) and the surjection psi onto Q, and verify them."""
+    """Construct Aff(A,f) and the surjection psi onto Q, and verify them.
+
+    verify_cover, called once here, is the one exhaustive check of A, f
+    and psi; any failure raises InternalAssertionFailure.
+    """
     if not is_homim_of_affine(q):
         raise NotHomImage()
     d, _ = translation_blocks(q)
@@ -267,11 +271,11 @@ def build_cover(q: Quandle, t: Multitransversal) -> CoverResult:
                 )
             f_im[di * nt + ti] = d2 * nt + ti
             psi[di * nt + ti] = alpha[x]
+    f = GroupAutomorphism(a, f_im)
     try:
-        f = validate_automorphism(a, f_im)
-    except Exception as exc:
-        raise InternalAssertionFailure(f"f is not an automorphism: {exc}") from exc
-    cover = make_affine(a, f)
+        cover = make_affine(a, f)
+    except QuandleError as exc:
+        raise InternalAssertionFailure(f"Aff(A,f) is not a quandle: {exc}") from exc
     result = CoverResult(a, f, psi, cover, t, tuple(d))
     if a.order != len(d) * nt:
         raise InternalAssertionFailure("|A| != |Dis(Q)| * |T|")

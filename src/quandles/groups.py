@@ -6,7 +6,9 @@ construction) share one representation.  Index 0 is always the zero.
 
 Group axioms are verified at construction: commutativity, identity and
 inverses exhaustively, associativity by Light's test over a generating
-set (equivalent to the exhaustive cubic scan, but quadratic).
+set (equivalent to the exhaustive cubic scan, but quadratic).  A direct
+product of checked groups is a group by construction and is not checked
+again.
 """
 
 from __future__ import annotations
@@ -25,54 +27,90 @@ def _first_mismatch(a: np.ndarray, b: np.ndarray) -> tuple[int, ...]:
     return tuple(int(x) for x in np.argwhere(a != b)[0])
 
 
-def _close_under(add: np.ndarray, seed: set[int]) -> set[int]:
-    closed = set(seed) | {0}
-    while True:
-        cur = np.fromiter(closed, dtype=np.int64)
-        new = set(np.unique(add[np.ix_(cur, cur)]).tolist()) - closed
-        if not new:
-            return closed
-        closed |= new
+def _first_asymmetry(b: np.ndarray, tile: int = 256) -> tuple[int, int] | None:
+    """First (i, j) in row-major order with b[i,j] != b[j,i], or None.
+
+    Compares tile against transposed tile, so that the transposed reads
+    stay in cache; only a failing table pays for the full witness scan.
+    """
+    n = len(b)
+    for i in range(0, n, tile):
+        for j in range(i, n, tile):
+            if not np.array_equal(b[i:i + tile, j:j + tile], b[j:j + tile, i:i + tile].T):
+                return _first_mismatch(b, b.T)
+    return None
+
+
+def _grow(add: np.ndarray, reached: np.ndarray, gens, frontier) -> None:
+    """Mark in ``reached`` every frontier + g1 + ... + gk with gi in gens."""
+    gens = np.asarray(gens, dtype=np.intp)
+    while frontier.size:
+        fresh = np.zeros(len(add), dtype=bool)
+        fresh[frontier] = True
+        fresh &= ~reached
+        reached |= fresh
+        frontier = add[np.ix_(np.flatnonzero(fresh), gens)].ravel()
+
+
+def _close_under(add: np.ndarray, seed) -> set[int]:
+    """The subgroup generated by seed (the table must be a group)."""
+    reached = np.zeros(len(add), dtype=bool)
+    _grow(add, reached, sorted(set(seed)), np.zeros(1, dtype=np.intp))
+    return set(np.flatnonzero(reached).tolist())
 
 
 def generating_indices(add: np.ndarray) -> list[int]:
-    """Greedy generating set under the operation table (0 excluded)."""
-    n = len(add)
-    closed = {0}
+    """Greedy generating set under the operation table (0 excluded).
+
+    x becomes a generator when the elements reached so far do not include
+    it; the reached set grows by BFS over y -> y + g for every generator g.
+    On a group table this is the generated subgroup, so the list is that of
+    closing under all pairwise sums.  On any table every reached element is
+    a sum of generators (0 + g1 + ... + gk) and 0 is the identity, checked
+    just before, so Light's closure argument in ``check_abelian_table``
+    holds even when the table is not a group.
+    """
+    reached = np.zeros(len(add), dtype=bool)
+    reached[0] = True
     gens: list[int] = []
-    for x in range(n):
-        if x in closed:
+    for x in range(len(add)):
+        if reached[x]:
             continue
         gens.append(x)
-        closed = _close_under(add, closed | {x})
-        if len(closed) == n:
+        # the old reached set is closed under the old generators
+        _grow(add, reached, gens, add[np.flatnonzero(reached), x])
+        if reached.all():
             break
     return gens
 
 
 def check_abelian_table(add: np.ndarray, neg: np.ndarray) -> str | None:
-    """Return a description of the first axiom failure, or None."""
+    """Return a description of the first axiom failure, or None.
+
+    Associativity is Light's test: the g with (a+g)+c == a+(g+c) for all
+    a, c are closed under +, so a generating set suffices.  Once
+    commutativity has passed, (a+g)+c = B[a,c] and a+(g+c) = B[c,a] for
+    B = add[add[g], :], so the test for g is "B is symmetric", with the
+    same first witness (a, g, c).
+    """
     n = len(add)
     rng = np.arange(n, dtype=add.dtype)
     if add.shape != (n, n) or neg.shape != (n,):
         return "shape mismatch"
     if add.min() < 0 or add.max() >= n:
         return "entry out of range"
-    if not np.array_equal(add, add.T):
-        a, b = _first_mismatch(add, add.T)
-        return f"not commutative at ({a},{b})"
+    witness = _first_asymmetry(add)
+    if witness is not None:
+        return "not commutative at ({},{})".format(*witness)
     if not np.array_equal(add[0], rng):
         return "index 0 is not a neutral element"
     if not np.array_equal(add[rng, neg], np.zeros(n, dtype=add.dtype)):
         a = int(np.argwhere(add[rng, neg] != 0)[0][0])
         return f"neg({a}) is not an inverse"
-    # Light's associativity test: checking a+(g+c) == (a+g)+c for g in a
-    # generating set suffices for full associativity.
     for g in generating_indices(add):
-        left = add[add[:, g], :]
-        right = add[:, add[g, :]]
-        if not np.array_equal(left, right):
-            a, c = _first_mismatch(left, right)
+        witness = _first_asymmetry(add[add[g], :])
+        if witness is not None:
+            a, c = witness
             return f"not associative at ({a},{g},{c})"
     return None
 
@@ -92,6 +130,15 @@ class AbelianGroup:
             raise NotAGroup(witness)
         self.add.setflags(write=False)
         self.neg.setflags(write=False)
+
+    @classmethod
+    def _unchecked(cls, add, neg, moduli=None, name="") -> "AbelianGroup":
+        """A group whose axioms hold by construction: no table check."""
+        group = cls.__new__(cls)
+        group.__dict__.update(add=add, neg=neg, moduli=moduli, name=name)
+        add.setflags(write=False)
+        neg.setflags(write=False)
+        return group
 
     @property
     def order(self) -> int:
@@ -149,7 +196,11 @@ def make_cyclic_product(moduli) -> AbelianGroup:
 
 
 def direct_product(g1: AbelianGroup, g2: AbelianGroup, name: str = "") -> AbelianGroup:
-    """Direct product; element (a,b) has index a*|G2| + b."""
+    """Direct product; element (a,b) has index a*|G2| + b.
+
+    The factors were checked when they were built, and a product of
+    abelian groups is one, so the product table is not checked again.
+    """
     n2 = np.int32(g2.order)
     add = (
         g1.add[:, None, :, None].astype(np.int32) * n2
@@ -159,7 +210,7 @@ def direct_product(g1: AbelianGroup, g2: AbelianGroup, name: str = "") -> Abelia
     moduli = None
     if g1.moduli is not None and g2.moduli is not None:
         moduli = g1.moduli + g2.moduli
-    return AbelianGroup(add, neg, moduli=moduli, name=name)
+    return AbelianGroup._unchecked(add, neg, moduli=moduli, name=name)
 
 
 @dataclass(frozen=True, eq=False)

@@ -57,7 +57,7 @@ def parse_quandle(text: str) -> Quandle:
 
 def format_quandle(q: Quandle) -> str:
     lines = [str(q.n)]
-    lines.extend(" ".join(map(str, row)) for row in q.table)
+    lines.extend(" ".join(map(str, row.tolist())) for row in q.array)
     return "\n".join(lines) + "\n"
 
 

@@ -1,9 +1,18 @@
 """Command-line behavior: output keys, files written, exit codes."""
 
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from quandles.cli import main
+from quandles import cover
+from quandles.cli import analysis_report, main
 from quandles.iofmt import format_mesh, format_quandle, parse_quandle
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -216,3 +225,42 @@ def test_affine_command_prints_table(capsys):
     assert code == 0
     q = parse_quandle(out)
     assert q.table == ((0, 2, 1), (2, 1, 0), (1, 0, 2))
+
+
+def test_analysis_verdict_matches_decision(small_corpus):
+    for _, q in small_corpus:
+        report = dict(analysis_report(q))
+        assert report["homim_of_affine"] == cover.is_homim_of_affine(q)
+
+
+def test_cover_command_verifies_once(capsys, tmp_path, q1_file, monkeypatch):
+    calls = []
+    real = cover.verify_cover
+
+    def counted(result, q):
+        calls.append(result.group.order)
+        return real(result, q)
+
+    monkeypatch.setattr(cover, "verify_cover", counted)
+    code, _, _ = run(capsys, "cover", str(q1_file), "--out", str(tmp_path / "o"))
+    assert code == 0
+    assert calls == [8]
+
+
+def _cap_address_space():
+    limit = 4 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_oversized_affine_exits_invalid():
+    # the table alone would need 10^12 entries; the address-space cap makes
+    # the allocation fail at once even where the host overcommits memory
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "quandles.cli", "affine", "1000000:mul:3"],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=_cap_address_space,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error=")
+    assert "Traceback" not in proc.stderr

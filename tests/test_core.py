@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from quandles.core import (
+    FULL_VALIDATE_LIMIT,
     Partition,
     Quandle,
     connectivity_orbits,
@@ -12,6 +13,7 @@ from quandles.core import (
     left_divide,
     quotient,
     singleton_partition,
+    unchecked_quandle,
     validate_quandle,
 )
 from quandles.errors import (
@@ -172,3 +174,43 @@ def test_is_isomorphic_distinguishes_same_profile():
 
 def test_is_isomorphic_size_mismatch():
     assert is_isomorphic(aff(2, 1).quandle, aff(3, 1).quandle) is None
+
+
+def _affine_513() -> np.ndarray:
+    """Aff(Z_513, 2), one size above the full-validation limit."""
+    m = FULL_VALIDATE_LIMIT + 1
+    a = np.arange(m)
+    return ((-a[:, None] + 2 * a[None, :]) % m).astype(np.int32)
+
+
+def test_unchecked_quandle_reports_bad_diagonal():
+    t = _affine_513()
+    t[7, 7] = 8
+    with pytest.raises(NotIdempotent) as exc:
+        unchecked_quandle(t)
+    assert exc.value.a == 7
+
+
+def test_unchecked_quandle_reports_repeated_entry():
+    t = _affine_513()
+    t[9, 10] = t[9, 11]
+    with pytest.raises(RowNotBijective) as exc:
+        unchecked_quandle(t)
+    assert exc.value.a == 9
+
+
+def test_quandle_equality_is_by_table():
+    t = _affine_513()
+    q1 = validate_quandle(t.tolist())
+    q2 = unchecked_quandle(t)
+    assert q1 == q2 and hash(q1) == hash(q2)
+    assert q2.array.dtype == np.int32 and q2.array.flags.c_contiguous
+    assert not q2.array.flags.writeable
+    assert q1.table == tuple(map(tuple, t.tolist()))
+    # relabel by the transposition (1 2): the same quandle, another table
+    sigma = np.arange(len(t))
+    sigma[[1, 2]] = [2, 1]
+    relabelled = np.empty_like(t)
+    relabelled[np.ix_(sigma, sigma)] = sigma[t]
+    q3 = unchecked_quandle(relabelled)
+    assert q3 != q1

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from quandles import cover, groups
 from quandles.core import is_isomorphic, validate_quandle
 from quandles.cover import (
     build_cover,
@@ -18,6 +19,7 @@ from quandles.cover import (
 )
 from quandles.errors import NotHomImage
 from quandles.groups import make_cyclic_product
+from quandles.mesh import generate_max_mesh, mesh_sum
 from quandles.perms import displacement_group, identity_perm
 
 from conftest import aff
@@ -172,3 +174,21 @@ def test_pair_of_roundtrip(sum_z2_z1):
     for u in range(r.group.order):
         di, ti = r.pair_of(u)
         assert u == di * r.transversal.size + ti
+
+
+def test_build_cover_checks_the_cover_group_once(monkeypatch):
+    q = mesh_sum(generate_max_mesh(8, 2))
+    t = optimized_multitransversal(q)
+    orders = []
+    real = groups.check_abelian_table
+
+    def counted(add, neg):
+        orders.append(len(add))
+        return real(add, neg)
+
+    monkeypatch.setattr(groups, "check_abelian_table", counted)
+    monkeypatch.setattr(cover, "check_abelian_table", counted)
+    r = build_cover(q, t)
+    assert r.group.order == 80 and len(r.dis) == 4 and t.size == 20
+    # (T,+) and Dis(Q) once each when built, A once in verify_cover
+    assert sorted(orders) == [4, 20, 80]

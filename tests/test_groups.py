@@ -150,3 +150,65 @@ def test_automorphism_count_of_z2_squared():
         if len(set(map(int, im))) == 4
     ]
     assert len(autos) == 6  # |GL(2, F2)|
+
+
+def _pairwise_generating_indices(add: np.ndarray) -> list[int]:
+    """Reference: greedy generators, closing under all pairwise sums."""
+    n = len(add)
+    closed = {0}
+    gens = []
+    for x in range(n):
+        if x in closed:
+            continue
+        gens.append(x)
+        closed.add(x)
+        while True:
+            new = {int(add[a, b]) for a in closed for b in closed} - closed
+            if not new:
+                break
+            closed |= new
+        if len(closed) == n:
+            break
+    return gens
+
+
+@pytest.mark.parametrize("moduli", [(1,), (6,), (2, 2), (2, 4), (3, 3, 3), (4, 6), (2, 3, 4)])
+def test_generating_indices_match_pairwise_closure(moduli):
+    g = make_cyclic_product(moduli)
+    rng = np.random.default_rng(len(moduli))
+    for _ in range(3):
+        # relabel the nonzero elements, keeping 0 at index 0
+        perm = np.concatenate([[0], 1 + rng.permutation(g.order - 1)])
+        inv = np.argsort(perm)
+        add = perm[g.add[np.ix_(inv, inv)]]
+        assert generating_indices(add) == _pairwise_generating_indices(add)
+
+
+def test_light_symmetry_witness_matches_two_sided_test():
+    # Z6 with 1+2 and 1+3 exchanged on both sides: commutative, 0 neutral,
+    # inverses intact, not associative.
+    g = make_cyclic_product((6,))
+    add = np.array(g.add, dtype=np.int32)
+    add[1, 2] = add[2, 1] = 4
+    add[1, 3] = add[3, 1] = 3
+    neg = np.array(g.neg, dtype=np.int32)
+    expected = None
+    for x in generating_indices(add):
+        left = add[add[:, x], :]       # (a+g)+c
+        right = add[:, add[x, :]]      # a+(g+c)
+        if not np.array_equal(left, right):
+            a, c = map(int, np.argwhere(left != right)[0])
+            expected = f"not associative at ({a},{x},{c})"
+            break
+    assert expected is not None
+    assert check_abelian_table(add, neg) == expected
+
+
+def test_commutativity_witness_spans_tiles():
+    # 300 > one 256-wide tile: the witness must still be the first one in
+    # row-major order
+    n = 300
+    add = make_cyclic_product((n,)).add.copy()
+    neg = make_cyclic_product((n,)).neg
+    add[280, 10], add[270, 290] = add[280, 11], add[270, 291]
+    assert check_abelian_table(add, neg) == "not commutative at (10,280)"
