@@ -221,8 +221,16 @@ def induced_subquandle(q: Quandle, subset) -> Quandle:
     return validate_quandle(table)
 
 
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each row (last axis) of an int32 array as one opaque scalar, so
+    that whole rows sort, search and compare as single values."""
+    rows = np.ascontiguousarray(rows, dtype=np.int32)
+    return rows.view(np.dtype((np.void, 4 * rows.shape[-1])))[..., 0]
+
+
 def connectivity_orbits(q: Quandle) -> Partition:
-    """Orbit partition via union-find over x ~ a*x (the translation action)."""
+    """Orbit partition of LMlt(Q) via union-find over x ~ a*x; each
+    distinct left translation is walked once."""
     parent = list(range(q.n))
 
     def find(x: int) -> int:
@@ -231,9 +239,10 @@ def connectivity_orbits(q: Quandle) -> Partition:
             x = parent[x]
         return x
 
-    for a in range(q.n):
-        for x in range(q.n):
-            rx, ry = find(x), find(q.table[a][x])
+    _, first = np.unique(_row_keys(q.array), return_index=True)
+    for row in q.array[first].tolist():
+        for x, y in enumerate(row):
+            rx, ry = find(x), find(y)
             if rx != ry:
                 parent[max(rx, ry)] = min(rx, ry)
     groups: dict[int, list[int]] = {}

@@ -33,46 +33,29 @@ from .groups import (
     GroupAutomorphism,
     check_abelian_table,
     direct_product,
+    make_cyclic_product,
 )
-from .perms import Perm, compose, inverse, translation_set
+from .perms import Perm, Translations
+
+
+def _commute_and_close(tr: Translations) -> bool:
+    return tr.closed and np.array_equal(tr.table, tr.table.T)
 
 
 def is_homim_of_affine(q: Quandle, e: int = 0) -> bool:
     """Is Q a homomorphic image of an affine quandle?
 
-    Builds D = {L_x L_e^{-1} : x in Q} and fails on the first pair that
-    does not commute or whose product escapes D.
+    True iff D = {L_x L_e^{-1} : x in Q} commutes and is closed under
+    composition, read off D's composition table.
     """
-    d = translation_set(q, e)
-    d_set = set(d)
-    for a in d:
-        for b in d:
-            ab = compose(a, b)
-            if ab != compose(b, a) or ab not in d_set:
-                return False
-    return True
+    return _commute_and_close(Translations(q, e))
 
 
-def translation_blocks(q: Quandle, e: int = 0) -> tuple[list[Perm], list[list[int]]]:
-    """D in discovery order (identity first for e=0) and, aligned with it,
-    the Cayley-kernel blocks: block i = all x with L_x L_e^{-1} = D[i],
-    ascending, except the designated zero e is moved to the front of its
-    block."""
-    le_inv = inverse(q.row(e))
-    d: list[Perm] = []
-    index: dict[Perm, int] = {}
-    blocks: list[list[int]] = []
-    for x in range(q.n):
-        p = compose(q.row(x), le_inv)
-        if p not in index:
-            index[p] = len(d)
-            d.append(p)
-            blocks.append([])
-        blocks[index[p]].append(x)
-    be = blocks[index[perms.identity_perm(q.n)]]
-    be.remove(e)
-    be.insert(0, e)
-    return d, blocks
+def _homim_translations(q: Quandle) -> Translations:
+    tr = Translations(q)
+    if not _commute_and_close(tr):
+        raise NotHomImage()
+    return tr
 
 
 @dataclass(frozen=True)
@@ -104,9 +87,7 @@ class Multitransversal:
 
 def simple_multitransversal(q: Quandle) -> Multitransversal:
     """All of Q, cycled per block up to the largest block size."""
-    if not is_homim_of_affine(q):
-        raise NotHomImage()
-    _, blocks = translation_blocks(q)
+    blocks = _homim_translations(q).blocks
     kappa = max(len(b) for b in blocks)
     elems: list[int] = []
     for b in blocks:
@@ -122,14 +103,10 @@ def optimized_multitransversal(q: Quandle) -> Multitransversal:
     blocks) and each takes the smallest element of its currently
     least-loaded block.  Blocks are then padded to the maximum load.
     """
-    if not is_homim_of_affine(q):
-        raise NotHomImage()
-    _, blocks = translation_blocks(q)
+    tr = _homim_translations(q)
+    blocks = tr.blocks
     m = len(blocks)
-    block_of = [0] * q.n
-    for i, b in enumerate(blocks):
-        for x in b:
-            block_of[x] = i
+    block_of = tr.block_of.tolist()
     orbit_list = [list(b) for b in perms.orbits(q).blocks]
     loads = [0] * m
     chosen: list[list[int]] = [[] for _ in range(m)]
@@ -173,39 +150,18 @@ def optimized_multitransversal(q: Quandle) -> Multitransversal:
 
 
 def build_oplus(q: Quandle, t: Multitransversal) -> AbelianGroup:
-    """The abelian group (T,+): D-part by composition, tag part mod kappa."""
-    d, blocks = translation_blocks(q)
-    m, kappa = len(d), t.kappa
-    if t.m != m or t.size != m * kappa:
-        raise OplusUndefined("transversal does not match the block structure")
-    index = {p: i for i, p in enumerate(d)}
-    prod = np.empty((m, m), dtype=np.int32)
-    dneg = np.empty(m, dtype=np.int32)
-    for i, a in enumerate(d):
-        inv = inverse(a)
-        if inv not in index:
-            raise OplusUndefined("translation set is not closed under inverses")
-        dneg[i] = index[inv]
-        for j, b in enumerate(d):
-            ab = compose(a, b)
-            if ab not in index:
-                raise OplusUndefined(
-                    "translation set is not closed under composition"
-                )
-            prod[i][j] = index[ab]
-    tags = (np.arange(kappa, dtype=np.int32)[:, None]
-            + np.arange(kappa, dtype=np.int32)[None, :]) % kappa
-    add = (
-        prod[:, None, :, None] * np.int32(kappa) + tags[None, :, None, :]
-    ).reshape(t.size, t.size)
-    neg = (
-        dneg[:, None] * np.int32(kappa)
-        + (-np.arange(kappa, dtype=np.int32)[None, :]) % kappa
-    ).reshape(-1)
+    """The abelian group (T,+) = Dis(Q) x Z_kappa: entry i*kappa + j is
+    the pair (D[i], j), added by composition in D and the tag mod kappa."""
     try:
-        return AbelianGroup(add, neg, name="(T,+)")
-    except NotAGroup as exc:  # pragma: no cover - signals violated precondition
+        return _oplus(dis_as_group(Translations(q)), t)
+    except NotAGroup as exc:
         raise OplusUndefined(str(exc)) from exc
+
+
+def _oplus(dis: AbelianGroup, t: Multitransversal) -> AbelianGroup:
+    if t.m != dis.order or t.size != dis.order * t.kappa:
+        raise OplusUndefined("transversal does not match the block structure")
+    return direct_product(dis, make_cyclic_product((t.kappa,)), name="(T,+)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,57 +184,43 @@ class CoverResult:
         return divmod(u, self.transversal.size)
 
 
-def dis_as_group(q: Quandle) -> AbelianGroup:
-    """Dis(Q), abelian and tiny, as a table-backed abelian group over D."""
-    d, _ = translation_blocks(q)
-    index = {p: i for i, p in enumerate(d)}
-    m = len(d)
-    add = np.empty((m, m), dtype=np.int32)
-    neg = np.empty(m, dtype=np.int32)
-    for i, a in enumerate(d):
-        neg[i] = index[inverse(a)]
-        for j, b in enumerate(d):
-            add[i][j] = index[compose(a, b)]
-    return AbelianGroup(add, neg, name="Dis(Q)")
+def dis_as_group(tr: Translations) -> AbelianGroup:
+    """Dis(Q) = D, abelian and tiny, as a table-backed abelian group over
+    D (built with e = 0, so that the identity is element 0)."""
+    return AbelianGroup(tr.table, tr.inverses, name="Dis(Q)")
 
 
 def build_cover(q: Quandle, t: Multitransversal) -> CoverResult:
     """Construct Aff(A,f) and the surjection psi onto Q, and verify them.
 
-    verify_cover, called once here, is the one exhaustive check of A, f
-    and psi; any failure raises InternalAssertionFailure.
+    A = Dis(Q) x (T,+), element (alpha, t) at alpha * |T| + t.  f maps
+    (alpha, t) to (L_e alpha L_x^{-1}, t), where x is the element behind
+    t, and psi maps it to alpha(x).  Since L_x = D[b] L_e for the block b
+    of x, L_e alpha L_x^{-1} = (L_e alpha L_e^{-1}) D[b]^{-1}: a lookup in
+    D's composition table.  verify_cover, called once here, is the one
+    exhaustive check of A, f and psi; any failure raises
+    InternalAssertionFailure.
     """
-    if not is_homim_of_affine(q):
-        raise NotHomImage()
-    d, _ = translation_blocks(q)
-    index = {p: i for i, p in enumerate(d)}
-    group_t = build_oplus(q, t)
-    group_d = dis_as_group(q)
-    a = direct_product(group_d, group_t, name="Dis(Q) x (T,+)")
+    tr = _homim_translations(q)
+    group_d = dis_as_group(tr)
+    a = direct_product(group_d, _oplus(group_d, t), name="Dis(Q) x (T,+)")
+    le = q.array[0]
+    conj = tr.index_of(le[tr.d[:, np.argsort(le)]])    # L_e alpha L_e^{-1}
+    if conj.min() < 0:
+        raise InternalAssertionFailure(
+            "f image escapes D; displacement group is not tiny"
+        )
+    elems = np.asarray(t.elements)
     nt = t.size
-    le = q.row(0)
-    inv_lx = {x: inverse(q.row(x)) for x in set(t.elements)}
-    f_im = np.empty(a.order, dtype=np.int32)
-    psi = np.empty(a.order, dtype=np.int32)
-    for di, alpha in enumerate(d):
-        le_alpha = compose(le, alpha)
-        for ti, x in enumerate(t.elements):
-            p = compose(le_alpha, inv_lx[x])
-            d2 = index.get(p)
-            if d2 is None:
-                raise InternalAssertionFailure(
-                    "f image escapes D; displacement group is not tiny"
-                )
-            f_im[di * nt + ti] = d2 * nt + ti
-            psi[di * nt + ti] = alpha[x]
+    f_d = tr.table[conj][:, tr.inverses[tr.block_of[elems]]]   # (alpha, t)
+    f_im = (f_d * np.int32(nt) + np.arange(nt, dtype=np.int32)).reshape(-1)
+    psi = tr.d[:, elems].reshape(-1)
     f = GroupAutomorphism(a, f_im)
     try:
         cover = make_affine(a, f)
     except QuandleError as exc:
         raise InternalAssertionFailure(f"Aff(A,f) is not a quandle: {exc}") from exc
-    result = CoverResult(a, f, psi, cover, t, tuple(d))
-    if a.order != len(d) * nt:
-        raise InternalAssertionFailure("|A| != |Dis(Q)| * |T|")
+    result = CoverResult(a, f, psi, cover, t, tuple(map(tuple, tr.d.tolist())))
     report = verify_cover(result, q)
     if not report.ok:
         raise InternalAssertionFailure(

@@ -13,7 +13,6 @@ again.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -260,56 +259,3 @@ def multiplication_automorphism(group: AbelianGroup, u: int) -> GroupAutomorphis
 
 def identity_automorphism(group: AbelianGroup) -> GroupAutomorphism:
     return GroupAutomorphism(group, np.arange(group.order, dtype=np.int32))
-
-
-def enumerate_homomorphism_images(src: AbelianGroup, dst: AbelianGroup) -> list[np.ndarray]:
-    """All additive maps src -> dst, as image arrays (brute force, tiny sizes)."""
-    gens = generating_indices(src.add)
-    if not gens:
-        return [np.zeros(src.order, dtype=np.int32)]
-    out = []
-    choices = [range(dst.order)] * len(gens)
-    for picks in itertools.product(*choices):
-        im = np.full(src.order, -1, dtype=np.int32)
-        im[0] = 0
-        ok = True
-        # close the partial map under addition
-        frontier = [0]
-        assigned = {0}
-        for g, v in zip(gens, picks):
-            if im[g] not in (-1, v):
-                ok = False
-                break
-            im[g] = v
-            assigned.add(g)
-        if not ok:
-            continue
-        changed = True
-        while changed and ok:
-            changed = False
-            for a in list(assigned):
-                for b in list(assigned):
-                    s = src.add_el(a, b)
-                    v = dst.add_el(int(im[a]), int(im[b]))
-                    if im[s] == -1:
-                        im[s] = v
-                        assigned.add(s)
-                        changed = True
-                    elif im[s] != v:
-                        ok = False
-                        break
-                if not ok:
-                    break
-        if not ok or -1 in im:
-            continue
-        if np.array_equal(im[src.add], dst.add[np.ix_(im, im)]):
-            out.append(im)
-    # dedupe (different generator picks can induce the same map)
-    seen = set()
-    uniq = []
-    for im in out:
-        key = im.tobytes()
-        if key not in seen:
-            seen.add(key)
-            uniq.append(im)
-    return uniq

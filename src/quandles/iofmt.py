@@ -52,7 +52,10 @@ def parse_quandle(text: str) -> Quandle:
         if len(row) != n:
             raise ParseError(f"row {line!r} has {len(row)} entries, expected {n}")
         table.append(row)
-    return validate_quandle(table)
+    try:
+        return validate_quandle(table)
+    except ValueError as exc:  # entries out of range
+        raise ParseError(str(exc)) from exc
 
 
 def format_quandle(q: Quandle) -> str:

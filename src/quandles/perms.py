@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Partition, Quandle
+from .core import Partition, Quandle, _row_keys, connectivity_orbits
 from .errors import DegreeMismatch
 
 Perm = tuple[int, ...]
@@ -99,32 +99,9 @@ def displacement_group(q: Quandle, e: int = 0) -> PermGroup:
     return closure(displacement_generators(q, e), q.n)
 
 
-def _orbit_partition(degree: int, gens) -> Partition:
-    parent = list(range(degree))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for g in gens:
-        for x in range(degree):
-            rx, ry = find(x), find(g[x])
-            if rx != ry:
-                parent[max(rx, ry)] = min(rx, ry)
-    groups: dict[int, list[int]] = {}
-    for x in range(degree):
-        groups.setdefault(find(x), []).append(x)
-    return Partition.from_blocks(groups.values())
-
-
 def orbits(q: Quandle) -> Partition:
-    """Orbit partition of the Dis(Q) action (equal to the LMlt(Q) one)."""
-    dis_orbits = _orbit_partition(q.n, displacement_generators(q))
-    lmlt_orbits = _orbit_partition(q.n, [q.row(a) for a in range(q.n)])
-    assert dis_orbits == lmlt_orbits, "Dis and LMlt orbits must coincide"
-    return dis_orbits
+    """Orbit partition of the Dis(Q) action, equal to the LMlt(Q) one."""
+    return connectivity_orbits(q)
 
 
 def cayley_kernel(q: Quandle) -> Partition:
@@ -153,51 +130,86 @@ def is_semiregular(g: PermGroup) -> bool:
     return True
 
 
-def translation_set(q: Quandle, e: int = 0) -> list[Perm]:
-    """The set {L_x L_e^{-1} : x in Q}, deduplicated in order of x."""
-    seen: set[Perm] = set()
-    out: list[Perm] = []
-    for p in displacement_generators(q, e):
-        if p not in seen:
-            seen.add(p)
-            out.append(p)
-    return out
+# Entries of one chunk of products when D's composition table is built.
+CHUNK_ENTRIES = 1 << 22
+
+
+class Translations:
+    """The translation set D = {L_x L_e^{-1} : x in Q} and its structure.
+
+    ``d`` is D as an (m, n) int32 array of images, listed in order of the
+    first x giving each map (the identity comes first for e = 0).
+    ``block_of[x]`` is the index of L_x L_e^{-1} in ``d``; since
+    L_x = L_y iff L_x L_e^{-1} = L_y L_e^{-1}, it names the Cayley-kernel
+    block of x.  ``table[i, j]`` is the index of d[i] o d[j] and
+    ``inverses[i]`` that of d[i]^{-1}, or -1 where the map is not in D.
+    The table is built in row chunks of about CHUNK_ENTRIES products.
+    """
+
+    def __init__(self, q: Quandle, e: int = 0):
+        self.e = e
+        rows = q.array[:, np.argsort(q.array[e])]
+        # distinct rows as sorted keys; key k first appears at x = first[k]
+        self._keys, first, which = np.unique(
+            _row_keys(rows), return_index=True, return_inverse=True
+        )
+        self._rank = np.empty(len(first), dtype=np.int32)  # key -> D index
+        self._rank[np.argsort(first)] = np.arange(len(first), dtype=np.int32)
+        self.d = rows[np.sort(first)]
+        self.block_of = self._rank[which]
+        m, n = self.d.shape
+        self.table = np.empty((m, m), dtype=np.int32)
+        step = max(1, CHUNK_ENTRIES // (m * n))
+        for i in range(0, m, step):
+            self.table[i:i + step] = self.index_of(self.d[i:i + step][:, self.d])
+        self.inverses = self.index_of(np.argsort(self.d, axis=1))
+
+    @property
+    def m(self) -> int:
+        return len(self.d)
+
+    def index_of(self, rows: np.ndarray) -> np.ndarray:
+        """Index in D of each map given as a row (last axis), -1 if none."""
+        keys = _row_keys(rows)
+        pos = np.searchsorted(self._keys, keys).clip(max=self.m - 1)
+        hit = self._keys[pos] == keys
+        return np.where(hit, self._rank[pos], np.int32(-1))
+
+    @property
+    def closed(self) -> bool:
+        """Is D closed under composition, that is, equal to Dis(Q)?"""
+        return bool(self.table.min() >= 0)
+
+    @property
+    def blocks(self) -> list[list[int]]:
+        """Cayley-kernel blocks aligned with ``d``: block i holds every x
+        with L_x L_e^{-1} = d[i], ascending, except that e is moved to the
+        front of its block."""
+        blocks: list[list[int]] = [[] for _ in range(self.m)]
+        for x, i in enumerate(self.block_of.tolist()):
+            blocks[i].append(x)
+        be = blocks[self.block_of[self.e]]
+        be.remove(self.e)
+        be.insert(0, self.e)
+        return blocks
 
 
 def is_tiny(q: Quandle, e: int = 0) -> bool:
     """Does Dis(Q) equal the plain set {L_x L_e^{-1} : x in Q}?
 
-    The set always sits inside Dis(Q), so equality amounts to the set
-    being closed under composition and inverses (the latter follows from
-    finiteness but is checked anyway, it is cheap).
+    The set always sits inside Dis(Q) and holds the identity, so equality
+    amounts to the set being closed under composition.
     """
-    lam = translation_set(q, e)
-    lam_set = set(lam)
-    for a in lam:
-        if inverse(a) not in lam_set:
-            return False
-        for b in lam:
-            if compose(a, b) not in lam_set:
-                return False
-    return True
+    return Translations(q, e).closed
 
 
 def is_medial(q: Quandle) -> bool:
-    """(x*y)*(u*v) == (x*u)*(y*v) for all quadruples.
-
-    Cross-checked against abelianness of the displacement group, which is
-    an equivalent condition.
-    """
+    """(x*y)*(u*v) == (x*u)*(y*v) for all quadruples."""
     t = q.array
     uv = t[None, :, :]                      # (u,v)
-    verdict = True
     for x in range(q.n):                    # keep memory at O(n^3)
         lhs = t[t[x][:, None, None], uv]    # (y,u,v)
         rhs = t[t[x][None, :, None], t[:, None, :]]
         if not np.array_equal(lhs, rhs):
-            verdict = False
-            break
-    assert verdict == is_abelian(displacement_group(q)), (
-        "mediality must match abelianness of the displacement group"
-    )
-    return verdict
+            return False
+    return True

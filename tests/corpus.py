@@ -13,12 +13,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from quandles.groups import (
-    AbelianGroup,
-    enumerate_homomorphism_images,
-    make_cyclic_product,
-)
+from quandles.groups import AbelianGroup, make_cyclic_product
 from quandles.mesh import AffineMesh, mesh_sum, validate_mesh
+
+from oracles import enumerate_homomorphism_images
 
 GROUP_MODULI = ((1,), (2,), (3,), (4,), (2, 2))
 

@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from quandles.groups import AbelianGroup, enumerate_homomorphism_images, make_cyclic_product
+from quandles.groups import AbelianGroup, generating_indices, make_cyclic_product
 
 
 def affine_table_mod(m: int, u: int) -> list[list[int]]:
@@ -33,6 +33,25 @@ def naive_closure(perms: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
         if new <= elems:
             return elems
         elems |= new
+
+
+def naive_orbits(gens, n: int) -> tuple[tuple[int, ...], ...]:
+    """Orbits of the group generated by the permutations gens, each a set
+    fixpoint from its least point, listed by least point."""
+    out: list[tuple[int, ...]] = []
+    seen: set[int] = set()
+    for x in range(n):
+        if x in seen:
+            continue
+        orbit = {x}
+        while True:
+            grown = orbit | {g[y] for g in gens for y in orbit}
+            if grown == orbit:
+                break
+            orbit = grown
+        seen |= orbit
+        out.append(tuple(sorted(orbit)))
+    return tuple(out)
 
 
 def naive_left_translations(table) -> list[tuple[int, ...]]:
@@ -64,6 +83,59 @@ def naive_is_quandle(table) -> bool:
         for b in range(n)
         for c in range(n)
     )
+
+
+def enumerate_homomorphism_images(src: AbelianGroup, dst: AbelianGroup) -> list[np.ndarray]:
+    """All additive maps src -> dst, as image arrays (brute force, tiny sizes)."""
+    gens = generating_indices(src.add)
+    if not gens:
+        return [np.zeros(src.order, dtype=np.int32)]
+    out = []
+    choices = [range(dst.order)] * len(gens)
+    for picks in itertools.product(*choices):
+        im = np.full(src.order, -1, dtype=np.int32)
+        im[0] = 0
+        ok = True
+        # close the partial map under addition
+        frontier = [0]
+        assigned = {0}
+        for g, v in zip(gens, picks):
+            if im[g] not in (-1, v):
+                ok = False
+                break
+            im[g] = v
+            assigned.add(g)
+        if not ok:
+            continue
+        changed = True
+        while changed and ok:
+            changed = False
+            for a in list(assigned):
+                for b in list(assigned):
+                    s = src.add_el(a, b)
+                    v = dst.add_el(int(im[a]), int(im[b]))
+                    if im[s] == -1:
+                        im[s] = v
+                        assigned.add(s)
+                        changed = True
+                    elif im[s] != v:
+                        ok = False
+                        break
+                if not ok:
+                    break
+        if not ok or -1 in im:
+            continue
+        if np.array_equal(im[src.add], dst.add[np.ix_(im, im)]):
+            out.append(im)
+    # dedupe (different generator picks can induce the same map)
+    seen = set()
+    uniq = []
+    for im in out:
+        key = im.tobytes()
+        if key not in seen:
+            seen.add(key)
+            uniq.append(im)
+    return uniq
 
 
 # Every abelian group of order <= 9, as moduli of a cyclic product.

@@ -331,7 +331,7 @@ def test_criterion_10_property_suites(small_corpus):
     checked = 0
     for mesh, q in small_corpus:
         checked += 1
-        assert is_medial(q)  # internally cross-checked against Dis
+        assert is_medial(q)  # mesh sums are medial; vs. abelian Dis below
         dis = displacement_group(q)
         if is_medial(q) != is_abelian(dis):
             medial_failures += 1

@@ -105,9 +105,14 @@ def test_cover_negative_exit_code(capsys, tmp_path, q2_file):
     assert "error=" in err
 
 
-def test_parse_error_exit_code(capsys, tmp_path):
+@pytest.mark.parametrize(
+    "text",
+    ["2\n0 1\n", "2\n0 5\n0 1\n", "2\n0 1\n-1 1\n"],
+    ids=["missing-row", "entry-too-large", "negative-entry"],
+)
+def test_parse_error_exit_code(capsys, tmp_path, text):
     bad = tmp_path / "bad.quandle"
-    bad.write_text("2\n0 1\n")
+    bad.write_text(text)
     code, _, err = run(capsys, "analyze", str(bad))
     assert code == 2
     assert "error=" in err

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from quandles import cover, groups
+from quandles import cover, groups, perms
 from quandles.core import is_isomorphic, validate_quandle
 from quandles.cover import (
     build_cover,
@@ -14,13 +14,12 @@ from quandles.cover import (
     is_homim_of_affine,
     optimized_multitransversal,
     simple_multitransversal,
-    translation_blocks,
     verify_cover,
 )
-from quandles.errors import NotHomImage
+from quandles.errors import NotHomImage, OplusUndefined
 from quandles.groups import make_cyclic_product
 from quandles.mesh import generate_max_mesh, mesh_sum
-from quandles.perms import displacement_group, identity_perm
+from quandles.perms import Translations, displacement_group, identity_perm
 
 from conftest import aff
 
@@ -40,8 +39,18 @@ def test_is_homim_true_for_affine(affine_corpus):
         assert is_homim_of_affine(aq.quandle)
 
 
+def test_cover_of_every_small_affine_quandle(affine_corpus):
+    # L_e conjugates D nontrivially in most of these (Aff(Z5, 2): by 2),
+    # and f must follow that conjugation for psi to be a homomorphism.
+    for _, _, aq in affine_corpus:
+        q = aq.quandle
+        for make in (simple_multitransversal, optimized_multitransversal):
+            assert verify_cover(build_cover(q, make(q)), q).ok
+
+
 def test_translation_blocks_identity_first(sum_three_z2):
-    d, blocks = translation_blocks(sum_three_z2)
+    tr = Translations(sum_three_z2)
+    d, blocks = [tuple(p) for p in tr.d.tolist()], tr.blocks
     assert d[0] == identity_perm(6)
     assert len(d) == 2
     assert blocks == [[0, 1, 2, 3], [4, 5]]
@@ -140,6 +149,12 @@ def test_bijective_cover_of_affine_input():
     assert is_isomorphic(r.cover.quandle, q) is not None
 
 
+def test_oplus_undefined_when_translations_not_closed(sum_two_z3, sum_three_z2):
+    t = simple_multitransversal(sum_three_z2)
+    with pytest.raises(OplusUndefined):
+        build_oplus(sum_two_z3, t)
+
+
 def test_negative_verdict_raises(sum_two_z3):
     with pytest.raises(NotHomImage):
         build_cover(sum_two_z3, simple_multitransversal(sum_two_z3))
@@ -165,7 +180,7 @@ def test_verify_cover_catches_tampered_psi(sum_three_z2):
 
 def test_dis_as_group_matches_displacement_order(sum_three_z2, sum_z2_z1):
     for q in (sum_three_z2, sum_z2_z1):
-        assert dis_as_group(q).order == displacement_group(q).order
+        assert dis_as_group(Translations(q)).order == displacement_group(q).order
 
 
 def test_pair_of_roundtrip(sum_z2_z1):
@@ -190,5 +205,45 @@ def test_build_cover_checks_the_cover_group_once(monkeypatch):
     monkeypatch.setattr(cover, "check_abelian_table", counted)
     r = build_cover(q, t)
     assert r.group.order == 80 and len(r.dis) == 4 and t.size == 20
-    # (T,+) and Dis(Q) once each when built, A once in verify_cover
-    assert sorted(orders) == [4, 20, 80]
+    # Dis(Q) and Z_kappa once each when built, A once in verify_cover
+    assert sorted(orders) == [4, 5, 80]
+
+
+def test_build_cover_builds_the_translation_set_once(monkeypatch):
+    q = mesh_sum(generate_max_mesh(8, 2))
+    t = optimized_multitransversal(q)
+    built, composed = [], []
+    real_init, real_compose = perms.Translations.__init__, perms.compose
+
+    def counted_init(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    def counted_compose(p, r):
+        composed.append((p, r))
+        return real_compose(p, r)
+
+    monkeypatch.setattr(perms.Translations, "__init__", counted_init)
+    monkeypatch.setattr(perms, "compose", counted_compose)
+    build_cover(q, t)
+    assert len(built) == 1
+    assert composed == []
+
+
+def test_build_oplus_matches_the_tagged_addition():
+    # (T,+) entry i*kappa + j is (D[i], j): D-part by composition in D,
+    # tag part mod kappa, compared with permutation products directly.
+    for q in (mesh_sum(generate_max_mesh(8, 2)), aff(12, 7).quandle, aff(9, 4).quandle):
+        t = optimized_multitransversal(q)
+        g = build_oplus(q, t)
+        d = [tuple(p) for p in Translations(q).d.tolist()]
+        index = {p: i for i, p in enumerate(d)}
+        k = t.kappa
+        for u in range(t.size):
+            for v in range(t.size):
+                (i, a), (j, b) = divmod(u, k), divmod(v, k)
+                prod = tuple(d[i][x] for x in d[j])
+                assert g.add_el(u, v) == index[prod] * k + (a + b) % k
+            i, a = divmod(u, k)
+            inv = tuple(sorted(range(q.n), key=lambda x: d[i][x]))
+            assert g.neg_el(u) == index[inv] * k + (-a) % k

@@ -49,6 +49,15 @@ def test_fibers_are_orbits_when_indecomposable(mesh_three_z2, sum_three_z2):
     assert orbits(sum_three_z2).sizes() == (2, 2, 2)
 
 
+def test_indecomposable_fibres_are_orbits_over_corpus(small_corpus):
+    checked = 0
+    for mesh, q in small_corpus:
+        if is_indecomposable(mesh):
+            assert orbits(q) == mesh.fiber_partition()
+            checked += 1
+    assert checked > 100
+
+
 def test_mesh_sum_table_of_z2_z1(sum_z2_z1):
     # Fibers {0,1} (Z2) and {2} (Z1); constants c[1][0] = 1 couple them.
     assert sum_z2_z1.table == (

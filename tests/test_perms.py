@@ -1,14 +1,19 @@
 """Permutation closure, displacement/multiplication groups, kernel, verdict
 predicates, cross-checked against naive set-fixpoint oracles."""
 
+import numpy as np
 import pytest
 
+from quandles import perms
 from quandles.core import validate_quandle
+from quandles.cover import is_homim_of_affine
 from quandles.errors import DegreeMismatch
 from quandles.perms import (
+    Translations,
     cayley_kernel,
     closure,
     compose,
+    displacement_generators,
     displacement_group,
     identity_perm,
     inverse,
@@ -18,11 +23,10 @@ from quandles.perms import (
     is_tiny,
     multiplication_group,
     orbits,
-    translation_set,
 )
 
 from conftest import aff
-from oracles import naive_closure, naive_is_medial
+from oracles import naive_closure, naive_is_medial, naive_orbits
 
 
 def test_compose_and_inverse():
@@ -103,7 +107,7 @@ def test_is_semiregular():
 
 def test_translation_set_dedupes_in_element_order():
     q = aff(8, 5).quandle
-    ts = translation_set(q)
+    ts = [tuple(p) for p in Translations(q).d.tolist()]
     assert len(ts) == 2
     assert ts[0] == identity_perm(8)  # L_0 L_0^{-1}
 
@@ -156,3 +160,70 @@ def test_non_medial_has_nonabelian_displacement():
     assert not is_abelian(displacement_group(q))
     assert not is_tiny(q)
     assert not is_semiregular(displacement_group(q))
+
+
+def conjugation_quandle_s3():
+    """x*y = x y x^{-1} on all of S3; with e the identity, D is the group
+    of inner automorphisms, closed and not abelian."""
+    from itertools import permutations
+
+    elems = list(permutations(range(3)))
+
+    def conj(x, y):
+        return compose(compose(x, y), inverse(x))
+
+    return validate_quandle(
+        [[elems.index(conj(x, y)) for y in elems] for x in elems]
+    )
+
+
+def test_translation_table_matches_compose(sum_three_z2, sum_two_z3):
+    cases = (
+        sum_three_z2,
+        sum_two_z3,
+        aff(8, 5).quandle,
+        aff(12, 7).quandle,
+        transposition_conjugation_quandle(),
+        conjugation_quandle_s3(),
+    )
+    for q in cases:
+        for e in range(q.n):
+            tr = Translations(q, e)
+            d = [tuple(p) for p in tr.d.tolist()]
+            index = {p: i for i, p in enumerate(d)}
+            assert d == list(dict.fromkeys(
+                compose(q.row(x), inverse(q.row(e))) for x in range(q.n)
+            ))
+            assert [index[compose(q.row(x), inverse(q.row(e)))] for x in range(q.n)] == (
+                tr.block_of.tolist()
+            )
+            for i, a in enumerate(d):
+                assert tr.inverses[i] == index.get(inverse(a), -1)
+                for j, b in enumerate(d):
+                    assert tr.table[i, j] == index.get(compose(a, b), -1)
+            assert is_tiny(q, e) == all(
+                compose(a, b) in index for a in d for b in d
+            )
+
+
+def test_closed_non_abelian_translation_set():
+    # Dis(Conj(S3)) = Inn(S3) is tiny but not abelian: not an affine image
+    q = conjugation_quandle_s3()
+    tr = Translations(q)
+    assert tr.closed and not np.array_equal(tr.table, tr.table.T)
+    assert is_tiny(q) and not is_homim_of_affine(q)
+
+
+def test_translation_table_chunks_agree(monkeypatch):
+    q = transposition_conjugation_quandle()
+    whole = Translations(q).table
+    monkeypatch.setattr(perms, "CHUNK_ENTRIES", 1)
+    assert np.array_equal(Translations(q).table, whole)
+
+
+def test_dis_and_lmlt_orbits_coincide(small_corpus):
+    # Dis(Q) and LMlt(Q) have the same orbits; orbits() walks the rows only.
+    cases = [q for _, q in small_corpus] + [transposition_conjugation_quandle()]
+    for q in cases:
+        by_dis = naive_orbits(displacement_generators(q), q.n)
+        assert by_dis == naive_orbits(q.table, q.n) == orbits(q).blocks
