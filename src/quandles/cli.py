@@ -2,8 +2,8 @@
 
 Commands: analyze, cover, mesh {validate,sum,coset,semireg,genmax},
 quotient, iso, affine.  Machine-readable output is line oriented
-key=value.  Exit codes: 0 ok, 2 parse error, 3 invalid algebra (or out
-of memory), 4 negative verdict where a construction was requested.
+key=value.  Exit codes: 0 ok, 2 parse error, 3 invalid algebra or
+oversized input, 4 negative verdict where a construction was requested.
 """
 
 from __future__ import annotations

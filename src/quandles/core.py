@@ -58,15 +58,11 @@ class Quandle:
         return tuple(map(tuple, self.array.tolist()))
 
     @cached_property
-    def ldiv_table(self) -> tuple[tuple[int, ...], ...]:
-        """ldiv_table[a][c] = the unique b with a*b = c."""
-        out = []
-        for row in self.table:
-            inv = [0] * self.n
-            for b, c in enumerate(row):
-                inv[c] = b
-            out.append(tuple(inv))
-        return tuple(out)
+    def ldiv_table(self) -> np.ndarray:
+        """ldiv_table[a, c] = the unique b with a*b = c: each row inverted."""
+        inv = np.argsort(self.array, axis=1).astype(np.int32)
+        inv.setflags(write=False)
+        return inv
 
     def op(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -91,15 +87,13 @@ class Partition:
 
     @staticmethod
     def from_blocks(blocks) -> "Partition":
-        canon = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
-        seen: set[int] = set()
-        for b in canon:
-            if not b:
-                raise ValueError("empty block")
-            if seen & set(b):
-                raise ValueError("blocks are not disjoint")
-            seen |= set(b)
-        if seen != set(range(len(seen))) or not seen:
+        canon = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[:1]))
+        if not all(canon):
+            raise ValueError("empty block")
+        elems = [x for b in canon for x in b]
+        if len(set(elems)) != len(elems):
+            raise ValueError("blocks are not disjoint or repeat an element")
+        if set(elems) != set(range(len(elems))) or not elems:
             raise ValueError("blocks do not cover 0..n-1")
         return Partition(canon)
 
@@ -184,7 +178,7 @@ def unchecked_quandle(table: np.ndarray) -> Quandle:
 
 def left_divide(q: Quandle, a: int, c: int) -> int:
     """The unique b with a*b = c."""
-    return q.ldiv_table[a][c]
+    return int(q.ldiv_table[a, c])
 
 
 def quotient(q: Quandle, p: Partition) -> Quandle:
@@ -199,12 +193,8 @@ def quotient(q: Quandle, p: Partition) -> Quandle:
                         for b2 in bj:
                             if block_of[q.table[a][b]] != block_of[q.table[a2][b2]]:
                                 raise NotACongruence(a, a2, b, b2)
-    k = len(p.blocks)
-    table = [[0] * k for _ in range(k)]
-    for i, bi in enumerate(p.blocks):
-        for j, bj in enumerate(p.blocks):
-            table[i][j] = block_of[q.table[bi[0]][bj[0]]]
-    return validate_quandle(table)
+    reps = [b[0] for b in p.blocks]
+    return validate_quandle(np.asarray(block_of)[q.array[np.ix_(reps, reps)]])
 
 
 def induced_subquandle(q: Quandle, subset) -> Quandle:

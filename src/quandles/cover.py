@@ -35,7 +35,7 @@ from .groups import (
     direct_product,
     make_cyclic_product,
 )
-from .perms import Perm, Translations
+from .perms import Translations
 
 
 def _commute_and_close(tr: Translations) -> bool:
@@ -173,7 +173,7 @@ class CoverResult:
     psi: np.ndarray
     cover: AffineQuandle
     transversal: Multitransversal
-    dis: tuple[Perm, ...]
+    dis: tuple[tuple[int, ...], ...]
 
     @property
     def psi_bijective(self) -> bool:

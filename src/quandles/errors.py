@@ -11,6 +11,11 @@ class ParseError(QuandleError):
     """Malformed input file or specification string."""
 
 
+class TooLarge(QuandleError):
+    def __init__(self, what: str, size: int):
+        super().__init__(f"{what} {size} does not fit int32 element indices")
+
+
 # -- quandle table validation -------------------------------------------------
 
 class NotIdempotent(QuandleError):

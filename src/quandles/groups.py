@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EmptyModuli, NotAdditive, NotAGroup, NotBijective
+from .errors import EmptyModuli, NotAdditive, NotAGroup, NotBijective, TooLarge
 
 
 def _first_mismatch(a: np.ndarray, b: np.ndarray) -> tuple[int, ...]:
@@ -181,6 +181,8 @@ def make_cyclic_product(moduli) -> AbelianGroup:
     if any(m < 1 for m in moduli):
         raise ValueError("moduli must be positive")
     n = math.prod(moduli)
+    if n > np.iinfo(np.int32).max:
+        raise TooLarge("group order", n)
     coords = np.stack(
         np.unravel_index(np.arange(n), moduli), axis=1
     ).astype(np.int64)
@@ -235,7 +237,10 @@ class GroupAutomorphism:
 
 def validate_automorphism(group: AbelianGroup, images) -> GroupAutomorphism:
     """Check bijectivity and additivity (first witness each)."""
-    im = np.asarray(images, dtype=np.int32)
+    try:
+        im = np.asarray(images, dtype=np.int32)
+    except OverflowError:  # an image no int32 holds is out of range
+        raise NotBijective() from None
     n = group.order
     if im.shape != (n,):
         raise ValueError(f"map has {im.shape} images, expected {n}")

@@ -5,8 +5,6 @@ All formats are line oriented; comment lines start with '#'.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .core import Partition, Quandle, validate_quandle
 from .errors import ParseError
 from .groups import (
@@ -130,7 +128,7 @@ def parse_mesh(text: str) -> AffineMesh:
         raise ParseError(f"bad mesh header {lines[0]!r}") from exc
     if k < 1:
         raise ParseError("mesh needs at least one index")
-    groups: list[AbelianGroup | None] = [None] * k
+    groups: dict[int, AbelianGroup] = {}
     phi_entries: dict[tuple[int, int], list[int]] = {}
     c_entries: dict[tuple[int, int], int] = {}
     for line in lines[1:]:
@@ -153,20 +151,15 @@ def parse_mesh(text: str) -> AffineMesh:
             c_entries[(i, j)] = _ints(toks[3])[0]
         else:
             raise ParseError(f"unknown mesh line {line!r}")
-    for i, g in enumerate(groups):
-        if g is None:
+    for i in range(k):  # ends at the first index without a line, however large k is
+        if i not in groups:
             raise ParseError(f"missing 'group {i}' line")
     phi = [
-        [
-            np.asarray(
-                phi_entries.get((i, j), [0] * groups[i].order), dtype=np.int32
-            )
-            for j in range(k)
-        ]
+        [phi_entries.get((i, j), [0] * groups[i].order) for j in range(k)]
         for i in range(k)
     ]
     c = [[c_entries.get((i, j), 0) for j in range(k)] for i in range(k)]
-    return validate_mesh(groups, phi, c)
+    return validate_mesh([groups[i] for i in range(k)], phi, c)
 
 
 def _index(tok: str, k: int) -> int:

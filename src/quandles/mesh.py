@@ -23,6 +23,7 @@ from .errors import (
     M3Violation,
     M4Violation,
     NotAHomomorphism,
+    TooLarge,
 )
 from .groups import AbelianGroup, _close_under, make_cyclic_product
 
@@ -63,10 +64,13 @@ def validate_mesh(groups, phi, c) -> AffineMesh:
     k = len(groups)
     if k == 0:
         raise InvalidParams("mesh needs at least one index")
-    phi = tuple(
-        tuple(np.asarray(phi[i][j], dtype=np.int32) for j in range(k))
-        for i in range(k)
-    )
+    try:
+        phi = tuple(
+            tuple(np.asarray(phi[i][j], dtype=np.int32) for j in range(k))
+            for i in range(k)
+        )
+    except OverflowError:  # an image no int32 holds is out of range
+        raise InvalidParams("phi maps outside its target group") from None
     c = tuple(tuple(int(c[i][j]) for j in range(k)) for i in range(k))
     for i in range(k):
         for j in range(k):
@@ -183,11 +187,7 @@ def semiregular_extension_form(mesh: AffineMesh) -> bool:
         for j in range(mesh.k):
             if not np.array_equal(mesh.phi[i][j], shared):
                 return False
-    # psi = 1 - shared must be bijective; (M1) guarantees it for the
-    # diagonal cell, which is the same map here, but verify anyway
-    one_minus = g0.add[np.arange(g0.order), g0.neg[shared]]
-    if len(set(one_minus.tolist())) != g0.order:
-        return False
+    # 1 - shared is bijective: (M1) holds for phi[0][0], the same map
     d = [mesh.c[i][0] for i in range(mesh.k)]
     return all(
         mesh.c[i][j] == g0.sub_el(d[i], d[j])
@@ -206,8 +206,10 @@ def generate_max_mesh(n: int, k: int) -> AffineMesh:
     value held only by singleton fibers, so the largest kernel block has
     exactly n - 2^k + 1 elements.
     """
-    if not (k >= 1 and 2 ** k < n):
+    if not (1 <= k < n.bit_length() and 2 ** k < n):  # 2^k computed if <= n
         raise InvalidParams(f"need 2^k < n, got n={n}, k={k}")
+    if n + k > np.iinfo(np.int32).max:
+        raise TooLarge("mesh size", n + k)
     z2 = make_cyclic_product((2,))
     z1 = make_cyclic_product((1,))
     groups = tuple([z2] * k + [z1] * (n - k))

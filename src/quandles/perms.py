@@ -1,8 +1,10 @@
-"""Permutations, group closure, and the quandle-theoretic group invariants.
+"""Permutation groups on int32 rows, and the quandle-theoretic invariants.
 
-Permutations are image tuples: p[i] is the image of i, maps act on the left,
-so compose(p, q) is "p after q".  Groups are materialized as full element
-sets; everything here is desk scale by design (no stabilizer chains).
+A permutation of degree n is a row of n images, p[i] the image of i.  Maps
+act on the left, so "p after q" is p[q], and a set of permutations is an
+(m, n) int32 array whose rows are looked up as byte keys (core._row_keys)
+in one sorted key array.  Groups are materialized as full element sets;
+everything here is desk scale by design (no stabilizer chains).
 """
 
 from __future__ import annotations
@@ -15,83 +17,93 @@ import numpy as np
 from .core import Partition, Quandle, _row_keys, connectivity_orbits
 from .errors import DegreeMismatch
 
-Perm = tuple[int, ...]
+# Entries of one chunk of products (closure layers, commutators, D's table).
+CHUNK_ENTRIES = 1 << 22
 
 
-def identity_perm(n: int) -> Perm:
-    return tuple(range(n))
-
-
-def compose(p: Perm, q: Perm) -> Perm:
-    """(p o q)(x) = p(q(x))."""
-    return tuple(p[x] for x in q)
-
-
-def inverse(p: Perm) -> Perm:
-    out = [0] * len(p)
-    for i, x in enumerate(p):
-        out[x] = i
-    return tuple(out)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PermGroup:
     """A finite permutation group given by its full element set.
 
-    Elements are listed in discovery order of the BFS closure, identity
-    first; the ordering is part of the contract (cover construction
-    indexes into it).
+    ``array`` holds the elements as read-only (order, degree) int32 rows,
+    in discovery order of the BFS closure, identity first; the ordering
+    is part of the contract.  ``elements`` is a lazily cached tuple view.
     """
 
     degree: int
-    generators: tuple[Perm, ...]
-    elements: tuple[Perm, ...]
+    generators: tuple[tuple[int, ...], ...]
+    array: np.ndarray
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.array)
 
     @cached_property
-    def index(self) -> dict[Perm, int]:
-        return {p: i for i, p in enumerate(self.elements)}
+    def elements(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.array.tolist()))
 
-    def __contains__(self, p: Perm) -> bool:
-        return p in self.index
+    @cached_property
+    def _keys(self) -> np.ndarray:
+        return np.sort(_row_keys(self.array))
+
+    def __contains__(self, p) -> bool:
+        row = np.asarray(p)
+        if row.shape != (self.degree,) or not np.all((row >= 0) & (row < self.degree)):
+            return False
+        key = _row_keys(row)
+        pos = np.searchsorted(self._keys, key)
+        return bool(pos < self.order and self._keys[pos] == key)
 
 
 def closure(generators, degree: int | None = None) -> PermGroup:
-    """BFS multiplication closure from the identity, generators in order."""
-    gens = tuple(tuple(g) for g in generators)
+    """BFS multiplication closure from the identity, generators in order.
+
+    Layer by layer: the candidates g o p of a layer run over its elements
+    p in discovery order and, for each p, over the generators g in order;
+    the first occurrence of each candidate not met before joins the next
+    layer.  That is the discovery order of a FIFO queue.  Candidates are
+    built in frontier chunks of about CHUNK_ENTRIES images.
+    """
+    gens = [np.asarray(g, dtype=np.int32) for g in generators]
     if degree is None:
         if not gens:
             raise ValueError("degree required for an empty generator list")
         degree = len(gens[0])
     for g in gens:
-        if len(g) != degree:
+        if g.shape != (degree,):
             raise DegreeMismatch(degree, len(g))
-    ident = identity_perm(degree)
-    elements = [ident]
-    seen = {ident}
-    queue = [ident]
-    while queue:
-        p = queue.pop(0)
-        for g in gens:
-            r = compose(g, p)
-            if r not in seen:
-                seen.add(r)
-                elements.append(r)
-                queue.append(r)
-    return PermGroup(degree, gens, tuple(elements))
+    gen_rows = np.array(gens, dtype=np.int32).reshape(len(gens), degree)
+    frontier = np.arange(degree, dtype=np.int32)[None, :]
+    layers = [frontier]
+    keys = _row_keys(frontier) if degree else None   # of all found, sorted
+    step = max(1, CHUNK_ENTRIES // max(1, len(gens) * degree))
+    while degree and len(frontier):
+        found = []
+        for start in range(0, len(frontier), step):
+            cand = gen_rows[:, frontier[start:start + step]]   # (g, p, x)
+            cand = cand.transpose(1, 0, 2).reshape(-1, degree)
+            cand_keys = _row_keys(cand)
+            _, first = np.unique(cand_keys, return_index=True)
+            first.sort()
+            pos = np.searchsorted(keys, cand_keys[first]).clip(max=len(keys) - 1)
+            first = first[keys[pos] != cand_keys[first]]
+            found.append(cand[first])
+            keys = np.sort(np.concatenate([keys, cand_keys[first]]))
+        frontier = np.concatenate(found)
+        layers.append(frontier)
+    elements = np.concatenate(layers)
+    elements.setflags(write=False)
+    return PermGroup(degree, tuple(map(tuple, gen_rows.tolist())), elements)
 
 
 def multiplication_group(q: Quandle) -> PermGroup:
     """LMlt(Q), generated by all left translations."""
-    return closure([q.row(a) for a in range(q.n)], q.n)
+    return closure(q.array, q.n)
 
 
-def displacement_generators(q: Quandle, e: int = 0) -> list[Perm]:
-    le_inv = inverse(q.row(e))
-    return [compose(q.row(a), le_inv) for a in range(q.n)]
+def displacement_generators(q: Quandle, e: int = 0) -> np.ndarray:
+    """The rows L_a L_e^{-1}, a in Q, as an (n, n) int32 array."""
+    return q.array[:, np.argsort(q.array[e])]
 
 
 def displacement_group(q: Quandle, e: int = 0) -> PermGroup:
@@ -106,32 +118,28 @@ def orbits(q: Quandle) -> Partition:
 
 def cayley_kernel(q: Quandle) -> Partition:
     """Partition identifying elements with equal left translations."""
-    by_row: dict[Perm, list[int]] = {}
-    for a in range(q.n):
-        by_row.setdefault(q.row(a), []).append(a)
-    return Partition.from_blocks(by_row.values())
-
-
-def is_abelian(g: PermGroup) -> bool:
-    gens = g.generators
-    return all(
-        compose(a, b) == compose(b, a)
-        for i, a in enumerate(gens)
-        for b in gens[i + 1:]
+    _, which = np.unique(_row_keys(q.array), return_inverse=True)
+    return Partition.from_blocks(
+        np.flatnonzero(which == k).tolist() for k in range(which.max() + 1)
     )
 
 
-def is_semiregular(g: PermGroup) -> bool:
-    """No non-identity element fixes a point."""
-    ident = identity_perm(g.degree)
-    for p in g.elements:
-        if p != ident and any(p[x] == x for x in range(g.degree)):
+def is_abelian(g: PermGroup) -> bool:
+    """Do the generators commute?  gens[:, gens][i, j] is g_i o g_j; it is
+    compared with its transpose in row chunks of about CHUNK_ENTRIES."""
+    gens = np.array(g.generators, dtype=np.int32).reshape(-1, g.degree)
+    step = max(1, CHUNK_ENTRIES // max(1, gens.size))
+    for i in range(0, len(gens), step):
+        chunk = gens[i:i + step]
+        if not np.array_equal(chunk[:, gens], gens[:, chunk].transpose(1, 0, 2)):
             return False
     return True
 
 
-# Entries of one chunk of products when D's composition table is built.
-CHUNK_ENTRIES = 1 << 22
+def is_semiregular(g: PermGroup) -> bool:
+    """No non-identity element fixes a point."""
+    fixed = g.array == np.arange(g.degree)
+    return not (fixed.any(axis=1) & ~fixed.all(axis=1)).any()
 
 
 class Translations:
@@ -148,7 +156,7 @@ class Translations:
 
     def __init__(self, q: Quandle, e: int = 0):
         self.e = e
-        rows = q.array[:, np.argsort(q.array[e])]
+        rows = displacement_generators(q, e)
         # distinct rows as sorted keys; key k first appears at x = first[k]
         self._keys, first, which = np.unique(
             _row_keys(rows), return_index=True, return_inverse=True
@@ -185,12 +193,8 @@ class Translations:
         """Cayley-kernel blocks aligned with ``d``: block i holds every x
         with L_x L_e^{-1} = d[i], ascending, except that e is moved to the
         front of its block."""
-        blocks: list[list[int]] = [[] for _ in range(self.m)]
-        for x, i in enumerate(self.block_of.tolist()):
-            blocks[i].append(x)
-        be = blocks[self.block_of[self.e]]
-        be.remove(self.e)
-        be.insert(0, self.e)
+        blocks = [np.flatnonzero(self.block_of == i).tolist() for i in range(self.m)]
+        blocks[self.block_of[self.e]].sort(key=lambda x: x != self.e)
         return blocks
 
 

@@ -9,10 +9,65 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
+from quandles.errors import DegreeMismatch
 from quandles.groups import AbelianGroup, generating_indices, make_cyclic_product
+
+
+# -- reference tuple permutations: p[i] is the image of i, maps act on the left
+
+Perm = tuple[int, ...]
+
+
+def identity_perm(n: int) -> Perm:
+    return tuple(range(n))
+
+
+def compose(p: Perm, q: Perm) -> Perm:
+    """(p o q)(x) = p(q(x))."""
+    return tuple(p[x] for x in q)
+
+
+def inverse(p: Perm) -> Perm:
+    out = [0] * len(p)
+    for i, x in enumerate(p):
+        out[x] = i
+    return tuple(out)
+
+
+class FifoGroup(NamedTuple):
+    degree: int
+    generators: tuple[Perm, ...]
+    elements: tuple[Perm, ...]
+
+
+def fifo_closure(generators, degree: int | None = None) -> FifoGroup:
+    """BFS multiplication closure from the identity, generators in order,
+    one element at a time through a FIFO queue of tuples."""
+    gens = tuple(tuple(g) for g in generators)
+    if degree is None:
+        if not gens:
+            raise ValueError("degree required for an empty generator list")
+        degree = len(gens[0])
+    for g in gens:
+        if len(g) != degree:
+            raise DegreeMismatch(degree, len(g))
+    ident = identity_perm(degree)
+    elements = [ident]
+    seen = {ident}
+    queue = [ident]
+    while queue:
+        p = queue.pop(0)
+        for g in gens:
+            r = compose(g, p)
+            if r not in seen:
+                seen.add(r)
+                elements.append(r)
+                queue.append(r)
+    return FifoGroup(degree, gens, tuple(elements))
 
 
 def affine_table_mod(m: int, u: int) -> list[list[int]]:

@@ -19,6 +19,7 @@ import conftest
 import corpus
 import oracles
 from conftest import aff, zero_phi_mesh
+from oracles import compose, inverse
 
 from quandles.affine import subquandle_closure
 from quandles.core import induced_subquandle, is_isomorphic, quotient, Partition
@@ -38,9 +39,7 @@ from quandles.mesh import (
 )
 from quandles.perms import (
     cayley_kernel,
-    compose,
     displacement_group,
-    inverse,
     is_abelian,
     is_medial,
     is_semiregular,

@@ -209,6 +209,16 @@ def test_quotient_non_congruence_exit_code(capsys, tmp_path):
     assert code == 3
 
 
+def test_quotient_repeated_element_exit_code(capsys, tmp_path):
+    qf = tmp_path / "proj.quandle"
+    qf.write_text("3\n0 1 2\n0 1 2\n0 1 2\n")
+    pf = tmp_path / "dup.part"
+    pf.write_text("0 0\n1\n")
+    code, out, err = run(capsys, "quotient", str(qf), str(pf))
+    assert code == 2
+    assert out == "" and err.startswith("error=")
+
+
 def test_iso_command(capsys, tmp_path, sum_z2_z1):
     a = tmp_path / "a.quandle"
     b = tmp_path / "b.quandle"
@@ -250,6 +260,31 @@ def test_cover_command_verifies_once(capsys, tmp_path, q1_file, monkeypatch):
     code, _, _ = run(capsys, "cover", str(q1_file), "--out", str(tmp_path / "o"))
     assert code == 0
     assert calls == [8]
+
+
+HUGE = "99999999999999999999999"
+
+
+@pytest.mark.parametrize(
+    "argv, mesh_text",
+    [
+        (["affine", "99999999999999999999:mul:3"], None),
+        (["affine", f"4x{HUGE}:1,2"], None),
+        (["affine", f"3:1,2,{HUGE}"], None),
+        (["mesh", "validate"], f"mesh 1\ngroup 0 {HUGE}\n"),
+        (["mesh", "validate"], f"mesh 1\ngroup 0 2\nphi 0 0 0 {HUGE}\n"),
+        (["mesh", "genmax", "99999999999999999999", "2"], None),
+    ],
+    ids=["group-order", "moduli-product", "image", "mesh-group", "mesh-phi", "genmax-n"],
+)
+def test_oversized_integer_exits_invalid(capsys, tmp_path, argv, mesh_text):
+    if mesh_text is not None:
+        path = tmp_path / "big.mesh"
+        path.write_text(mesh_text)
+        argv = argv + [str(path)]
+    code, _, err = run(capsys, *argv)
+    assert code == 3
+    assert err.startswith("error=") and err.count("\n") == 1
 
 
 def _cap_address_space():

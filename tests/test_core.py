@@ -105,6 +105,10 @@ def test_partition_rejects_overlap_and_gaps():
         Partition.from_blocks([[0, 1], [1, 2]])
     with pytest.raises(ValueError):
         Partition.from_blocks([[0], [2]])
+    with pytest.raises(ValueError):
+        Partition.from_blocks([[0, 0], [1]])
+    with pytest.raises(ValueError):
+        Partition.from_blocks([[], [0]])
 
 
 def test_quotient_of_affine_by_doubling_kernel():

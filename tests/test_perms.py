@@ -12,11 +12,8 @@ from quandles.perms import (
     Translations,
     cayley_kernel,
     closure,
-    compose,
     displacement_generators,
     displacement_group,
-    identity_perm,
-    inverse,
     is_abelian,
     is_medial,
     is_semiregular,
@@ -26,7 +23,15 @@ from quandles.perms import (
 )
 
 from conftest import aff
-from oracles import naive_closure, naive_is_medial, naive_orbits
+from oracles import (
+    compose,
+    fifo_closure,
+    identity_perm,
+    inverse,
+    naive_closure,
+    naive_is_medial,
+    naive_orbits,
+)
 
 
 def test_compose_and_inverse():
@@ -123,20 +128,19 @@ def test_is_tiny_false_for_non_closed_translation_set(sum_two_z3):
     assert displacement_group(sum_two_z3).order == 3
 
 
-def transposition_conjugation_quandle():
-    """x*y = xyx on the six transpositions of S4; the smallest standard
-    example of a non-medial quandle."""
+def transposition_conjugation_quandle(k: int = 4):
+    """x*y = xyx on the transpositions of S_k; for k = 4 the smallest
+    standard example of a non-medial quandle."""
     from itertools import combinations
 
     trans = []
-    for i, j in combinations(range(4), 2):
-        p = list(range(4))
+    for i, j in combinations(range(k), 2):
+        p = list(range(k))
         p[i], p[j] = p[j], p[i]
         trans.append(tuple(p))
 
     def conj(x, y):
-        xy = tuple(x[y[k]] for k in range(4))
-        return tuple(xy[x[k]] for k in range(4))
+        return compose(compose(x, y), x)
 
     return validate_quandle(
         [[trans.index(conj(x, y)) for y in trans] for x in trans]
@@ -227,3 +231,40 @@ def test_dis_and_lmlt_orbits_coincide(small_corpus):
     for q in cases:
         by_dis = naive_orbits(displacement_generators(q), q.n)
         assert by_dis == naive_orbits(q.table, q.n) == orbits(q).blocks
+
+
+def test_closure_matches_fifo_reference(small_corpus):
+    # The layered closure lists elements in the order of a FIFO queue.
+    gen_sets = [
+        ([(1, 0, 2), (1, 2, 0)], None),
+        ([(1, 2, 3, 0)], None),
+        ([(1, 0, 2), (1, 2, 0), (1, 0, 2), (0, 1, 2)], None),
+        ([], 5),
+    ]
+    quandles = [q for _, q in small_corpus] + [
+        transposition_conjugation_quandle(k) for k in (4, 5, 6)
+    ]
+    for q in quandles:
+        gen_sets.append((q.table, q.n))
+        gen_sets.append((displacement_generators(q).tolist(), q.n))
+    for gens, degree in gen_sets:
+        group, ref = closure(gens, degree), fifo_closure(gens, degree)
+        assert group.elements == ref.elements
+        assert group.generators == ref.generators
+        assert group.array.dtype == np.int32 and not group.array.flags.writeable
+
+
+def test_closure_and_commutation_chunks_agree(monkeypatch):
+    gens = transposition_conjugation_quandle(5).table
+    whole = closure(gens).elements
+    monkeypatch.setattr(perms, "CHUNK_ENTRIES", 1)
+    assert closure(gens).elements == whole
+    assert not is_abelian(closure([(1, 0, 2), (1, 2, 0)]))
+    assert is_abelian(closure([(1, 2, 3, 0), (2, 3, 0, 1)]))
+
+
+def test_membership_searches_the_elements():
+    g = closure([(1, 2, 3, 0)])
+    assert (2, 3, 0, 1) in g and [3, 0, 1, 2] in g
+    assert (1, 0, 3, 2) not in g
+    assert (0, 1, 2) not in g and (0, 1, 2, 4) not in g

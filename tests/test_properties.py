@@ -10,9 +10,7 @@ from quandles.core import is_isomorphic, left_divide, validate_quandle
 from quandles.groups import make_cyclic_product, multiplication_automorphism
 from quandles.mesh import mesh_sum
 from quandles.perms import (
-    compose,
     displacement_group,
-    inverse,
     is_abelian,
     is_medial,
     is_semiregular,
@@ -21,6 +19,7 @@ from quandles.perms import (
 )
 
 from conftest import aff, zero_phi_mesh
+from oracles import compose, inverse
 
 
 def _quandle_pool():
@@ -68,6 +67,7 @@ def test_left_division_roundtrips(mu, data):
     a = data.draw(st.integers(min_value=0, max_value=m - 1))
     c = data.draw(st.integers(min_value=0, max_value=m - 1))
     b = left_divide(q, a, c)
+    assert type(b) is int
     assert q.op(a, b) == c
     assert left_divide(q, a, q.op(a, b)) == b
 

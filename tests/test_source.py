@@ -21,12 +21,24 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
-def test_cover_makes_no_permutation_products():
-    # The cover reads D's composition table; it composes no permutations.
-    called = {
-        node.func.id if isinstance(node.func, ast.Name) else node.func.attr
-        for node in ast.walk(_tree(SRC / "cover.py"))
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, (ast.Name, ast.Attribute))
-    }
-    assert not called & {"compose", "inverse"}
+def _names(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.alias):
+            yield node.asname or node.name
+
+
+def test_no_tuple_permutation_layer_in_package():
+    # Permutations are int32 rows; the tuple helpers live in tests/oracles.py.
+    found = [
+        f"{path.name}: {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name in _names(_tree(path))
+        if name in {"compose", "inverse", "identity_perm", "Perm"}
+    ]
+    assert found == []
