@@ -18,9 +18,9 @@ from .errors import (
     RowNotBijective,
 )
 
-# Full cubic self-distributivity scan is skipped above this size for tables
-# that are correct by construction (affine tables); validate_quandle itself
-# always runs the complete scan.
+# The self-distributivity check (d*n^2 products for d distinct rows) is
+# skipped above this size for tables that are correct by construction
+# (affine tables); validate_quandle itself always runs it.
 FULL_VALIDATE_LIMIT = 512
 
 
@@ -150,17 +150,25 @@ def _check_table(table) -> np.ndarray:
 def validate_quandle(table) -> Quandle:
     """Check idempotence, row bijectivity and left self-distributivity.
 
-    Scans in lexicographic order and reports the first witness found.
+    "a*(b*c) = (a*b)*(a*c) for all b, c" says that L_a is an endomorphism,
+    which depends only on the row L_a: equal rows pass or fail together.
+    So each distinct row is checked once, in chunks of at most 2^20
+    products, and the cost is d*n^2 for d distinct rows instead of n^3.
+    The rows are taken at their first index, in ascending order, so the
+    first failing one is the least a that fails, and its first (b, c) in
+    row-major order makes the witness the lexicographically first one.
     """
     arr = _check_table(table)
-    for a in range(len(arr)):
-        # a*(b*c) == (a*b)*(a*c), vectorized over (b,c)
-        lhs = arr[a][arr]
-        lrow = arr[a]
-        rhs = arr[np.ix_(lrow, lrow)]
-        if not np.array_equal(lhs, rhs):
-            b, c = map(int, np.argwhere(lhs != rhs)[0])
-            raise NotLeftDistributive(a, b, c)
+    n = len(arr)
+    first = np.sort(np.unique(_row_keys(arr), return_index=True)[1])
+    step = max(1, (1 << 20) // (n * n))
+    for start in range(0, len(first), step):
+        rows = arr[first[start:start + step]]
+        bad = rows[:, arr] != arr[rows[:, :, None], rows[:, None, :]]
+        if bad.any():
+            i = int(np.flatnonzero(bad.any(axis=(1, 2)))[0])
+            b, c = map(int, np.argwhere(bad[i])[0])
+            raise NotLeftDistributive(int(first[start + i]), b, c)
     return Quandle(arr)
 
 
@@ -168,7 +176,7 @@ def unchecked_quandle(table: np.ndarray) -> Quandle:
     """Wrap a table that is a quandle by construction.
 
     Shape, range, idempotence and row bijectivity are still checked (they
-    are quadratic); the cubic distributivity scan runs only up to
+    are quadratic); the d*n^2 distributivity check runs only up to
     FULL_VALIDATE_LIMIT.
     """
     if len(table) <= FULL_VALIDATE_LIMIT:

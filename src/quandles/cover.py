@@ -77,9 +77,6 @@ class Multitransversal:
     def size(self) -> int:
         return len(self.elements)
 
-    def block_index(self, entry: int) -> int:
-        return entry // self.kappa
-
     @property
     def e(self) -> int:
         return self.elements[0]

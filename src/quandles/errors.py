@@ -12,8 +12,7 @@ class ParseError(QuandleError):
 
 
 class TooLarge(QuandleError):
-    def __init__(self, what: str, size: int):
-        super().__init__(f"{what} {size} does not fit int32 element indices")
+    """A size the package refuses before allocating anything for it."""
 
 
 # -- quandle table validation -------------------------------------------------

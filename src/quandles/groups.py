@@ -3,6 +3,9 @@
 Every group is stored as a full addition table (desk scale), so groups
 arising from cyclic products and groups built element-wise (the cover
 construction) share one representation.  Index 0 is always the zero.
+A cyclic product whose finished int32 table would exceed 1 GiB (order
+above 16,384) is refused before anything is allocated; building an
+accepted one takes several times its table size transiently.
 
 Group axioms are verified at construction: commutativity, identity and
 inverses exhaustively, associativity by Light's test over a generating
@@ -20,6 +23,18 @@ from functools import cached_property
 import numpy as np
 
 from .errors import EmptyModuli, NotAdditive, NotAGroup, NotBijective, TooLarge
+
+
+# Limit on the finished n^2 int32 addition table of a cyclic product:
+# 1 GiB, so n <= 16,384.
+_TABLE_LIMIT_BYTES = 1 << 30
+
+
+def _check_table_limit(n: int) -> None:
+    """Refuse a group whose finished n^2 table exceeds the limit."""
+    if 4 * n * n > _TABLE_LIMIT_BYTES:
+        raise TooLarge(f"group order {n} needs a {4 * n * n}-byte addition "
+                       f"table, over the {_TABLE_LIMIT_BYTES >> 30} GiB table limit")
 
 
 def _first_mismatch(a: np.ndarray, b: np.ndarray) -> tuple[int, ...]:
@@ -143,10 +158,6 @@ class AbelianGroup:
     def order(self) -> int:
         return len(self.add)
 
-    @property
-    def zero(self) -> int:
-        return 0
-
     def add_el(self, a: int, b: int) -> int:
         return int(self.add[a][b])
 
@@ -181,8 +192,7 @@ def make_cyclic_product(moduli) -> AbelianGroup:
     if any(m < 1 for m in moduli):
         raise ValueError("moduli must be positive")
     n = math.prod(moduli)
-    if n > np.iinfo(np.int32).max:
-        raise TooLarge("group order", n)
+    _check_table_limit(n)
     coords = np.stack(
         np.unravel_index(np.arange(n), moduli), axis=1
     ).astype(np.int64)

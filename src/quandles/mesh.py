@@ -209,7 +209,7 @@ def generate_max_mesh(n: int, k: int) -> AffineMesh:
     if not (1 <= k < n.bit_length() and 2 ** k < n):  # 2^k computed if <= n
         raise InvalidParams(f"need 2^k < n, got n={n}, k={k}")
     if n + k > np.iinfo(np.int32).max:
-        raise TooLarge("mesh size", n + k)
+        raise TooLarge(f"mesh size {n + k} does not fit int32 element indices")
     z2 = make_cyclic_product((2,))
     z1 = make_cyclic_product((1,))
     groups = tuple([z2] * k + [z1] * (n - k))

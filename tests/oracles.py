@@ -13,7 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from quandles.errors import DegreeMismatch
+from quandles.core import Quandle, _check_table
+from quandles.errors import DegreeMismatch, NotLeftDistributive
 from quandles.groups import AbelianGroup, generating_indices, make_cyclic_product
 
 
@@ -138,6 +139,22 @@ def naive_is_quandle(table) -> bool:
         for b in range(n)
         for c in range(n)
     )
+
+
+def lexicographic_validate(table) -> Quandle:
+    """validate_quandle as it was before distinct rows were checked once:
+    the quadratic table checks, then a scan of every a in order, raising at
+    the lexicographically first (a, b, c) that breaks distributivity."""
+    arr = _check_table(table)
+    for a in range(len(arr)):
+        # a*(b*c) == (a*b)*(a*c), vectorized over (b,c)
+        lhs = arr[a][arr]
+        lrow = arr[a]
+        rhs = arr[np.ix_(lrow, lrow)]
+        if not np.array_equal(lhs, rhs):
+            b, c = map(int, np.argwhere(lhs != rhs)[0])
+            raise NotLeftDistributive(a, b, c)
+    return Quandle(arr)
 
 
 def enumerate_homomorphism_images(src: AbelianGroup, dst: AbelianGroup) -> list[np.ndarray]:

@@ -304,3 +304,22 @@ def test_oversized_affine_exits_invalid():
     assert proc.returncode == 3
     assert proc.stderr.startswith("error=")
     assert "Traceback" not in proc.stderr
+
+
+def test_non_distributive_witness_without_asserts(tmp_path):
+    # the 4x4 table of test_core.py: idempotent, rows bijective, not left
+    # distributive; python -O strips asserts and must not change the error
+    path = tmp_path / "bad.quandle"
+    path.write_text("4\n0 2 1 3\n2 1 3 0\n3 0 2 1\n2 0 1 3\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    errors = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "quandles.cli", "analyze", str(path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error=") and proc.stderr.count("\n") == 1
+        errors.append(proc.stderr)
+    assert errors[0] == errors[1]
+    assert "(0,1,0)" in errors[1]

@@ -1,11 +1,14 @@
 """Abelian group tables, automorphisms, homomorphism enumeration."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from quandles.errors import EmptyModuli, NotAdditive, NotAGroup, NotBijective
+from quandles.errors import EmptyModuli, NotAdditive, NotAGroup, NotBijective, TooLarge
 from quandles.groups import (
     AbelianGroup,
+    _check_table_limit,
     check_abelian_table,
     direct_product,
     generating_indices,
@@ -213,3 +216,26 @@ def test_commutativity_witness_spans_tiles():
     neg = make_cyclic_product((n,)).neg
     add[280, 10], add[270, 290] = add[280, 11], add[270, 291]
     assert check_abelian_table(add, neg) == "not commutative at (10,280)"
+
+
+def _refusal_peak(build) -> int:
+    """Traced peak memory of a build that must raise TooLarge."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge) as exc:
+            build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "1 GiB table limit" in str(exc.value)
+    return peak
+
+
+def test_oversized_cyclic_product_refused_before_allocating():
+    assert _refusal_peak(lambda: make_cyclic_product((10**6,))) < 1 << 20
+
+
+def test_table_limit_boundary():
+    _check_table_limit(16384)  # 16384^2 int32 entries are exactly 1 GiB
+    with pytest.raises(TooLarge):
+        _check_table_limit(16385)
