@@ -19,8 +19,7 @@ class AffineQuandle:
 
 def one_minus_f_images(group: AbelianGroup, f: GroupAutomorphism) -> np.ndarray:
     """Image array of g = 1 - f, i.e. g(a) = a - f(a)."""
-    rng = np.arange(group.order)
-    return group.add[rng, group.neg[f.images]]
+    return group.plus(np.arange(group.order), group.neg[f.images])
 
 
 def make_affine(group: AbelianGroup, f: GroupAutomorphism) -> AffineQuandle:

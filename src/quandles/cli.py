@@ -83,7 +83,8 @@ def cmd_cover(args) -> int:
     stem = Path(args.path).stem
     table_path = out / f"{stem}.cover.quandle"
     sidecar_path = out / f"{stem}.cover.sidecar"
-    table_path.write_text(iofmt.format_quandle(result.cover.quandle))
+    with table_path.open("w") as fh:
+        iofmt.write_cover_table(result, fh)
     sidecar_path.write_text(iofmt.format_cover_sidecar(result))
     _emit([
         ("A_order", result.group.order),

@@ -14,19 +14,19 @@ automorphism f and a surjective quandle homomorphism psi: Aff(A,f) -> Q.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import cycle
 
 import numpy as np
 
 from . import perms
-from .affine import AffineQuandle, make_affine
-from .core import Quandle
+from .affine import AffineQuandle, make_affine, one_minus_f_images
+from .core import Quandle, _row_keys
 from .errors import (
     InternalAssertionFailure,
     NotAGroup,
     NotHomImage,
     OplusUndefined,
-    QuandleError,
 )
 from .groups import (
     AbelianGroup,
@@ -163,14 +163,22 @@ def _oplus(dis: AbelianGroup, t: Multitransversal) -> AbelianGroup:
 
 @dataclass(frozen=True, eq=False)
 class CoverResult:
-    """A = Dis(Q) x (T,+) with elements (alpha, t) indexed alpha-major."""
+    """A = Dis(Q) x (T,+) with elements (alpha, t) indexed alpha-major.
+
+    ``group`` is kept as its factors and ``f``, ``psi`` are image arrays,
+    so a result costs O(|A|); ``group.add`` and ``cover`` (the |A|^2
+    table of Aff(A,f)) are built on first read and cached.
+    """
 
     group: AbelianGroup
     f: GroupAutomorphism
     psi: np.ndarray
-    cover: AffineQuandle
     transversal: Multitransversal
     dis: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def cover(self) -> AffineQuandle:
+        return make_affine(self.group, self.f)
 
     @property
     def psi_bijective(self) -> bool:
@@ -194,9 +202,9 @@ def build_cover(q: Quandle, t: Multitransversal) -> CoverResult:
     (alpha, t) to (L_e alpha L_x^{-1}, t), where x is the element behind
     t, and psi maps it to alpha(x).  Since L_x = D[b] L_e for the block b
     of x, L_e alpha L_x^{-1} = (L_e alpha L_e^{-1}) D[b]^{-1}: a lookup in
-    D's composition table.  verify_cover, called once here, is the one
-    exhaustive check of A, f and psi; any failure raises
-    InternalAssertionFailure.
+    D's composition table.  A is kept as its factors and no |A|^2 table
+    is built; verify_cover, called once here, proves every claim from the
+    factor tables, and any failure raises InternalAssertionFailure.
     """
     tr = _homim_translations(q)
     group_d = dis_as_group(tr)
@@ -213,11 +221,7 @@ def build_cover(q: Quandle, t: Multitransversal) -> CoverResult:
     f_im = (f_d * np.int32(nt) + np.arange(nt, dtype=np.int32)).reshape(-1)
     psi = tr.d[:, elems].reshape(-1)
     f = GroupAutomorphism(a, f_im)
-    try:
-        cover = make_affine(a, f)
-    except QuandleError as exc:
-        raise InternalAssertionFailure(f"Aff(A,f) is not a quandle: {exc}") from exc
-    result = CoverResult(a, f, psi, cover, t, tuple(map(tuple, tr.d.tolist())))
+    result = CoverResult(a, f, psi, t, tuple(map(tuple, tr.d.tolist())))
     report = verify_cover(result, q)
     if not report.ok:
         raise InternalAssertionFailure(
@@ -238,45 +242,108 @@ class VerifyReport:
 
 
 def verify_cover(result: CoverResult, q: Quandle) -> VerifyReport:
-    """Independent exhaustive check of the cover.
+    """Check that A is an abelian group, f an automorphism and psi a
+    surjective quandle homomorphism Aff(A,f) -> Q, from the factor tables
+    of A, in O(sum of factor orders^2 + |A| (d + |gens|)).  Reports the
+    first witness per failed property instead of raising.  Each claim
+    rests on one lemma:
 
-    Confirms that A is an abelian group, f an automorphism, psi a
-    surjective quandle homomorphism Aff(A,f) -> Q.  Reports the first
-    witness per failed property instead of raising.
+    1. A is an abelian group.  A product group's order is the product of
+       its factor orders and ``plus`` adds coordinates in the factor
+       tables, u -> divmod(u, |G2|) being a bijection onto G1 x G2; so when
+       check_abelian_table passes on each distinct factor table, A is a
+       direct product of abelian groups.  |A| = |Dis(Q)| * |T| is checked
+       so that pair_of is that bijection for the cover, and ``neg`` to
+       invert every element, since w below is computed with it.
+    2. f is bijective: its sorted images are 0..|A|-1.
+    3. f is additive.  Let S = {g : f(u+g) = f(u)+f(g) for all u}.  If g
+       and h are in S, then f(u+g+h) = f(u+g)+f(h) = f(u)+f(g)+f(h) =
+       f(u)+f(g+h), so S is closed under +, and in a finite group a
+       nonempty subset closed under + is a subgroup.  The lifted
+       generators of the factors generate A, so checking f(u+g) = f(u)+f(g)
+       for every u and each of them (|A| * |gens|) shows S = A.
+    4. psi maps into Q: shape |A| and values in 0..|Q|-1.
+    5. psi is a homomorphism.  In Aff(A,f), u*v = w(u) + f(v) with
+       w = (1-f)(u) = u + neg(f(u)), so u*v depends on u only through w(u).
+       For one representative r per value of w, psi(r*v) = psi(r)*psi(v)
+       is checked for every v (d * |A| for d values).  If r passes, then
+       for u with w(u) = w(r), psi(u*v) = psi(r*v) = psi(r)*psi(v), so u
+       passes iff the row of psi(u) in Q equals that of psi(r) on the image
+       of psi: one comparison of row ids per u.  Every u that fails is
+       therefore behind a failing representative or has a differing row;
+       only those are rescanned, in ascending order, so the witness (u, v)
+       is the first in row-major order.
+    6. psi is surjective: its values cover 0..|Q|-1.
+
+    Claims 2-6 are stated over A, so they are checked only when claim 1
+    holds; claim 5 needs f's images in range to form u*v.
     """
     failures: list[str] = []
-    a = result.group
-    witness = check_abelian_table(a.add, a.neg)
-    if witness is not None:
-        failures.append(f"A is not an abelian group: {witness}")
-    im = result.f.images
+    a, im, psi = result.group, result.f.images, result.psi
     n = a.order
-    if not np.array_equal(np.sort(im), np.arange(n)):
+    witness = _group_witness(a, len(result.dis) * result.transversal.size)
+    if witness is not None:
+        return VerifyReport((f"A is not an abelian group: {witness}",), n,
+                            result.psi_bijective)
+    rng = np.arange(n, dtype=np.int32)
+    f_in_range = im.shape == (n,) and im.min() >= 0 and im.max() < n
+    if not (f_in_range and np.array_equal(np.sort(im), rng)):
         failures.append("f is not bijective")
     else:
-        lhs = im[a.add]
-        rhs = a.add[np.ix_(im, im)]
-        if not np.array_equal(lhs, rhs):
-            u, v = map(int, np.argwhere(lhs != rhs)[0])
-            failures.append(f"f is not additive at ({u},{v})")
-    psi = result.psi
-    ct = result.cover.quandle.array
-    qt = q.array
+        for g in a.generators():
+            bad = np.flatnonzero(im[a.plus(rng, g)] != a.plus(im, im[g]))
+            if bad.size:
+                failures.append(f"f is not additive at ({int(bad[0])},{g})")
+                break
     if psi.shape != (n,) or psi.min() < 0 or psi.max() >= q.n:
         failures.append("psi is not a map into Q")
     else:
-        lhs = psi[ct]
-        rhs = qt[np.ix_(psi, psi)]
-        if not np.array_equal(lhs, rhs):
-            u, v = map(int, np.argwhere(lhs != rhs)[0])
-            failures.append(
-                f"psi is not a homomorphism at ({u},{v}): "
-                f"psi(u*v)={int(lhs[u][v])} but psi(u)*psi(v)={int(rhs[u][v])}"
-            )
-        if set(psi.tolist()) != set(range(q.n)):
+        if f_in_range:
+            witness = _psi_witness(a, result.f, psi, q.array)
+            if witness is not None:
+                failures.append("psi is not a homomorphism at ({},{}): "
+                                "psi(u*v)={} but psi(u)*psi(v)={}".format(*witness))
+        if len(np.unique(psi)) != q.n:
             failures.append("psi is not surjective")
-    return VerifyReport(
-        tuple(failures),
-        a_order=n,
-        psi_bijective=result.psi_bijective,
-    )
+    return VerifyReport(tuple(failures), a_order=n, psi_bijective=result.psi_bijective)
+
+
+def _group_witness(a: AbelianGroup, order: int) -> str | None:
+    """Claim 1: each distinct factor table is an abelian group, |A| is
+    ``order``, and neg inverts."""
+    for g in {id(g): g for g in a.factors()}.values():
+        witness = check_abelian_table(g.add, g.neg)
+        if witness is not None:
+            return witness
+    if a.order != order:
+        return f"order {a.order} is not |Dis(Q)| * |T| = {order}"
+    bad = a.plus(np.arange(a.order), a.neg) != 0
+    if bad.any():
+        return f"neg({int(np.flatnonzero(bad)[0])}) is not an inverse"
+    return None
+
+
+def _psi_witness(a: AbelianGroup, f: GroupAutomorphism, psi: np.ndarray,
+                 qt: np.ndarray) -> tuple[int, int, int, int] | None:
+    """Claim 5: the first (u, v, psi(u*v), psi(u)*psi(v)) in row-major
+    order with psi(u*v) != psi(u)*psi(v), or None."""
+    n, im = a.order, f.images
+    w = one_minus_f_images(a, f)
+    _, reps, cls = np.unique(w, return_index=True, return_inverse=True)
+    bad_rep = np.zeros(len(reps), dtype=bool)
+    step = max(1, (1 << 20) // n)  # representatives per chunk, to bound memory
+    for start in range(0, len(reps), step):
+        r = reps[start:start + step]
+        lhs = psi[a.plus(w[r][:, None], im[None, :])]
+        rhs = qt[psi[r][:, None], psi[None, :]]
+        bad_rep[start:start + step] = (lhs != rhs).any(axis=1)
+    row_id = np.unique(_row_keys(qt[:, np.unique(psi)]), return_inverse=True)[1]
+    suspect = bad_rep[cls] | (row_id[psi] != row_id[psi[reps[cls]]])
+    for u in np.flatnonzero(suspect).tolist():
+        lhs = psi[a.plus(w[u], im)]
+        rhs = qt[psi[u], psi]
+        bad = np.flatnonzero(lhs != rhs)
+        if bad.size:
+            v = int(bad[0])
+            return u, v, int(lhs[v]), int(rhs[v])
+    return None

@@ -1,11 +1,12 @@
 """Finite abelian groups with integer-indexed elements.
 
-Every group is stored as a full addition table (desk scale), so groups
-arising from cyclic products and groups built element-wise (the cover
-construction) share one representation.  Index 0 is always the zero.
-A cyclic product whose finished int32 table would exceed 1 GiB (order
-above 16,384) is refused before anything is allocated; building an
-accepted one takes several times its table size transiently.
+A group given by its elements (a cyclic product, Dis(Q)) is stored as a
+full int32 addition table; index 0 is always the zero.  A direct product
+is kept as its two factors: element (a, b) is at a*|G2| + b, ``neg`` and
+``plus`` are computed from the factor tables in O(order), and the order^2
+table ``add`` is built only when it is read.  A table whose finished
+int32 form would exceed 1 GiB (order above 16,384) is refused with
+TooLarge before anything is allocated.
 
 Group axioms are verified at construction: commutativity, identity and
 inverses exhaustively, associativity by Light's test over a generating
@@ -25,16 +26,17 @@ import numpy as np
 from .errors import EmptyModuli, NotAdditive, NotAGroup, NotBijective, TooLarge
 
 
-# Limit on the finished n^2 int32 addition table of a cyclic product:
+# Limit on a finished n^2 int32 table (an addition table, a mesh sum):
 # 1 GiB, so n <= 16,384.
 _TABLE_LIMIT_BYTES = 1 << 30
 
 
-def _check_table_limit(n: int) -> None:
-    """Refuse a group whose finished n^2 table exceeds the limit."""
+def _check_table_limit(n: int, what: str = "group order",
+                       table: str = "addition table") -> None:
+    """Refuse a table whose finished n^2 int32 form exceeds the limit."""
     if 4 * n * n > _TABLE_LIMIT_BYTES:
-        raise TooLarge(f"group order {n} needs a {4 * n * n}-byte addition "
-                       f"table, over the {_TABLE_LIMIT_BYTES >> 30} GiB table limit")
+        raise TooLarge(f"{what} {n} needs a {4 * n * n}-byte {table}, "
+                       f"over the {_TABLE_LIMIT_BYTES >> 30} GiB table limit")
 
 
 def _first_mismatch(a: np.ndarray, b: np.ndarray) -> tuple[int, ...]:
@@ -145,27 +147,30 @@ class AbelianGroup:
         self.add.setflags(write=False)
         self.neg.setflags(write=False)
 
-    @classmethod
-    def _unchecked(cls, add, neg, moduli=None, name="") -> "AbelianGroup":
-        """A group whose axioms hold by construction: no table check."""
-        group = cls.__new__(cls)
-        group.__dict__.update(add=add, neg=neg, moduli=moduli, name=name)
-        add.setflags(write=False)
-        neg.setflags(write=False)
-        return group
-
     @property
     def order(self) -> int:
-        return len(self.add)
+        return len(self.neg)
+
+    def plus(self, x, y) -> np.ndarray:
+        """Elementwise sum of index arrays (broadcast)."""
+        return self.add[x, y]
+
+    def factors(self) -> list[AbelianGroup]:
+        """The table-backed factors, left to right: here the group itself."""
+        return [self]
+
+    def generators(self) -> list[int]:
+        """A generating set, read off the table."""
+        return generating_indices(self.add)
 
     def add_el(self, a: int, b: int) -> int:
-        return int(self.add[a][b])
+        return int(self.plus(a, b))
 
     def neg_el(self, a: int) -> int:
         return int(self.neg[a])
 
     def sub_el(self, a: int, b: int) -> int:
-        return int(self.add[a][self.neg[b]])
+        return int(self.plus(a, self.neg[b]))
 
     def element_tuple(self, i: int) -> tuple[int, ...]:
         """Mixed-radix coordinates (cyclic products only)."""
@@ -185,7 +190,11 @@ class AbelianGroup:
 
 
 def make_cyclic_product(moduli) -> AbelianGroup:
-    """Z_{m1} x ... x Z_{mr}, elements in mixed-radix order, zero first."""
+    """Z_{m1} x ... x Z_{mr}, elements in mixed-radix order, zero first.
+
+    The int32 table is accumulated one factor at a time, so that building
+    it needs at most one n^2 int32 temporary besides the table.
+    """
     moduli = tuple(int(m) for m in moduli)
     if not moduli:
         raise EmptyModuli()
@@ -193,35 +202,77 @@ def make_cyclic_product(moduli) -> AbelianGroup:
         raise ValueError("moduli must be positive")
     n = math.prod(moduli)
     _check_table_limit(n)
-    coords = np.stack(
-        np.unravel_index(np.arange(n), moduli), axis=1
-    ).astype(np.int64)
-    weights = np.ones(len(moduli), dtype=np.int64)
-    for i in range(len(moduli) - 2, -1, -1):
-        weights[i] = weights[i + 1] * moduli[i + 1]
-    mods = np.asarray(moduli, dtype=np.int64)
-    summed = (coords[:, None, :] + coords[None, :, :]) % mods
-    add = (summed @ weights).astype(np.int32)
-    neg = (((-coords) % mods) @ weights).astype(np.int32)
-    return AbelianGroup(add, neg, moduli=moduli)
+    return AbelianGroup(*_cyclic_tables(moduli, n), moduli=moduli)
 
 
-def direct_product(g1: AbelianGroup, g2: AbelianGroup, name: str = "") -> AbelianGroup:
-    """Direct product; element (a,b) has index a*|G2| + b.
+def _cyclic_tables(moduli: tuple[int, ...], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Addition table and negation of Z_{m1} x ... x Z_{mr} in int32, one
+    factor at a time; the temporaries are gone when this returns."""
+    index = np.arange(n, dtype=np.int32)
+    add = np.zeros((n, n), dtype=np.int32)
+    neg = np.zeros(n, dtype=np.int32)
+    weight = n
+    for m in moduli:
+        weight //= m
+        c = index // weight % m
+        term = np.add.outer(c, c)
+        np.remainder(term, m, out=term)
+        term *= weight
+        add += term
+        neg += (-c) % m * weight
+    return add, neg
 
-    The factors were checked when they were built, and a product of
-    abelian groups is one, so the product table is not checked again.
+
+class ProductGroup(AbelianGroup):
+    """G1 x G2 kept as its factors; element (a, b) has index a*|G2| + b.
+
+    ``neg`` and ``plus`` cost O(order), from the factor tables; the
+    order^2 table ``add`` is built on first read and cached, and refused
+    with TooLarge beyond the table limit.  The factors were checked when
+    they were built, and a product of abelian groups is one, so nothing is
+    checked again.
     """
-    n2 = np.int32(g2.order)
-    add = (
-        g1.add[:, None, :, None].astype(np.int32) * n2
-        + g2.add[None, :, None, :]
-    ).reshape(g1.order * g2.order, g1.order * g2.order)
-    neg = (g1.neg[:, None].astype(np.int32) * n2 + g2.neg[None, :]).reshape(-1)
-    moduli = None
-    if g1.moduli is not None and g2.moduli is not None:
-        moduli = g1.moduli + g2.moduli
-    return AbelianGroup._unchecked(add, neg, moduli=moduli, name=name)
+
+    def __init__(self, g1: AbelianGroup, g2: AbelianGroup, name: str = ""):
+        neg = (g1.neg[:, None].astype(np.int32) * np.int32(g2.order)
+               + g2.neg[None, :]).reshape(-1)
+        neg.setflags(write=False)
+        moduli = None
+        if g1.moduli is not None and g2.moduli is not None:
+            moduli = g1.moduli + g2.moduli
+        self.__dict__.update(g1=g1, g2=g2, neg=neg, moduli=moduli, name=name)
+
+    @cached_property
+    def add(self) -> np.ndarray:
+        _check_table_limit(self.order)
+        g1, g2 = self.g1, self.g2
+        add = (
+            g1.add[:, None, :, None].astype(np.int32) * np.int32(g2.order)
+            + g2.add[None, :, None, :]
+        ).reshape(self.order, self.order)
+        add.setflags(write=False)
+        return add
+
+    def plus(self, x, y) -> np.ndarray:
+        n2 = self.g2.order
+        x1, x2 = np.divmod(x, n2)
+        y1, y2 = np.divmod(y, n2)
+        return self.g1.plus(x1, y1) * n2 + self.g2.plus(x2, y2)
+
+    def factors(self) -> list[AbelianGroup]:
+        return self.g1.factors() + self.g2.factors()
+
+    def generators(self) -> list[int]:
+        """The factors' generators, each lifted to its coordinate with zero
+        elsewhere; they generate the product when the factors are groups."""
+        n2 = self.g2.order
+        return [g * n2 for g in self.g1.generators()] + self.g2.generators()
+
+
+def direct_product(g1: AbelianGroup, g2: AbelianGroup, name: str = "") -> ProductGroup:
+    """Direct product; element (a,b) has index a*|G2| + b.  No table is
+    built until ``add`` is read."""
+    return ProductGroup(g1, g2, name)
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,6 +5,9 @@ All formats are line oriented; comment lines start with '#'.
 
 from __future__ import annotations
 
+import numpy as np
+
+from .affine import one_minus_f_images
 from .core import Partition, Quandle, validate_quandle
 from .errors import ParseError
 from .groups import (
@@ -34,7 +37,10 @@ def _ints(line: str) -> list[int]:
 
 
 def parse_quandle(text: str) -> Quandle:
-    """Line 1: n; then n rows of n entries (row a = a*b for b = 0..n-1)."""
+    """Line 1: n; then n rows of n entries (row a = a*b for b = 0..n-1).
+
+    Each row goes straight into a preallocated int32 table, so only one
+    row is held as Python ints at a time."""
     lines = _data_lines(text)
     if not lines:
         raise ParseError("empty quandle file")
@@ -44,16 +50,22 @@ def parse_quandle(text: str) -> Quandle:
     n = header[0]
     if len(lines) != n + 1:
         raise ParseError(f"expected {n} table rows, got {len(lines) - 1}")
-    table = []
-    for line in lines[1:]:
+    table = np.empty((n, n), dtype=np.int32)
+    out_of_range = None  # a ragged row anywhere is reported first
+    for a, line in enumerate(lines[1:]):
         row = _ints(line)
         if len(row) != n:
             raise ParseError(f"row {line!r} has {len(row)} entries, expected {n}")
-        table.append(row)
-    try:
-        return validate_quandle(table)
-    except ValueError as exc:  # entries out of range
-        raise ParseError(str(exc)) from exc
+        if out_of_range is not None:
+            continue
+        if 0 <= min(row) and max(row) < n:
+            table[a] = row
+        else:
+            x = next(x for x in row if not 0 <= x < n)
+            out_of_range = f"entry {x} in row {a} out of range 0..{n - 1}"
+    if out_of_range is not None:
+        raise ParseError(out_of_range)
+    return validate_quandle(table)
 
 
 def format_quandle(q: Quandle) -> str:
@@ -189,6 +201,19 @@ def format_mesh(mesh: AffineMesh) -> str:
             if mesh.c[i][j]:
                 lines.append(f"c {i} {j} {mesh.c[i][j]}")
     return "\n".join(lines) + "\n"
+
+
+def write_cover_table(result, fh) -> None:
+    """Write Aff(A,f) of a cover result to a text file, byte for byte as
+    format_quandle(result.cover.quandle) would, without building the
+    table: row u is w(u) + f(v) over v, with w = (1-f)(u), so each
+    distinct value of w is formatted once and its row repeated."""
+    group, f = result.group, result.f
+    values, which = np.unique(one_minus_f_images(group, f), return_inverse=True)
+    rows = [" ".join(map(str, group.plus(x, f.images).tolist())) + "\n"
+            for x in values]
+    fh.write(f"{group.order}\n")
+    fh.writelines(rows[i] for i in which.tolist())
 
 
 def format_cover_sidecar(result) -> str:

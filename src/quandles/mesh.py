@@ -25,7 +25,7 @@ from .errors import (
     NotAHomomorphism,
     TooLarge,
 )
-from .groups import AbelianGroup, _close_under, make_cyclic_product
+from .groups import AbelianGroup, _check_table_limit, _close_under, make_cyclic_product
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,6 +124,7 @@ def is_indecomposable(mesh: AffineMesh) -> bool:
 def mesh_sum(mesh: AffineMesh) -> Quandle:
     """The quandle on the disjoint union, fibers concatenated in order."""
     n = mesh.total_size
+    _check_table_limit(n, "mesh sum of order", "table")
     table = np.empty((n, n), dtype=np.int32)
     for j, gj in enumerate(mesh.groups):
         rng = np.arange(gj.order)

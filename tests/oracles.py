@@ -15,7 +15,12 @@ import numpy as np
 
 from quandles.core import Quandle, _check_table
 from quandles.errors import DegreeMismatch, NotLeftDistributive
-from quandles.groups import AbelianGroup, generating_indices, make_cyclic_product
+from quandles.groups import (
+    AbelianGroup,
+    check_abelian_table,
+    generating_indices,
+    make_cyclic_product,
+)
 
 
 # -- reference tuple permutations: p[i] is the image of i, maps act on the left
@@ -155,6 +160,61 @@ def lexicographic_validate(table) -> Quandle:
             b, c = map(int, np.argwhere(lhs != rhs)[0])
             raise NotLeftDistributive(a, b, c)
     return Quandle(arr)
+
+
+def exhaustive_verify_cover(result, q: Quandle) -> tuple[str, ...]:
+    """verify_cover as it was before the cover was kept as its factors:
+    the group axioms on A's whole |A|^2 table, f additive on every pair,
+    and psi a homomorphism on every pair of the cover table, which is
+    built here from (1-f)(u) + f(v) and not through make_affine."""
+    failures: list[str] = []
+    add, neg = result.group.add, result.group.neg
+    witness = check_abelian_table(add, neg)
+    if witness is not None:
+        failures.append(f"A is not an abelian group: {witness}")
+    im = result.f.images
+    n = len(add)
+    if not np.array_equal(np.sort(im), np.arange(n)):
+        failures.append("f is not bijective")
+    else:
+        lhs = im[add]
+        rhs = add[np.ix_(im, im)]
+        if not np.array_equal(lhs, rhs):
+            u, v = map(int, np.argwhere(lhs != rhs)[0])
+            failures.append(f"f is not additive at ({u},{v})")
+    psi = result.psi
+    ct = add[np.ix_(add[np.arange(n), neg[im]], im)]     # (1-f)(u) + f(v)
+    qt = q.array
+    if psi.shape != (n,) or psi.min() < 0 or psi.max() >= q.n:
+        failures.append("psi is not a map into Q")
+    else:
+        lhs = psi[ct]
+        rhs = qt[np.ix_(psi, psi)]
+        if not np.array_equal(lhs, rhs):
+            u, v = map(int, np.argwhere(lhs != rhs)[0])
+            failures.append(
+                f"psi is not a homomorphism at ({u},{v}): "
+                f"psi(u*v)={int(lhs[u][v])} but psi(u)*psi(v)={int(rhs[u][v])}"
+            )
+        if set(psi.tolist()) != set(range(q.n)):
+            failures.append("psi is not surjective")
+    return tuple(failures)
+
+
+def int64_cyclic_product(moduli) -> tuple[np.ndarray, np.ndarray]:
+    """Addition table and negation of Z_{m1} x ... x Z_{mr} by the int64
+    mixed-radix formula that make_cyclic_product used before it built its
+    table in int32 one factor at a time."""
+    moduli = tuple(moduli)
+    n = int(np.prod(moduli))
+    coords = np.stack(np.unravel_index(np.arange(n), moduli), axis=1).astype(np.int64)
+    weights = np.ones(len(moduli), dtype=np.int64)
+    for i in range(len(moduli) - 2, -1, -1):
+        weights[i] = weights[i + 1] * moduli[i + 1]
+    mods = np.asarray(moduli, dtype=np.int64)
+    summed = (coords[:, None, :] + coords[None, :, :]) % mods
+    add = (summed @ weights).astype(np.int32)
+    return add, (((-coords) % mods) @ weights).astype(np.int32)
 
 
 def enumerate_homomorphism_images(src: AbelianGroup, dst: AbelianGroup) -> list[np.ndarray]:

@@ -206,8 +206,9 @@ def test_build_cover_checks_the_cover_group_once(monkeypatch):
     monkeypatch.setattr(cover, "check_abelian_table", counted)
     r = build_cover(q, t)
     assert r.group.order == 80 and len(r.dis) == 4 and t.size == 20
-    # Dis(Q) and Z_kappa once each when built, A once in verify_cover
-    assert sorted(orders) == [4, 5, 80]
+    # only the factor tables: Dis(Q) and Z_kappa once each when built and
+    # once each in verify_cover; no order-80 (or order-20) table is checked
+    assert sorted(orders) == [4, 4, 5, 5]
 
 
 def test_build_cover_builds_the_translation_set_once(monkeypatch):

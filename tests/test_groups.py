@@ -18,7 +18,7 @@ from quandles.groups import (
     validate_automorphism,
 )
 
-from oracles import enumerate_homomorphism_images
+from oracles import enumerate_homomorphism_images, int64_cyclic_product
 
 
 def test_cyclic_group_table():
@@ -100,6 +100,43 @@ def test_direct_product_index_layout():
     assert g.order == 6
     # index = a * |G2| + b
     assert g.add_el(1 * 3 + 2, 1 * 3 + 2) == 0 * 3 + 1
+
+
+def test_direct_product_sums_from_its_factors():
+    # (T,+)-like nesting: Z2 x (Z3 x Z4); plus, neg and the lazily built
+    # table agree, and the table is built only when read
+    g1, g2, g3 = (make_cyclic_product((m,)) for m in (2, 3, 4))
+    g = direct_product(g1, direct_product(g2, g3))
+    assert g.order == 24 and "add" not in vars(g)
+    x, y = np.meshgrid(np.arange(24), np.arange(24), indexing="ij")
+    assert np.array_equal(g.plus(x, y), g.add)
+    assert np.array_equal(g.add, make_cyclic_product((2, 3, 4)).add)
+    assert np.array_equal(g.neg, make_cyclic_product((2, 3, 4)).neg)
+
+
+def test_oversized_direct_product_table_refused_before_allocating():
+    g = direct_product(make_cyclic_product((200,)), make_cyclic_product((100,)))
+    assert g.order == 20000 and g.add_el(1, 100) == 101
+    assert _refusal_peak(lambda: g.add) < 1 << 20
+
+
+@pytest.mark.parametrize("moduli", [(4096,), (64, 64), (2, 3, 4), (5, 5), (1,)])
+def test_cyclic_product_matches_the_int64_formula(moduli):
+    g = make_cyclic_product(moduli)
+    add, neg = int64_cyclic_product(moduli)
+    assert g.add.dtype == np.int32
+    assert np.array_equal(g.add, add) and np.array_equal(g.neg, neg)
+
+
+def test_cyclic_product_builds_in_about_its_table_size():
+    # order 4096: a 67 MB int32 table; the check copies one row gather
+    tracemalloc.start()
+    try:
+        make_cyclic_product((4096,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.1 * 4 * 4096 ** 2
 
 
 def test_validate_automorphism_accepts_and_inverts():

@@ -1,9 +1,13 @@
 """Text format round trips and parse errors."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from quandles.affine import make_affine
 from quandles.errors import ParseError
+from quandles.groups import make_cyclic_product, multiplication_automorphism
 from quandles.iofmt import (
     format_mesh,
     format_quandle,
@@ -40,6 +44,30 @@ def test_quandle_parse_ignores_comments_and_blanks():
 def test_quandle_parse_errors(text):
     with pytest.raises(ParseError):
         parse_quandle(text)
+
+
+def test_quandle_parse_error_order():
+    # a ragged row is reported before an out-of-range entry in an earlier
+    # row, and the first out-of-range entry in row-major order is named
+    with pytest.raises(ParseError, match="has 1 entries"):
+        parse_quandle("2\n0 7\n1\n")
+    with pytest.raises(ParseError, match="entry -1 in row 1 out of range 0..2"):
+        parse_quandle("3\n0 1 2\n0 -1 9\n0 1 9\n")
+    with pytest.raises(ParseError, match=f"entry {10**22} in row 0"):
+        parse_quandle(f"2\n0 {10**22}\n1 1\n")
+
+
+def test_quandle_parse_memory():
+    # Aff(Z_1024, 257): a 4 MB int32 table, read one row at a time
+    g = make_cyclic_product((1024,))
+    text = format_quandle(make_affine(g, multiplication_automorphism(g, 257)).quandle)
+    tracemalloc.start()
+    try:
+        q = parse_quandle(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert q.n == 1024 and peak < 32 << 20
 
 
 def test_partition_round_trip():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from quandles import groups
 from quandles.core import left_divide
 from quandles.errors import (
     InvalidParams,
@@ -10,6 +11,7 @@ from quandles.errors import (
     M2Violation,
     M4Violation,
     NotAHomomorphism,
+    TooLarge,
 )
 from quandles.groups import make_cyclic_product
 from quandles.mesh import (
@@ -154,3 +156,12 @@ def test_genmax_structure(n, k):
     assert max(kernel.sizes()) == n - 2 ** k + 1
     assert coset_criterion(m)
     assert is_indecomposable(m)
+
+
+def test_mesh_sum_over_the_table_limit_is_refused(monkeypatch, mesh_three_z2):
+    # 6 elements: a 144-byte table
+    monkeypatch.setattr(groups, "_TABLE_LIMIT_BYTES", 143)
+    with pytest.raises(TooLarge, match="mesh sum of order 6"):
+        mesh_sum(mesh_three_z2)
+    monkeypatch.setattr(groups, "_TABLE_LIMIT_BYTES", 144)
+    assert mesh_sum(mesh_three_z2).n == 6
