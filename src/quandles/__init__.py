@@ -12,7 +12,6 @@ from .core import (
     Quandle,
     induced_subquandle,
     is_isomorphic,
-    left_divide,
     quotient,
     validate_quandle,
 )

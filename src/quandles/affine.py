@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Quandle, left_divide, unchecked_quandle
+from .core import Quandle, _element_set, unchecked_quandle
 from .groups import AbelianGroup, GroupAutomorphism
 
 
@@ -33,22 +33,24 @@ def make_affine(group: AbelianGroup, f: GroupAutomorphism) -> AffineQuandle:
 
 def image_of_one_minus_f(group: AbelianGroup, f: GroupAutomorphism) -> tuple[int, ...]:
     """The subgroup {a - f(a) : a in A}, as a sorted element tuple."""
-    return tuple(sorted(set(int(x) for x in one_minus_f_images(group, f))))
+    return tuple(np.unique(one_minus_f_images(group, f)).tolist())
 
 
 def subquandle_closure(q: Quandle, subset) -> tuple[int, ...]:
-    """Smallest superset of the subset closed under * and left division."""
-    elems = set(int(x) for x in subset)
-    if not elems:
+    """Smallest superset of the subset closed under * and left division;
+    each round forms only the products with a factor found in the last."""
+    frontier = _element_set(q, subset)
+    if not frontier.size:
         raise ValueError("subset must be nonempty")
-    frontier = list(elems)
-    while frontier:
-        nxt = []
-        for a in list(elems):
-            for b in list(elems):
-                for c in (q.table[a][b], left_divide(q, a, b)):
-                    if c not in elems:
-                        elems.add(c)
-                        nxt.append(c)
-        frontier = nxt
-    return tuple(sorted(elems))
+    inside = np.zeros(q.n, dtype=bool)
+    inside[frontier] = True
+    while frontier.size:
+        members = np.flatnonzero(inside)
+        found = np.concatenate([
+            table[np.ix_(rows, cols)].ravel()
+            for table in (q.array, q.ldiv_table)
+            for rows, cols in ((frontier, members), (members, frontier))
+        ])
+        frontier = np.unique(found[~inside[found]])
+        inside[frontier] = True
+    return tuple(np.flatnonzero(inside).tolist())

@@ -28,16 +28,16 @@ FULL_VALIDATE_LIMIT = 512
 class Quandle:
     """A validated finite quandle.  Construct via :func:`validate_quandle`.
 
-    The only stored field is ``array``, a read-only C-contiguous int32 copy
-    of the table; equality compares its shape and bytes, hashing its bytes.
-    ``table`` and ``row()`` are a lazily cached tuple view for code that
-    walks small tables element by element.
+    The only stored field is ``array``, the table as a read-only
+    C-contiguous int32 array, a*b at ``array[a, b]``; such an array is
+    taken over without a copy.  Equality compares its shape and bytes,
+    hashing its bytes.
     """
 
     array: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.array, dtype=np.int32, order="C")
+        arr = np.asarray(self.array, dtype=np.int32, order="C")
         arr.setflags(write=False)
         object.__setattr__(self, "array", arr)
 
@@ -54,22 +54,11 @@ class Quandle:
         return len(self.array)
 
     @cached_property
-    def table(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, self.array.tolist()))
-
-    @cached_property
     def ldiv_table(self) -> np.ndarray:
         """ldiv_table[a, c] = the unique b with a*b = c: each row inverted."""
         inv = np.argsort(self.array, axis=1).astype(np.int32)
         inv.setflags(write=False)
         return inv
-
-    def op(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def row(self, a: int) -> tuple[int, ...]:
-        """The left translation L_a as an image sequence."""
-        return self.table[a]
 
     def elements(self) -> range:
         return range(self.n)
@@ -157,6 +146,7 @@ def validate_quandle(table) -> Quandle:
     The rows are taken at their first index, in ascending order, so the
     first failing one is the least a that fails, and its first (b, c) in
     row-major order makes the witness the lexicographically first one.
+    The Quandle does not share memory with the caller's array.
     """
     arr = _check_table(table)
     n = len(arr)
@@ -169,6 +159,8 @@ def validate_quandle(table) -> Quandle:
             i = int(np.flatnonzero(bad.any(axis=(1, 2)))[0])
             b, c = map(int, np.argwhere(bad[i])[0])
             raise NotLeftDistributive(int(first[start + i]), b, c)
+    if isinstance(table, np.ndarray) and np.shares_memory(arr, table):
+        arr = arr.copy()
     return Quandle(arr)
 
 
@@ -177,46 +169,62 @@ def unchecked_quandle(table: np.ndarray) -> Quandle:
 
     Shape, range, idempotence and row bijectivity are still checked (they
     are quadratic); the d*n^2 distributivity check runs only up to
-    FULL_VALIDATE_LIMIT.
+    FULL_VALIDATE_LIMIT, and above it the table is taken over uncopied.
     """
     if len(table) <= FULL_VALIDATE_LIMIT:
         return validate_quandle(table)
     return Quandle(_check_table(table))
 
 
-def left_divide(q: Quandle, a: int, c: int) -> int:
-    """The unique b with a*b = c."""
-    return int(q.ldiv_table[a, c])
+def _element_set(q: Quandle, subset) -> np.ndarray:
+    """Distinct elements of subset, ascending, checked to be in 0..n-1."""
+    elems = np.unique(np.array([int(x) for x in subset], dtype=np.int64))
+    bad = elems[(elems < 0) | (elems >= q.n)]
+    if bad.size:
+        raise ValueError(f"element {int(bad[0])} outside 0..{q.n - 1}")
+    return elems
 
 
 def quotient(q: Quandle, p: Partition) -> Quandle:
-    """Quandle on the blocks of a congruence, labeled by block order."""
-    block_of = p.block_of
-    # congruence check, lexicographic first witness
-    for bi in p.blocks:
-        for a in bi:
-            for a2 in bi:
-                for bj in p.blocks:
-                    for b in bj:
-                        for b2 in bj:
-                            if block_of[q.table[a][b]] != block_of[q.table[a2][b2]]:
-                                raise NotACongruence(a, a2, b, b2)
-    reps = [b[0] for b in p.blocks]
-    return validate_quandle(np.asarray(block_of)[q.array[np.ix_(reps, reps)]])
+    """Quandle on the blocks of a congruence, labeled by block order.
+
+    With rows and columns in block order, block_of[a*b] must equal its
+    block x block rectangle's corner entry; the corners form the quotient.
+    Else the witness is the first in (block I, a, a2 in I, block J, b, b2
+    in J) loop order: I is the block of the first row off its corners,
+    and its corner row a = I[0] already fails against some a2.
+    """
+    if p.n != q.n:
+        raise ValueError(f"partition of {p.n} elements for a quandle of order {q.n}")
+    sizes = p.sizes()
+    starts = np.cumsum([0, *sizes[:-1]])
+    order = np.concatenate(p.blocks)
+    b = np.asarray(p.block_of, dtype=np.int32)[q.array[np.ix_(order, order)]]
+    corner = b[np.ix_(starts, starts)]
+    off = b != np.repeat(np.repeat(corner, sizes, axis=0), sizes, axis=1)
+    off_rows = np.flatnonzero(off.any(axis=1))
+    if not off_rows.size:
+        return validate_quandle(corner)
+    i = p.block_of[order[off_rows[0]]]
+    rows = slice(starts[i], starts[i] + sizes[i])           # a2 in I
+    fails = np.logical_or.reduceat(off[rows] | off[starts[i]], starts, axis=1)
+    a2, j = map(int, np.argwhere(fails)[0])
+    cols = slice(starts[j], starts[j] + sizes[j])           # b, b2 in J
+    x, y = map(int, np.argwhere(b[starts[i], cols][:, None] != b[starts[i] + a2, cols])[0])
+    bi, bj = p.blocks[i], p.blocks[j]
+    raise NotACongruence(bi[0], bi[a2], bj[x], bj[y])
 
 
 def induced_subquandle(q: Quandle, subset) -> Quandle:
     """Restrict to a subset closed under * (relabeled in ascending order)."""
-    elems = sorted(set(subset))
-    index = {x: i for i, x in enumerate(elems)}
-    table = [[0] * len(elems) for _ in elems]
-    for i, x in enumerate(elems):
-        for j, y in enumerate(elems):
-            z = q.table[x][y]
-            if z not in index:
-                raise ValueError(f"subset not closed: {x}*{y} = {z}")
-            table[i][j] = index[z]
-    return validate_quandle(table)
+    elems = _element_set(q, subset)
+    sub = q.array[np.ix_(elems, elems)]
+    pos = np.searchsorted(elems, sub).clip(max=max(len(elems) - 1, 0))
+    outside = elems[pos] != sub
+    if outside.any():
+        i, j = map(int, np.argwhere(outside)[0])
+        raise ValueError(f"subset not closed: {elems[i]}*{elems[j]} = {sub[i, j]}")
+    return validate_quandle(pos)
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -227,29 +235,22 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
 
 
 def connectivity_orbits(q: Quandle) -> Partition:
-    """Orbit partition of LMlt(Q) via union-find over x ~ a*x; each
-    distinct left translation is walked once."""
-    parent = list(range(q.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    _, first = np.unique(_row_keys(q.array), return_index=True)
-    for row in q.array[first].tolist():
-        for x, y in enumerate(row):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[max(rx, ry)] = min(rx, ry)
-    groups: dict[int, list[int]] = {}
-    for x in range(q.n):
-        groups.setdefault(find(x), []).append(x)
-    return Partition.from_blocks(groups.values())
+    """Orbit partition of LMlt(Q), the components of x ~ a*x: each round a
+    label drops to the least label of its images and preimages under the
+    distinct rows, then to its label's label, until no label changes."""
+    rows = q.array[np.unique(_row_keys(q.array), return_index=True)[1]]
+    rows = np.concatenate([rows, np.argsort(rows, axis=1)])
+    label = np.arange(q.n)
+    while True:
+        new = np.minimum(label, label[rows].min(axis=0))
+        new = new[new]
+        if np.array_equal(new, label):
+            return Partition.from_blocks(
+                np.flatnonzero(label == x).tolist() for x in np.unique(label))
+        label = new
 
 
-def _cycle_type(images: tuple[int, ...]) -> tuple[int, ...]:
+def _cycle_type(images: list[int]) -> tuple[int, ...]:
     seen = [False] * len(images)
     lengths = []
     for start in range(len(images)):
@@ -265,11 +266,11 @@ def _cycle_type(images: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(lengths))
 
 
-def _profiles(q: Quandle) -> list[tuple]:
+def _profiles(q: Quandle, rows: list[list[int]]) -> list[tuple]:
     orb = connectivity_orbits(q)
     sizes = orb.sizes()
     return [
-        (_cycle_type(q.table[a]), sizes[orb.block_of[a]])
+        (_cycle_type(rows[a]), sizes[orb.block_of[a]])
         for a in range(q.n)
     ]
 
@@ -282,7 +283,8 @@ def is_isomorphic(q1: Quandle, q2: Quandle) -> tuple[int, ...] | None:
     if q1.n != q2.n:
         return None
     n = q1.n
-    prof1, prof2 = _profiles(q1), _profiles(q2)
+    t1, t2 = q1.array.tolist(), q2.array.tolist()
+    prof1, prof2 = _profiles(q1, t1), _profiles(q2, t2)
     if sorted(prof1) != sorted(prof2):
         return None
     candidates = [
@@ -291,17 +293,13 @@ def is_isomorphic(q1: Quandle, q2: Quandle) -> tuple[int, ...] | None:
     order = sorted(range(n), key=lambda a: len(candidates[a]))
     sigma = [-1] * n
     used = [False] * n
-    t1, t2 = q1.table, q2.table
 
     def extend(pos: int) -> bool:
         if pos == n:
             # pairwise pruning does not see products landing on elements
             # mapped later, so confirm the full table once at the leaf
-            return all(
-                sigma[t1[x][y]] == t2[sigma[x]][sigma[y]]
-                for x in range(n)
-                for y in range(n)
-            )
+            sig = np.asarray(sigma)
+            return np.array_equal(sig[q1.array], q2.array[np.ix_(sig, sig)])
         a = order[pos]
         for b in candidates[a]:
             if used[b]:

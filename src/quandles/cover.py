@@ -167,14 +167,15 @@ class CoverResult:
 
     ``group`` is kept as its factors and ``f``, ``psi`` are image arrays,
     so a result costs O(|A|); ``group.add`` and ``cover`` (the |A|^2
-    table of Aff(A,f)) are built on first read and cached.
+    table of Aff(A,f)) are built on first read and cached.  ``dis`` is
+    D = Dis(Q) as read-only (|D|, |Q|) int32 rows (``Translations.d``).
     """
 
     group: AbelianGroup
     f: GroupAutomorphism
     psi: np.ndarray
     transversal: Multitransversal
-    dis: tuple[tuple[int, ...], ...]
+    dis: np.ndarray
 
     @cached_property
     def cover(self) -> AffineQuandle:
@@ -182,7 +183,7 @@ class CoverResult:
 
     @property
     def psi_bijective(self) -> bool:
-        return len(set(self.psi.tolist())) == len(self.psi)
+        return len(np.unique(self.psi)) == len(self.psi)
 
     def pair_of(self, u: int) -> tuple[int, int]:
         """(index in D, index in T) of the A-element u."""
@@ -221,7 +222,7 @@ def build_cover(q: Quandle, t: Multitransversal) -> CoverResult:
     f_im = (f_d * np.int32(nt) + np.arange(nt, dtype=np.int32)).reshape(-1)
     psi = tr.d[:, elems].reshape(-1)
     f = GroupAutomorphism(a, f_im)
-    result = CoverResult(a, f, psi, t, tuple(map(tuple, tr.d.tolist())))
+    result = CoverResult(a, f, psi, t, tr.d)
     report = verify_cover(result, q)
     if not report.ok:
         raise InternalAssertionFailure(

@@ -27,20 +27,17 @@ class PermGroup:
 
     ``array`` holds the elements as read-only (order, degree) int32 rows,
     in discovery order of the BFS closure, identity first; the ordering
-    is part of the contract.  ``elements`` is a lazily cached tuple view.
+    is part of the contract.  ``generators`` holds the generators as
+    read-only (g, degree) int32 rows, in the order given.
     """
 
     degree: int
-    generators: tuple[tuple[int, ...], ...]
+    generators: np.ndarray
     array: np.ndarray
 
     @property
     def order(self) -> int:
         return len(self.array)
-
-    @cached_property
-    def elements(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, self.array.tolist()))
 
     @cached_property
     def _keys(self) -> np.ndarray:
@@ -93,7 +90,8 @@ def closure(generators, degree: int | None = None) -> PermGroup:
         layers.append(frontier)
     elements = np.concatenate(layers)
     elements.setflags(write=False)
-    return PermGroup(degree, tuple(map(tuple, gen_rows.tolist())), elements)
+    gen_rows.setflags(write=False)
+    return PermGroup(degree, gen_rows, elements)
 
 
 def multiplication_group(q: Quandle) -> PermGroup:
@@ -127,7 +125,7 @@ def cayley_kernel(q: Quandle) -> Partition:
 def is_abelian(g: PermGroup) -> bool:
     """Do the generators commute?  gens[:, gens][i, j] is g_i o g_j; it is
     compared with its transpose in row chunks of about CHUNK_ENTRIES."""
-    gens = np.array(g.generators, dtype=np.int32).reshape(-1, g.degree)
+    gens = g.generators
     step = max(1, CHUNK_ENTRIES // max(1, gens.size))
     for i in range(0, len(gens), step):
         chunk = gens[i:i + step]
@@ -164,6 +162,7 @@ class Translations:
         self._rank = np.empty(len(first), dtype=np.int32)  # key -> D index
         self._rank[np.argsort(first)] = np.arange(len(first), dtype=np.int32)
         self.d = rows[np.sort(first)]
+        self.d.setflags(write=False)
         self.block_of = self._rank[which]
         m, n = self.d.shape
         self.table = np.empty((m, m), dtype=np.int32)

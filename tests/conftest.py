@@ -69,9 +69,8 @@ def small_corpus():
     for raw in corpus.small_mesh_corpus():
         mesh = corpus.build_mesh(raw)
         q = mesh_sum(mesh)
-        key = q.table
-        if key not in seen:
-            seen.add(key)
+        if q not in seen:
+            seen.add(q)
             out.append((mesh, q))
     return out
 

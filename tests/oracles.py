@@ -13,14 +13,20 @@ from typing import NamedTuple
 
 import numpy as np
 
-from quandles.core import Quandle, _check_table
-from quandles.errors import DegreeMismatch, NotLeftDistributive
+from quandles.core import Partition, Quandle, _check_table, validate_quandle
+from quandles.errors import DegreeMismatch, NotACongruence, NotLeftDistributive
 from quandles.groups import (
     AbelianGroup,
     check_abelian_table,
     generating_indices,
     make_cyclic_product,
 )
+
+
+def as_tuples(rows) -> tuple[tuple[int, ...], ...]:
+    """The rows of an int array as a tuple of tuples: a quandle table,
+    a permutation group's elements or generators, or D."""
+    return tuple(map(tuple, np.asarray(rows).tolist()))
 
 
 # -- reference tuple permutations: p[i] is the image of i, maps act on the left
@@ -160,6 +166,60 @@ def lexicographic_validate(table) -> Quandle:
             b, c = map(int, np.argwhere(lhs != rhs)[0])
             raise NotLeftDistributive(a, b, c)
     return Quandle(arr)
+
+
+# -- quotient, induced subquandle and subquandle closure as loops over the
+#    tuple table, as the library had them before it gathered from q.array
+
+def loop_quotient(q: Quandle, p: Partition) -> Quandle:
+    """Quandle on the blocks of a congruence, labeled by block order."""
+    table = as_tuples(q.array)
+    block_of = p.block_of
+    # congruence check, lexicographic first witness
+    for bi in p.blocks:
+        for a in bi:
+            for a2 in bi:
+                for bj in p.blocks:
+                    for b in bj:
+                        for b2 in bj:
+                            if block_of[table[a][b]] != block_of[table[a2][b2]]:
+                                raise NotACongruence(a, a2, b, b2)
+    reps = [b[0] for b in p.blocks]
+    return validate_quandle(np.asarray(block_of)[q.array[np.ix_(reps, reps)]])
+
+
+def loop_induced_subquandle(q: Quandle, subset) -> Quandle:
+    """Restrict to a subset closed under * (relabeled in ascending order)."""
+    q_table = as_tuples(q.array)
+    elems = sorted(set(subset))
+    index = {x: i for i, x in enumerate(elems)}
+    table = [[0] * len(elems) for _ in elems]
+    for i, x in enumerate(elems):
+        for j, y in enumerate(elems):
+            z = q_table[x][y]
+            if z not in index:
+                raise ValueError(f"subset not closed: {x}*{y} = {z}")
+            table[i][j] = index[z]
+    return validate_quandle(table)
+
+
+def loop_subquandle_closure(q: Quandle, subset) -> tuple[int, ...]:
+    """Smallest superset of the subset closed under * and left division."""
+    table, ldiv = as_tuples(q.array), as_tuples(q.ldiv_table)
+    elems = set(int(x) for x in subset)
+    if not elems:
+        raise ValueError("subset must be nonempty")
+    frontier = list(elems)
+    while frontier:
+        nxt = []
+        for a in list(elems):
+            for b in list(elems):
+                for c in (table[a][b], ldiv[a][b]):
+                    if c not in elems:
+                        elems.add(c)
+                        nxt.append(c)
+        frontier = nxt
+    return tuple(sorted(elems))
 
 
 def exhaustive_verify_cover(result, q: Quandle) -> tuple[str, ...]:

@@ -19,7 +19,7 @@ import conftest
 import corpus
 import oracles
 from conftest import aff, zero_phi_mesh
-from oracles import compose, inverse
+from oracles import as_tuples, compose, inverse
 
 from quandles.affine import subquandle_closure
 from quandles.core import induced_subquandle, is_isomorphic, quotient, Partition
@@ -94,7 +94,7 @@ def sweep(affine_corpus):
             if r.group.order != displacement_group(q).order * t.size:
                 stats["order_failures"].append(raw)
         elif q.n <= 6:
-            stats["negative_tables"].setdefault(q.table, q)
+            stats["negative_tables"].setdefault(q, q)
 
     for _, _, aq in affine_corpus:
         q = aq.quandle
@@ -205,7 +205,7 @@ def test_criterion_6_negative_oracle(sweep):
     covered = [
         r.n
         for r in reps
-        if oracles.covered_by_some_affine([list(row) for row in r.table], 9)
+        if oracles.covered_by_some_affine(r.array.tolist(), 9)
     ]
     record(
         6,
@@ -339,6 +339,7 @@ def test_criterion_10_property_suites(small_corpus):
             if any(is_tiny(q, e=e) != tiny0 for e in range(1, q.n)):
                 e_failures += 1
         base = (tiny0, dis.order, is_semiregular(dis))
+        rows = as_tuples(q.array)
         for _ in range(5):
             sigma = list(range(q.n))
             rng.shuffle(sigma)
@@ -346,7 +347,7 @@ def test_criterion_10_property_suites(small_corpus):
             for i, v in enumerate(sigma):
                 inv[v] = i
             table = tuple(
-                tuple(sigma[q.op(inv[a], inv[b])] for b in range(q.n))
+                tuple(sigma[rows[inv[a]][inv[b]]] for b in range(q.n))
                 for a in range(q.n)
             )
             from quandles.core import Quandle
@@ -357,10 +358,10 @@ def test_criterion_10_property_suites(small_corpus):
                 relabel_failures += 1
                 break
         lmlt = multiplication_group(q)
-        for alpha in lmlt.elements:
+        for alpha in as_tuples(lmlt.array):
             inv_alpha = inverse(alpha)
             if any(
-                q.row(alpha[x]) != compose(alpha, compose(q.row(x), inv_alpha))
+                rows[alpha[x]] != compose(alpha, compose(rows[x], inv_alpha))
                 for x in q.elements()
             ):
                 conj_failures += 1

@@ -239,7 +239,7 @@ def test_affine_command_prints_table(capsys):
     code, out, _ = run(capsys, "affine", "3:mul:2")
     assert code == 0
     q = parse_quandle(out)
-    assert q.table == ((0, 2, 1), (2, 1, 0), (1, 0, 2))
+    assert q.array.tolist() == [[0, 2, 1], [2, 1, 0], [1, 0, 2]]
 
 
 def test_analysis_verdict_matches_decision(small_corpus):

@@ -10,7 +10,6 @@ from quandles.core import (
     connectivity_orbits,
     induced_subquandle,
     is_isomorphic,
-    left_divide,
     quotient,
     singleton_partition,
     unchecked_quandle,
@@ -40,13 +39,21 @@ AFF_Z4_NEG = [
 def test_projection_validates():
     q = validate_quandle(PROJECTION_4)
     assert q.n == 4
-    assert q.op(1, 3) == 3
+    assert q.array[1, 3] == 3
 
 
 def test_handwritten_affine_table_validates():
     assert AFF_Z4_NEG == affine_table_mod(4, 3)
     q = validate_quandle(AFF_Z4_NEG)
-    assert q.row(1) == (2, 1, 0, 3)
+    assert q.array[1].tolist() == [2, 1, 0, 3]
+
+
+def test_validated_quandle_does_not_share_the_callers_array():
+    arr = np.array(AFF_Z4_NEG, dtype=np.int32)
+    q = validate_quandle(arr)
+    arr[0, 1] = 1
+    assert arr.flags.writeable
+    assert q.array.tolist() == AFF_Z4_NEG
 
 
 def test_not_idempotent_witness():
@@ -87,10 +94,11 @@ def test_not_distributive_first_witness():
 
 def test_left_divide_roundtrip():
     q = aff(8, 5).quandle
+    t, ldiv = q.array.tolist(), q.ldiv_table.tolist()
     for a in q.elements():
         for c in q.elements():
-            b = left_divide(q, a, c)
-            assert q.op(a, b) == c
+            b = ldiv[a][c]
+            assert t[a][b] == c
 
 
 def test_partition_canonical_block_order():
@@ -117,7 +125,7 @@ def test_quotient_of_affine_by_doubling_kernel():
     q = validate_quandle(AFF_Z4_NEG)
     p = Partition.from_blocks([[0, 2], [1, 3]])
     qq = quotient(q, p)
-    assert qq.table == ((0, 1), (0, 1))
+    assert qq.array.tolist() == [[0, 1], [0, 1]]
 
 
 def test_quotient_rejects_non_congruence():
@@ -129,7 +137,7 @@ def test_quotient_rejects_non_congruence():
 
 def test_quotient_by_singletons_is_identity():
     q = aff(5, 2).quandle
-    assert quotient(q, singleton_partition(5)).table == q.table
+    assert quotient(q, singleton_partition(5)).array.tolist() == q.array.tolist()
 
 
 def test_induced_subquandle_relabels_in_order():
@@ -137,7 +145,7 @@ def test_induced_subquandle_relabels_in_order():
     sub = induced_subquandle(q, [6, 0, 4, 2])
     # {0,2,4,6} is closed and 2a*2b = -8a+10b = 10b (mod 8), so after the
     # sorted relabeling the subquandle is the 4-element projection.
-    assert sub.table == tuple(tuple(PROJECTION_4[a]) for a in range(4))
+    assert sub.array.tolist() == PROJECTION_4
 
 
 def test_connectivity_orbits_projection_all_singletons():
@@ -159,15 +167,16 @@ def test_is_isomorphic_finds_relabeling():
     inv = [0] * 8
     for i, v in enumerate(perm):
         inv[v] = i
+    t = q.array.tolist()
     relabeled = [
-        [perm[q.op(inv[a], inv[b])] for b in range(8)] for a in range(8)
+        [perm[t[inv[a]][inv[b]]] for b in range(8)] for a in range(8)
     ]
     q2 = validate_quandle(relabeled)
     sigma = is_isomorphic(q, q2)
     assert sigma is not None
     for a in range(8):
         for b in range(8):
-            assert sigma[q.op(a, b)] == q2.op(sigma[a], sigma[b])
+            assert sigma[t[a][b]] == relabeled[sigma[a]][sigma[b]]
 
 
 def test_is_isomorphic_distinguishes_same_profile():
@@ -210,7 +219,7 @@ def test_quandle_equality_is_by_table():
     assert q1 == q2 and hash(q1) == hash(q2)
     assert q2.array.dtype == np.int32 and q2.array.flags.c_contiguous
     assert not q2.array.flags.writeable
-    assert q1.table == tuple(map(tuple, t.tolist()))
+    assert q1.array.tolist() == t.tolist()
     # relabel by the transposition (1 2): the same quandle, another table
     sigma = np.arange(len(t))
     sigma[[1, 2]] = [2, 1]

@@ -124,12 +124,13 @@ def test_cover_order_is_dis_times_transversal(sum_three_z2, sum_z2_z1):
 def test_psi_is_surjective_homomorphism(sum_z2_z1):
     q = sum_z2_z1
     r = build_cover(q, optimized_multitransversal(q))
-    ct = r.cover.quandle
-    psi = r.psi
-    assert set(int(v) for v in psi) == set(q.elements())
-    for u in range(ct.n):
-        for v in range(ct.n):
-            assert psi[ct.op(u, v)] == q.op(int(psi[u]), int(psi[v]))
+    ct = r.cover.quandle.array.tolist()
+    qt = q.array.tolist()
+    psi = r.psi.tolist()
+    assert set(psi) == set(q.elements())
+    for u in range(len(ct)):
+        for v in range(len(ct)):
+            assert psi[ct[u][v]] == qt[psi[u]][psi[v]]
 
 
 def test_projection_cover_is_identity():

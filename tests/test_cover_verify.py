@@ -191,6 +191,17 @@ def test_32_4_builds_no_table_of_the_cover_group(monkeypatch):
     assert r.cover.quandle.n == 4352 and "add" in vars(r.group)
 
 
+def test_32_4_cover_table_is_not_copied():
+    # The cover quandle takes over the |A|^2 table make_affine builds
+    # (75.8 MB here), so reading it costs one such table, not two.
+    q = mesh_sum(generate_max_mesh(32, 4))
+    r = build_cover(q, optimized_multitransversal(q))
+    r.group.add                     # built before tracing starts
+    cover, peak = _traced_peak(lambda: r.cover)
+    assert cover.quandle.n == 4352
+    assert peak < 100 << 20
+
+
 def test_written_table_is_the_cover_table(affine_corpus, sum_three_z2):
     quandles = [aq.quandle for _, _, aq in affine_corpus[::7]] + [sum_three_z2]
     for q in quandles:

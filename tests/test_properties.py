@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quandles.affine import make_affine, subquandle_closure
-from quandles.core import is_isomorphic, left_divide, validate_quandle
+from quandles.core import is_isomorphic, validate_quandle
 from quandles.groups import make_cyclic_product, multiplication_automorphism
 from quandles.mesh import mesh_sum
 from quandles.perms import (
@@ -19,7 +19,7 @@ from quandles.perms import (
 )
 
 from conftest import aff, zero_phi_mesh
-from oracles import compose, inverse
+from oracles import as_tuples, compose, inverse
 
 
 def _quandle_pool():
@@ -66,10 +66,9 @@ def test_left_division_roundtrips(mu, data):
     q = aff(m, u).quandle
     a = data.draw(st.integers(min_value=0, max_value=m - 1))
     c = data.draw(st.integers(min_value=0, max_value=m - 1))
-    b = left_divide(q, a, c)
-    assert type(b) is int
-    assert q.op(a, b) == c
-    assert left_divide(q, a, q.op(a, b)) == b
+    b = q.ldiv_table[a, c]
+    assert q.array[a, b] == c
+    assert q.ldiv_table[a, q.array[a, b]] == b
 
 
 @given(st.sampled_from(range(len(POOL))), st.data())
@@ -80,8 +79,9 @@ def test_verdicts_invariant_under_relabeling(qi, data):
     inv = [0] * q.n
     for i, v in enumerate(sigma):
         inv[v] = i
+    t = q.array.tolist()
     table = [
-        [sigma[q.op(inv[a], inv[b])] for b in range(q.n)] for a in range(q.n)
+        [sigma[t[inv[a]][inv[b]]] for b in range(q.n)] for a in range(q.n)
     ]
     q2 = validate_quandle(table)
     assert is_medial(q2) == is_medial(q)
@@ -99,10 +99,11 @@ def test_translation_conjugation_identity(qi):
     # for every alpha in the multiplication group.
     q = POOL[qi]
     lmlt = multiplication_group(q)
-    for alpha in lmlt.elements:
+    rows = as_tuples(q.array)
+    for alpha in as_tuples(lmlt.array):
         for x in q.elements():
-            lhs = q.row(alpha[x])
-            rhs = compose(alpha, compose(q.row(x), inverse(alpha)))
+            lhs = rows[alpha[x]]
+            rhs = compose(alpha, compose(rows[x], inverse(alpha)))
             assert lhs == rhs
 
 
@@ -128,10 +129,11 @@ def test_subquandle_closure_is_idempotent_and_closed(m, data):
     sub = subquandle_closure(q, seed)
     assert set(seed) <= set(sub)
     assert subquandle_closure(q, sub) == sub
+    t, ldiv = q.array.tolist(), q.ldiv_table.tolist()
     for a in sub:
         for b in sub:
-            assert q.op(a, b) in sub
-            assert left_divide(q, a, b) in sub
+            assert t[a][b] in sub
+            assert ldiv[a][b] in sub
 
 
 @given(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=3))

@@ -42,3 +42,32 @@ def test_no_tuple_permutation_layer_in_package():
         if name in {"compose", "inverse", "identity_perm", "Perm"}
     ]
     assert found == []
+
+
+def _is_tuple_map_tuple(node: ast.AST) -> bool:
+    def call_of(n, name):
+        return (isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                and n.func.id == name)
+
+    return (call_of(node, "tuple") and node.args and call_of(node.args[0], "map")
+            and node.args[0].args and isinstance(node.args[0].args[0], ast.Name)
+            and node.args[0].args[0].id == "tuple")
+
+
+def test_no_tuple_table_views_in_package():
+    # Tables and permutation sets are int32 arrays; tuple views of them
+    # live in tests/oracles.py.  (Translations.table, D's composition
+    # array, is not a view, so only these classes' own names are checked.)
+    banned = {"Quandle": {"table", "op", "row"}, "PermGroup": {"elements"}}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(_tree(path)):
+            if _is_tuple_map_tuple(node):
+                found.append(f"{path.name}:{node.lineno}: tuple(map(tuple, ...))")
+            if isinstance(node, ast.ClassDef) and node.name in banned:
+                found += [
+                    f"{path.name}: {node.name}.{name}"
+                    for name in _names(node)
+                    if name in banned[node.name]
+                ]
+    assert found == []
