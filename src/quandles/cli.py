@@ -61,8 +61,26 @@ def analysis_report(q: Quandle) -> list[tuple[str, object]]:
     ]
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}"
+        ) from exc
+
+
 def _read_quandle(path: str) -> Quandle:
-    return iofmt.parse_quandle(Path(path).read_text())
+    return iofmt.parse_quandle(_read_text(path))
+
+
+def _write_quandle(q: Quandle, path: str | None) -> None:
+    """Stream the table to the file at path, or to stdout without one."""
+    if path:
+        with Path(path).open("w") as fh:
+            iofmt.write_quandle(q, fh)
+    else:
+        iofmt.write_quandle(q, sys.stdout)
 
 
 def cmd_analyze(args) -> int:
@@ -98,7 +116,7 @@ def cmd_cover(args) -> int:
 
 
 def _read_mesh(path: str) -> mesh_mod.AffineMesh:
-    return iofmt.parse_mesh(Path(path).read_text())
+    return iofmt.parse_mesh(_read_text(path))
 
 
 def cmd_mesh(args) -> int:
@@ -121,12 +139,9 @@ def cmd_mesh(args) -> int:
         ])
     elif args.mesh_cmd == "sum":
         q = mesh_mod.mesh_sum(m)
-        text = iofmt.format_quandle(q)
+        _write_quandle(q, args.out)
         if args.out:
-            Path(args.out).write_text(text)
             _emit([("n", q.n), ("file", args.out)])
-        else:
-            print(text, end="")
     elif args.mesh_cmd == "coset":
         _emit([("coset", mesh_mod.coset_criterion(m))])
     elif args.mesh_cmd == "semireg":
@@ -136,8 +151,8 @@ def cmd_mesh(args) -> int:
 
 def cmd_quotient(args) -> int:
     q = _read_quandle(args.path)
-    p = iofmt.parse_partition(Path(args.partition).read_text(), q.n)
-    print(iofmt.format_quandle(quotient(q, p)), end="")
+    p = iofmt.parse_partition(_read_text(args.partition), q.n)
+    _write_quandle(quotient(q, p), None)
     return EXIT_OK
 
 
@@ -155,12 +170,9 @@ def cmd_iso(args) -> int:
 def cmd_affine(args) -> int:
     group, f = iofmt.parse_affine_spec(args.spec)
     aq = affine_mod.make_affine(group, f)
-    text = iofmt.format_quandle(aq.quandle)
+    _write_quandle(aq.quandle, args.out)
     if args.out:
-        Path(args.out).write_text(text)
         _emit([("n", aq.quandle.n), ("file", args.out)])
-    else:
-        print(text, end="")
     return EXIT_OK
 
 

@@ -154,7 +154,14 @@ def validate_quandle(table) -> Quandle:
     step = max(1, (1 << 20) // (n * n))
     for start in range(0, len(first), step):
         rows = arr[first[start:start + step]]
-        bad = rows[:, arr] != arr[rows[:, :, None], rows[:, None, :]]
+        k = len(rows)
+        # a*(b*c) against (a*b)*(a*c), for a the i-th of the rows: row
+        # x*k + i of the column gather is row x at the columns rows[i], so
+        # its row (a*b)*k + i holds (a*b)*(a*c) over c; one expression, so
+        # that only bad outlives it
+        bad = rows.take(arr, axis=1) != (
+            arr.take(rows, axis=1).reshape(n * k, n)
+            .take(rows * k + np.arange(k)[:, None], axis=0))
         if bad.any():
             i = int(np.flatnonzero(bad.any(axis=(1, 2)))[0])
             b, c = map(int, np.argwhere(bad[i])[0])

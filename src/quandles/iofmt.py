@@ -5,10 +5,13 @@ All formats are line oriented; comment lines start with '#'.
 
 from __future__ import annotations
 
+import io
+import re
+
 import numpy as np
 
 from .affine import one_minus_f_images
-from .core import Partition, Quandle, validate_quandle
+from .core import Partition, Quandle, _row_keys, validate_quandle
 from .errors import ParseError
 from .groups import (
     AbelianGroup,
@@ -36,11 +39,20 @@ def _ints(line: str) -> list[int]:
         raise ParseError(f"expected integers, got {line!r}") from exc
 
 
+# A table row that one C call converts exactly as _ints would: ASCII
+# decimal tokens of 1 to 9 digits, one space between two of them.
+_PLAIN_ROW = re.compile(r"[0-9]{1,9}(?: [0-9]{1,9})*")
+
+
 def parse_quandle(text: str) -> Quandle:
     """Line 1: n; then n rows of n entries (row a = a*b for b = 0..n-1).
 
-    Each row goes straight into a preallocated int32 table, so only one
-    row is held as Python ints at a time."""
+    Rows go into a preallocated int32 table, and each distinct line is
+    converted once: a line seen before is copied from the row that first
+    had it.  A plain row of n in-range entries is converted in one numpy
+    call; any other line takes the per-token path, which alone raises the
+    ParseErrors, in file order: a ragged or non-integer row anywhere
+    comes before the first out-of-range entry."""
     lines = _data_lines(text)
     if not lines:
         raise ParseError("empty quandle file")
@@ -51,8 +63,19 @@ def parse_quandle(text: str) -> Quandle:
     if len(lines) != n + 1:
         raise ParseError(f"expected {n} table rows, got {len(lines) - 1}")
     table = np.empty((n, n), dtype=np.int32)
-    out_of_range = None  # a ragged row anywhere is reported first
+    first_row: dict[str, int] = {}  # line -> first row that had it
+    out_of_range = None
     for a, line in enumerate(lines[1:]):
+        b = first_row.get(line)
+        if b is not None:
+            table[a] = table[b]
+            continue
+        if _PLAIN_ROW.fullmatch(line):
+            row = np.fromstring(line, dtype=np.int64, sep=" ")
+            if len(row) == n and row.max() < n:
+                table[a] = row
+                first_row[line] = a
+                continue
         row = _ints(line)
         if len(row) != n:
             raise ParseError(f"row {line!r} has {len(row)} entries, expected {n}")
@@ -60,6 +83,7 @@ def parse_quandle(text: str) -> Quandle:
             continue
         if 0 <= min(row) and max(row) < n:
             table[a] = row
+            first_row[line] = a
         else:
             x = next(x for x in row if not 0 <= x < n)
             out_of_range = f"entry {x} in row {a} out of range 0..{n - 1}"
@@ -68,10 +92,29 @@ def parse_quandle(text: str) -> Quandle:
     return validate_quandle(table)
 
 
+def _write_table(fh, n: int, rows, which) -> None:
+    """Write the size line n, then rows[i] for each i in which: each of the
+    distinct rows (int arrays over 0..n-1) is formatted once, by looking
+    its entries up in a list of the n decimal strings."""
+    tok = [str(i) for i in range(n)]
+    lines = [" ".join(map(tok.__getitem__, row.tolist())) + "\n" for row in rows]
+    fh.write(f"{n}\n")
+    fh.writelines(lines[i] for i in which.tolist())
+
+
+def write_quandle(q: Quandle, fh) -> None:
+    """Write a quandle table to a text file: its size, then one line per
+    row.  Equal rows share one formatted line."""
+    _, first, which = np.unique(
+        _row_keys(q.array), return_index=True, return_inverse=True)
+    _write_table(fh, q.n, q.array[first], which)
+
+
 def format_quandle(q: Quandle) -> str:
-    lines = [str(q.n)]
-    lines.extend(" ".join(map(str, row.tolist())) for row in q.array)
-    return "\n".join(lines) + "\n"
+    """The text write_quandle writes, as one string."""
+    out = io.StringIO()
+    write_quandle(q, out)
+    return out.getvalue()
 
 
 def parse_partition(text: str, n: int | None = None) -> Partition:
@@ -205,15 +248,13 @@ def format_mesh(mesh: AffineMesh) -> str:
 
 def write_cover_table(result, fh) -> None:
     """Write Aff(A,f) of a cover result to a text file, byte for byte as
-    format_quandle(result.cover.quandle) would, without building the
-    table: row u is w(u) + f(v) over v, with w = (1-f)(u), so each
-    distinct value of w is formatted once and its row repeated."""
+    write_quandle(result.cover.quandle, fh) would, without building the
+    table: row u is w(u) + f(v) over v, with w = (1-f)(u), so there is one
+    distinct row per distinct value of w."""
     group, f = result.group, result.f
     values, which = np.unique(one_minus_f_images(group, f), return_inverse=True)
-    rows = [" ".join(map(str, group.plus(x, f.images).tolist())) + "\n"
-            for x in values]
-    fh.write(f"{group.order}\n")
-    fh.writelines(rows[i] for i in which.tolist())
+    rows = (group.plus(x, f.images) for x in values)
+    _write_table(fh, group.order, rows, which)
 
 
 def format_cover_sidecar(result) -> str:

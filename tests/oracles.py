@@ -14,13 +14,19 @@ from typing import NamedTuple
 import numpy as np
 
 from quandles.core import Partition, Quandle, _check_table, validate_quandle
-from quandles.errors import DegreeMismatch, NotACongruence, NotLeftDistributive
+from quandles.errors import (
+    DegreeMismatch,
+    NotACongruence,
+    NotLeftDistributive,
+    ParseError,
+)
 from quandles.groups import (
     AbelianGroup,
     check_abelian_table,
     generating_indices,
     make_cyclic_product,
 )
+from quandles.iofmt import _data_lines, _ints
 
 
 def as_tuples(rows) -> tuple[tuple[int, ...], ...]:
@@ -166,6 +172,41 @@ def lexicographic_validate(table) -> Quandle:
             b, c = map(int, np.argwhere(lhs != rhs)[0])
             raise NotLeftDistributive(a, b, c)
     return Quandle(arr)
+
+
+# -- the quandle file parser as it was before distinct lines were converted
+#    once each: every line through the per-token loop
+
+def loop_parse_quandle(text: str) -> Quandle:
+    """Line 1: n; then n rows of n entries (row a = a*b for b = 0..n-1).
+
+    Each row goes straight into a preallocated int32 table, so only one
+    row is held as Python ints at a time."""
+    lines = _data_lines(text)
+    if not lines:
+        raise ParseError("empty quandle file")
+    header = _ints(lines[0])
+    if len(header) != 1 or header[0] < 1:
+        raise ParseError(f"bad size line {lines[0]!r}")
+    n = header[0]
+    if len(lines) != n + 1:
+        raise ParseError(f"expected {n} table rows, got {len(lines) - 1}")
+    table = np.empty((n, n), dtype=np.int32)
+    out_of_range = None  # a ragged row anywhere is reported first
+    for a, line in enumerate(lines[1:]):
+        row = _ints(line)
+        if len(row) != n:
+            raise ParseError(f"row {line!r} has {len(row)} entries, expected {n}")
+        if out_of_range is not None:
+            continue
+        if 0 <= min(row) and max(row) < n:
+            table[a] = row
+        else:
+            x = next(x for x in row if not 0 <= x < n)
+            out_of_range = f"entry {x} in row {a} out of range 0..{n - 1}"
+    if out_of_range is not None:
+        raise ParseError(out_of_range)
+    return validate_quandle(table)
 
 
 # -- quotient, induced subquandle and subquandle closure as loops over the

@@ -123,6 +123,30 @@ def test_missing_file_exit_code(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "reader, data",
+    [
+        ("quandle", b"2\n0 1\n\xff 1\n"),
+        ("partition", b"0\n\xff1\n"),
+        ("mesh", b"mesh 1\ngroup 0 \xff2\n"),
+    ],
+)
+def test_non_utf8_file_is_a_parse_error(capsys, tmp_path, reader, data):
+    q = tmp_path / "q.quandle"
+    q.write_text("2\n0 1\n0 1\n")
+    bad = tmp_path / "bad"
+    bad.write_bytes(data)
+    argv = {
+        "quandle": ["analyze", str(bad)],
+        "partition": ["quotient", str(q), str(bad)],
+        "mesh": ["mesh", "validate", str(bad)],
+    }[reader]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error={bad} is not UTF-8 text: invalid start byte")
+
+
 def test_invalid_algebra_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.quandle"
     # Idempotent, bijective rows, but not left distributive.

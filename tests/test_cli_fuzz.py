@@ -2,8 +2,10 @@
 
 Affine specs, and quandle, partition and mesh files of at most six lines,
 are valid inputs with a few tokens or lines mutated.  Integer tokens are
-small or beyond 2^63.  Whatever the input, main must return 0, 2, 3 or 4
-and raise nothing.
+small or beyond 2^63.  The files are also written as raw bytes, valid ones
+with a few byte strings spliced in: arbitrary bytes, or bytes on which
+int() and the parser's numpy path could disagree.  Whatever the input,
+main must return 0, 2, 3 or 4 and raise nothing.
 """
 
 import contextlib
@@ -58,6 +60,30 @@ def mutated(draw, texts):
     return _text(lines)
 
 
+# bytes on which int() and a C conversion of a table row could disagree:
+# not UTF-8, tab, carriage return, sign, underscore, negative zero, leading
+# zeros, an Arabic-Indic digit that int() accepts, ten-digit and huge tokens
+TRICKY = [b"\xff", b"\t", b"\r", b"+", b"_", b"-0", b"007", "\u0661".encode(),
+           b"1234567890", b"99999999999999999999"]
+spliced = st.one_of(
+    st.binary(max_size=4),
+    st.sampled_from(TRICKY),
+    st.sampled_from([b" ", b"\n", b"0", b"1", b"2"]),
+)
+
+
+@st.composite
+def raw_bytes(draw, texts):
+    """One of the texts as bytes, with up to three spans (of 0 to 2 bytes)
+    replaced by a drawn byte string."""
+    data = draw(st.sampled_from(texts)).encode()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(data)))
+        j = draw(st.integers(i, min(i + 2, len(data))))
+        data = data[:i] + draw(spliced) + data[j:]
+    return data
+
+
 affine_spec = st.tuples(
     st.lists(st.one_of(st.integers(1, 5).map(str), tokens), min_size=1, max_size=3)
     .map("x".join),
@@ -78,17 +104,28 @@ commands = st.one_of(
 )
 
 
-@given(commands)
-@settings(max_examples=300, deadline=None)
-def test_cli_exit_codes_on_random_inputs(command):
+raw_commands = st.one_of(
+    st.tuples(st.sampled_from([["analyze"], ["cover"]]), raw_bytes(QUANDLES)),
+    st.tuples(st.just(["quotient"]), raw_bytes(QUANDLES), raw_bytes(PARTITIONS)),
+    st.tuples(
+        st.sampled_from([["mesh", c] for c in ("validate", "sum", "coset", "semireg")]),
+        raw_bytes(MESHES),
+    ),
+)
+
+
+def _exit_code(command) -> tuple[int, str]:
     argv, *args = command
     with tempfile.TemporaryDirectory() as tmp:
         if argv == ["affine"]:
             argv = argv + args
         else:
-            for i, text in enumerate(args):
+            for i, content in enumerate(args):
                 path = Path(tmp) / f"input{i}"
-                path.write_text(text)
+                if isinstance(content, bytes):
+                    path.write_bytes(content)
+                else:
+                    path.write_text(content)
                 argv = argv + [str(path)]
         if argv[0] == "cover":
             argv = argv + ["--out", tmp]
@@ -98,4 +135,18 @@ def test_cli_exit_codes_on_random_inputs(command):
                 code = main(argv)
             except SystemExit as exc:  # argparse rejects an option-like spec
                 code = exc.code
-    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    return code, f"{argv} {err.getvalue()}"
+
+
+@given(commands)
+@settings(max_examples=300, deadline=None)
+def test_cli_exit_codes_on_random_inputs(command):
+    code, context = _exit_code(command)
+    assert code in (0, 2, 3, 4), context
+
+
+@given(raw_commands)
+@settings(max_examples=300, deadline=None)
+def test_cli_exit_codes_on_random_bytes(command):
+    code, context = _exit_code(command)
+    assert code in (0, 2, 3, 4), context

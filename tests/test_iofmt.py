@@ -1,12 +1,15 @@
 """Text format round trips and parse errors."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quandles.affine import make_affine
-from quandles.errors import ParseError
+from quandles.errors import ParseError, QuandleError
 from quandles.groups import make_cyclic_product, multiplication_automorphism
 from quandles.iofmt import (
     format_mesh,
@@ -18,6 +21,9 @@ from quandles.iofmt import (
     parse_quandle,
 )
 from quandles.mesh import mesh_sum
+
+from oracles import loop_parse_quandle
+from test_cli_fuzz import QUANDLES, mutated, raw_bytes
 
 
 def test_quandle_round_trip(sum_three_z2):
@@ -68,6 +74,46 @@ def test_quandle_parse_memory():
     finally:
         tracemalloc.stop()
     assert q.n == 1024 and peak < 32 << 20
+
+
+def _outcome(parse, text):
+    """The parsed table, or the type and message of the error raised;
+    any warning, such as numpy's for a string it could not read to its
+    end, is raised as an error instead."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return parse(text).array.tolist()
+        except QuandleError as exc:
+            return type(exc), str(exc)
+
+
+@given(st.one_of(
+    mutated(QUANDLES),
+    raw_bytes(QUANDLES).map(lambda data: data.decode("utf-8", "replace")),
+))
+@settings(max_examples=500, deadline=None)
+@example("3\n0 1 2\n0 1 2\n0 1 2\n")
+@example("2\n0 1\n00 1\n")            # leading zero
+@example("2\n0 1\n0 \u0661\n")         # Arabic-Indic one
+@example("2\n0\t1\n0 1\n")             # tab
+@example("2\n0 +1\n0 1\n")
+@example("2\n0 1_0\n0 1\n")
+@example("2\n-0 1\n0 1\n")
+@example("2\n0 1\n0 1234567890\n")
+@example("3\n0 1 2\n0 1 2\n0 1\n")      # repeated line, then ragged
+@example("3\n0 1 5\n0 1 5\n0 1\n")      # range error, then ragged
+@example("3\n0 2 1\n2 1 0\n0 2 1\n")   # repeated, not idempotent
+def test_parse_quandle_matches_the_per_token_loop(text):
+    assert _outcome(parse_quandle, text) == _outcome(loop_parse_quandle, text)
+
+
+def test_parse_quandle_matches_the_per_token_loop_on_the_corpus(small_corpus):
+    for _, q in small_corpus:
+        text = format_quandle(q)
+        expected = q.array.tolist()
+        assert _outcome(loop_parse_quandle, text) == expected
+        assert _outcome(parse_quandle, text) == expected
 
 
 def test_partition_round_trip():

@@ -1,7 +1,8 @@
-"""Cover files written by the CLI, pinned by their sha256 digests.
+"""Cover files and tables written by the CLI, pinned by their sha256 digests.
 
-The digests were taken from the nested-tuple table representation; any
-change of representation must leave every written byte as it was.
+The cover digests were taken from the nested-tuple table representation,
+the table digests from the writer that formatted every entry with str;
+any change of representation or writer must leave every byte as it was.
 """
 
 import hashlib
@@ -47,3 +48,35 @@ def test_cover_files_are_byte_identical(tmp_path, capsys, source):
         _sha256(tmp_path / "out" / "q.cover.sidecar"),
     )
     assert digests == PINNED[source]
+
+
+TABLES = {
+    "affine 16:mul:5": "e0f0f4be1bb3757464435c03a39a07e4b48af7ed3d96cbab581b7635cac2566f",
+    # 1,023 distinct rows: no line is a repeat
+    "affine 1023:mul:2": "4eb4d5d0b23000d2f0dde30860aece0a16fa7d5cb317849f1f1cf73520aea31e",
+    "mesh sum of genmax 8 2": "e809ea84a152c1e3eed0c37acb4919a6e5de404f63d1a3091392aaa8ad93d8b1",
+    "quotient of Aff(Z_64, 5) mod 8": "914954effcb1ba2503d8e5b439d0a50f1b9d419054e3918b384acb27cc0900cb",
+}
+
+
+@pytest.mark.parametrize("source", sorted(TABLES))
+def test_written_tables_are_byte_identical(tmp_path, capsys, source):
+    table = tmp_path / "q.quandle"
+    if source.startswith("affine"):
+        assert main(["affine", source.split()[1], "--out", str(table)]) == 0
+        data = table.read_bytes()
+    elif source.startswith("mesh"):
+        mesh = tmp_path / "q.mesh"
+        assert main(["mesh", "genmax", "8", "2", "--out", str(mesh)]) == 0
+        capsys.readouterr()
+        assert main(["mesh", "sum", str(mesh)]) == 0
+        data = capsys.readouterr().out.encode()
+    else:
+        partition = tmp_path / "mod8.partition"
+        partition.write_text("".join(
+            " ".join(map(str, range(r, 64, 8))) + "\n" for r in range(8)))
+        assert main(["affine", "64:mul:5", "--out", str(table)]) == 0
+        capsys.readouterr()
+        assert main(["quotient", str(table), str(partition)]) == 0
+        data = capsys.readouterr().out.encode()
+    assert hashlib.sha256(data).hexdigest() == TABLES[source]
