@@ -23,6 +23,9 @@ from .errors import (
 # (affine tables); validate_quandle itself always runs it.
 FULL_VALIDATE_LIMIT = 512
 
+# Largest temporary, in entries, that a table or mesh check builds at once.
+CHUNK_ENTRIES = 1 << 20
+
 
 @dataclass(frozen=True, eq=False)
 class Quandle:
@@ -127,7 +130,7 @@ def _check_table(table) -> np.ndarray:
     wrong = np.flatnonzero(np.diagonal(arr) != np.arange(n))
     if wrong.size:
         raise NotIdempotent(int(wrong[0]))
-    step = max(1, (1 << 20) // n)  # rows sorted per block, to bound memory
+    step = max(1, CHUNK_ENTRIES // n)  # rows sorted per block, to bound memory
     for start in range(0, n, step):
         block = np.sort(arr[start:start + step], axis=1)
         wrong = np.flatnonzero((block != np.arange(n)).any(axis=1))
@@ -151,7 +154,7 @@ def validate_quandle(table) -> Quandle:
     arr = _check_table(table)
     n = len(arr)
     first = np.sort(np.unique(_row_keys(arr), return_index=True)[1])
-    step = max(1, (1 << 20) // (n * n))
+    step = max(1, CHUNK_ENTRIES // (n * n))
     for start in range(0, len(first), step):
         rows = arr[first[start:start + step]]
         k = len(rows)

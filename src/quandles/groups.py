@@ -68,11 +68,11 @@ def _grow(add: np.ndarray, reached: np.ndarray, gens, frontier) -> None:
         frontier = add[np.ix_(np.flatnonzero(fresh), gens)].ravel()
 
 
-def _close_under(add: np.ndarray, seed) -> set[int]:
-    """The subgroup generated by seed (the table must be a group)."""
+def _close_under(add: np.ndarray, seed) -> np.ndarray:
+    """Mask of the subgroup generated by seed (the table must be a group)."""
     reached = np.zeros(len(add), dtype=bool)
-    _grow(add, reached, sorted(set(seed)), np.zeros(1, dtype=np.intp))
-    return set(np.flatnonzero(reached).tolist())
+    _grow(add, reached, np.unique(seed), np.zeros(1, dtype=np.intp))
+    return reached
 
 
 def generating_indices(add: np.ndarray) -> list[int]:

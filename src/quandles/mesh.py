@@ -9,12 +9,13 @@ disjoint union with a*b = c[i][j] + phi[i][j](a) + (1-phi[j][j])(b).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .core import Partition, Quandle, validate_quandle
+from .core import CHUNK_ENTRIES, Partition, Quandle, validate_quandle
 from .errors import (
     InternalAssertionFailure,
     InvalidParams,
@@ -26,6 +27,85 @@ from .errors import (
     TooLarge,
 )
 from .groups import AbelianGroup, _check_table_limit, _close_under, make_cyclic_product
+
+
+def _chunks(start: int, stop: int, width: int):
+    """(lo, hi) runs of start..stop-1, at most CHUNK_ENTRIES // width long
+    (at least one), so that a (hi - lo, width) temporary stays in a chunk."""
+    step = max(1, CHUNK_ENTRIES // max(1, width))
+    for lo in range(start, stop, step):
+        yield lo, min(lo + step, stop)
+
+
+@dataclass(frozen=True, eq=False)
+class MeshLayout:
+    """The k groups of a mesh side by side in one index space 0..N-1.
+
+    Element a of A_i is o_i + a, o_i = ``offsets[i]``.  ``flat`` holds the
+    addition tables one after another, so a + b in A_i is
+    ``flat[bases[i] + a*sizes[i] + b]``; ``neg[o_i + a]`` is -a in A_i and
+    ``P[o_i + a, j]`` is phi[i][j](a), both as indices of their group; ``C``
+    is the (k, k) matrix of constants and ``fiber[x]`` the i of element x.
+    """
+
+    offsets: np.ndarray
+    sizes: np.ndarray
+    bases: np.ndarray
+    fiber: np.ndarray
+    flat: np.ndarray
+    neg: np.ndarray
+    P: np.ndarray
+    C: np.ndarray
+
+    @property
+    def k(self) -> int:
+        return len(self.sizes)
+
+    @property
+    def n(self) -> int:
+        return len(self.fiber)
+
+    def add(self, i, a, b) -> np.ndarray:
+        """a + b in A_i, elementwise; i, a and b broadcast."""
+        return self.flat[self.bases[i] + a * self.sizes[i] + b]
+
+    @cached_property
+    def one_minus(self) -> np.ndarray:
+        """(1 - phi[i][i])(a) at element o_i + a."""
+        f = self.fiber
+        local = np.arange(self.n) - self.offsets[f]
+        return self.add(f, local, self.neg[self.offsets[f] + self.P[np.arange(self.n), f]])
+
+    @cached_property
+    def shifted(self) -> np.ndarray:
+        """(N, k): phi[i][j](a) + c[i][j] in A_j at row o_i + a."""
+        out = np.empty_like(self.P)
+        cols = np.arange(self.k)
+        for lo, hi in _chunks(0, self.n, self.k):
+            out[lo:hi] = self.add(cols, self.P[lo:hi], self.C[self.fiber[lo:hi]])
+        return out
+
+
+def _layout(groups, phi, c) -> MeshLayout:
+    sizes = np.array([g.order for g in groups], dtype=np.int64)
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    k = len(groups)
+    # phi in (i, j) order: source i's block holds its k maps one after another
+    images = np.concatenate([p for row in phi for p in row])
+    tables = [g.add.reshape(-1) for g in groups]
+    return MeshLayout(
+        offsets=offsets,
+        sizes=sizes,
+        bases=np.concatenate([[0], np.cumsum(sizes * sizes)[:-1]]),
+        fiber=np.repeat(np.arange(k), sizes),
+        flat=tables[0] if k == 1 else np.concatenate(tables),  # no copy of one table
+        neg=np.concatenate([g.neg for g in groups]),
+        P=np.concatenate([
+            images[k * o:k * (o + n)].reshape(k, n).T
+            for o, n in zip(offsets[:-1].tolist(), sizes.tolist())
+        ]),
+        C=np.array(c, dtype=np.int64),
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,14 +122,15 @@ class AffineMesh:
 
     @cached_property
     def offsets(self) -> tuple[int, ...]:
-        out = [0]
-        for g in self.groups:
-            out.append(out[-1] + g.order)
-        return tuple(out)
+        return tuple(self.layout.offsets.tolist())
 
     @property
     def total_size(self) -> int:
         return self.offsets[-1]
+
+    @cached_property
+    def layout(self) -> MeshLayout:
+        return _layout(self.groups, self.phi, self.c)
 
     def fiber_partition(self) -> Partition:
         return Partition.from_blocks(
@@ -58,8 +139,104 @@ class AffineMesh:
         )
 
 
+def _param_error(groups, phi, c) -> InvalidParams | None:
+    """The first bad cell (i, j) in row-major order: its length, then its
+    images, then its constant."""
+    k = len(groups)
+    for i in range(k):
+        for j in range(k):
+            if phi[i][j].shape != (groups[i].order,):
+                return InvalidParams(f"phi[{i}][{j}] has the wrong length")
+            if phi[i][j].min(initial=0) < 0 or phi[i][j].max(initial=0) >= groups[j].order:
+                return InvalidParams(f"phi[{i}][{j}] maps outside the target group")
+            if not 0 <= c[i][j] < groups[j].order:
+                return InvalidParams(f"c[{i}][{j}] is not an element of the target group")
+    return None
+
+
+def _hom_mismatch(lay: MeshLayout, x0: int, x1: int) -> np.ndarray:
+    """(x1 - x0, m, k), m the largest order: at row x = o_i + a, column b
+    and target j, is phi[i][j](a + b) != phi[i][j](a) + phi[i][j](b)?
+
+    A column b past the end of A_i repeats b = |A_i| - 1, so the first
+    failing column of a row is a real one.
+    """
+    f = lay.fiber[x0:x1, None]
+    o, n = lay.offsets[f], lay.sizes[f]
+    a = np.arange(x0, x1)[:, None] - o
+    b = np.minimum(np.arange(lay.sizes.max()), n - 1)
+    cols = np.arange(lay.k)
+    return lay.P[o + lay.add(f, a, b)] != lay.add(cols, lay.P[x0:x1, None, :], lay.P[o + b])
+
+
+def _check_homomorphisms(lay: MeshLayout) -> None:
+    """Every phi[i][j] at once; the witness is the first (i, j), then the
+    first (a, b)."""
+    for lo, hi in _chunks(0, lay.n, int(lay.sizes.max()) * lay.k):
+        bad = _hom_mismatch(lay, lo, hi)
+        if bad.any():
+            raise _hom_witness(lay, int(lay.fiber[lo + int(bad.any(axis=(1, 2)).argmax())]))
+
+
+def _hom_witness(lay: MeshLayout, i: int) -> NotAHomomorphism:
+    """The first failing target j of source i, then its first (a, b)."""
+    k, m, o = lay.k, int(lay.sizes.max()), int(lay.offsets[i])
+    first = np.full(k, -1)  # first failing a*m + b, per j
+    for lo, hi in _chunks(o, o + int(lay.sizes[i]), m * k):
+        bad = _hom_mismatch(lay, lo, hi).reshape(-1, k)
+        hit = bad.any(axis=0) & (first < 0)
+        first[hit] = (lo - o) * m + bad.argmax(axis=0)[hit]
+    j = int(np.flatnonzero(first >= 0)[0])
+    return NotAHomomorphism(i, j, *divmod(int(first[j]), m))
+
+
+def _m3_mismatch(lay: MeshLayout, lo: int, hi: int) -> np.ndarray:
+    """(hi - lo, k, k): at element x = o_i + a, is
+    phi[j][kk](phi[i][j](a)) != phi[0][kk](phi[i][0](a))?"""
+    g = lay.P[lay.offsets[:-1] + lay.P[lo:hi]]
+    return g != g[:, :1, :]
+
+
+def _check_m3(lay: MeshLayout) -> None:
+    """The witness is the first (i, kk), then the least j."""
+    k = lay.k
+    for lo, hi in _chunks(0, lay.n, k * k):
+        bad = _m3_mismatch(lay, lo, hi)
+        if not bad.any():
+            continue
+        i = int(lay.fiber[lo + int(bad.any(axis=(1, 2)).argmax())])
+        failing = np.zeros((k, k), dtype=bool)  # [j, kk] over all of A_i
+        for start, stop in _chunks(int(lay.offsets[i]), int(lay.offsets[i + 1]), k * k):
+            failing |= _m3_mismatch(lay, start, stop).any(axis=0)
+        kk, j = map(int, np.argwhere(failing.T)[0])
+        raise M3Violation(i, 0, j, kk)
+
+
+def _check_m4(lay: MeshLayout) -> None:
+    """phi[j][kk](c[i][j]) = phi[kk][kk](c[i][kk] - c[j][kk]) for every
+    (i, j, kk); the witness is the first in row-major order."""
+    k = lay.k
+    o, cols = lay.offsets[:-1], np.arange(k)
+    minus = lay.neg[o + lay.C]  # [j, kk]: -c[j][kk] in A_kk
+    for lo, hi in _chunks(0, k, k * k):
+        ci = lay.C[lo:hi]
+        lhs = lay.P[o + ci]  # [i, j, kk]
+        rhs = lay.P[o + lay.add(cols, ci[:, None, :], minus), cols]
+        bad = lhs != rhs
+        if bad.any():
+            i, j, kk = map(int, np.argwhere(bad)[0])
+            raise M4Violation(lo + i, j, kk)
+
+
 def validate_mesh(groups, phi, c) -> AffineMesh:
-    """Verify homomorphisms and (M1)-(M4) exhaustively, first witness each."""
+    """Verify homomorphisms and (M1)-(M4) exhaustively, first witness each.
+
+    Each check runs over the whole layout at once, in chunks of at most
+    CHUNK_ENTRIES entries; only a failing check goes back for its witness,
+    the first failure in the order of the per-cell loops: parameters per
+    (i, j), homomorphisms per (i, j) then (a, b), (M1) and (M2) per i,
+    (M3) per (i, kk) then j, (M4) per (i, j, kk).
+    """
     groups = tuple(groups)
     k = len(groups)
     if k == 0:
@@ -72,103 +249,110 @@ def validate_mesh(groups, phi, c) -> AffineMesh:
     except OverflowError:  # an image no int32 holds is out of range
         raise InvalidParams("phi maps outside its target group") from None
     c = tuple(tuple(int(c[i][j]) for j in range(k)) for i in range(k))
-    for i in range(k):
-        for j in range(k):
-            if phi[i][j].shape != (groups[i].order,):
-                raise InvalidParams(f"phi[{i}][{j}] has the wrong length")
-            if phi[i][j].min(initial=0) < 0 or phi[i][j].max(initial=0) >= groups[j].order:
-                raise InvalidParams(f"phi[{i}][{j}] maps outside the target group")
-            if not 0 <= c[i][j] < groups[j].order:
-                raise InvalidParams(f"c[{i}][{j}] is not an element of the target group")
-    for i in range(k):
-        for j in range(k):
-            m = phi[i][j]
-            mapped_sum = m[groups[i].add]
-            sum_mapped = groups[j].add[np.ix_(m, m)]
-            if not np.array_equal(mapped_sum, sum_mapped):
-                a, b = map(int, np.argwhere(mapped_sum != sum_mapped)[0])
-                raise NotAHomomorphism(i, j, a, b)
-    for i in range(k):
-        gi = groups[i]
-        one_minus = gi.add[np.arange(gi.order), gi.neg[phi[i][i]]]
-        if len(set(one_minus.tolist())) != gi.order:
-            raise M1Violation(i)
-    for i in range(k):
-        if c[i][i] != 0:
-            raise M2Violation(i)
-    for i, kk in itertools.product(range(k), repeat=2):
-        # phi[j][kk] . phi[i][j] must not depend on j; compare all to j=0.
-        ref = phi[0][kk][phi[i][0]]
-        for j in range(1, k):
-            if not np.array_equal(phi[j][kk][phi[i][j]], ref):
-                raise M3Violation(i, 0, j, kk)
-    for i, j, kk in itertools.product(range(k), repeat=3):
-        lhs = int(phi[j][kk][c[i][j]])
-        rhs = int(phi[kk][kk][groups[kk].sub_el(c[i][kk], c[j][kk])])
-        if lhs != rhs:
-            raise M4Violation(i, j, kk)
-    return AffineMesh(groups, phi, c)
+    mesh = AffineMesh(groups, phi, c)
+    orders = [g.order for g in groups]
+    if not (
+        all(p.shape == (orders[i],) for i, row in enumerate(phi) for p in row)
+        and all(0 <= x < orders[j] for row in c for j, x in enumerate(row))
+        and mesh.layout.P.min(initial=0) >= 0
+        and (mesh.layout.P < mesh.layout.sizes).all()
+    ):
+        raise _param_error(groups, phi, c)
+    lay = mesh.layout
+    _check_homomorphisms(lay)
+    unseen = np.ones(lay.n, dtype=bool)
+    unseen[lay.offsets[lay.fiber] + lay.one_minus] = False
+    if unseen.any():  # 1 - phi[i][i] misses an element of A_i: not onto
+        raise M1Violation(int(lay.fiber[unseen.argmax()]))
+    diagonal = np.flatnonzero(np.diagonal(lay.C))
+    if diagonal.size:
+        raise M2Violation(int(diagonal[0]))
+    _check_m3(lay)
+    _check_m4(lay)
+    return mesh
 
 
 def is_indecomposable(mesh: AffineMesh) -> bool:
     """Each A_j generated by all constants c[i][j] and images phi[i][j](a)."""
-    for j in range(mesh.k):
-        seed = {mesh.c[i][j] for i in range(mesh.k)}
-        for i in range(mesh.k):
-            seed.update(int(x) for x in mesh.phi[i][j])
-        if len(_close_under(mesh.groups[j].add, seed)) != mesh.groups[j].order:
-            return False
-    return True
+    lay = mesh.layout
+    return all(
+        _close_under(g.add, np.concatenate([lay.P[:, j], lay.C[:, j]])).all()
+        for j, g in enumerate(mesh.groups)
+    )
 
 
 def mesh_sum(mesh: AffineMesh) -> Quandle:
     """The quandle on the disjoint union, fibers concatenated in order."""
     n = mesh.total_size
     _check_table_limit(n, "mesh sum of order", "table")
-    table = np.empty((n, n), dtype=np.int32)
-    for j, gj in enumerate(mesh.groups):
-        rng = np.arange(gj.order)
-        one_minus = gj.add[rng, gj.neg[mesh.phi[j][j]]]
-        for i in range(mesh.k):
-            # c[i][j] + phi[i][j](a) + (1-phi[j][j])(b) inside A_j
-            shifted = gj.add[mesh.c[i][j]][mesh.phi[i][j]]
-            block = gj.add[np.ix_(shifted, one_minus)]
-            table[
-                mesh.offsets[i]:mesh.offsets[i + 1],
-                mesh.offsets[j]:mesh.offsets[j + 1],
-            ] = block + mesh.offsets[j]
-    return validate_quandle(table)
+    return validate_quandle(_sum_table(mesh.layout))
 
 
-def _row_tuples(mesh: AffineMesh):
-    """The tuples (phi[i][j](a) + c[i][j])_j over all i and a in A_i."""
-    rows = []
-    for i in range(mesh.k):
-        for a in range(mesh.groups[i].order):
-            rows.append(tuple(
-                mesh.groups[j].add_el(int(mesh.phi[i][j][a]), mesh.c[i][j])
-                for j in range(mesh.k)
-            ))
-    return rows
+def _sum_table(lay: MeshLayout) -> np.ndarray:
+    """Row o_i + a, column o_j + b holds
+    o_j + c[i][j] + phi[i][j](a) + (1 - phi[j][j])(b): one gather per chunk
+    of rows."""
+    f = lay.fiber
+    scale, col, o = lay.sizes[f], lay.bases[f] + lay.one_minus, lay.offsets[f]
+    table = np.empty((lay.n, lay.n), dtype=np.int32)
+    for lo, hi in _chunks(0, lay.n, lay.n):
+        idx = lay.shifted[lo:hi, f] * scale
+        idx += col
+        np.add(lay.flat[idx], o, out=table[lo:hi], casting="unsafe")
+    return table
+
+
+def _code(rank: np.ndarray, vecs: np.ndarray, radices: list[int]) -> np.ndarray:
+    """rank, then the columns of vecs, as one mixed-radix integer."""
+    weights = [math.prod(radices[j + 1:]) for j in range(len(radices))]
+    return rank * math.prod(radices) + vecs @ np.array(weights, dtype=np.int64)
+
+
+def _ranks(vecs: np.ndarray, radices: list[int], stages, keys) -> np.ndarray | None:
+    """Rank of each row of vecs among the members whose sorted codes per
+    stage are keys, or None if some row is not a member."""
+    rank = np.zeros(vecs.shape[:-1], dtype=np.int64)
+    for (lo, hi), key in zip(stages, keys):
+        code = _code(rank, vecs[..., lo:hi], radices[lo:hi])
+        rank = np.searchsorted(key, code)
+        if not (key[np.minimum(rank, len(key) - 1)] == code).all():
+            return None
+    return rank
 
 
 def coset_criterion(mesh: AffineMesh) -> bool:
     """Is {(phi[i][j](a)+c[i][j])_j} a coset of a subgroup of the product?
 
     A subset X of a group is a coset iff -h+X is a subgroup for any single
-    h in X, so one shift and a closure check suffice.
+    h in X, so one shift and a closure check suffice.  Each element of
+    -h+X is coded as one mixed-radix integer of the product of the
+    nontrivial A_j, and the sum of every pair is looked up among the sorted
+    codes.  Should the product not fit int64, the columns are coded in
+    stages, each after the element's rank among the codes of the stages
+    before.
     """
-    rows = _row_tuples(mesh)
-    h = rows[0]
-    shifted = {
-        tuple(mesh.groups[j].sub_el(r[j], h[j]) for j in range(mesh.k))
-        for r in rows
-    }
-    for x in shifted:
-        for y in shifted:
-            s = tuple(mesh.groups[j].add_el(x[j], y[j]) for j in range(mesh.k))
-            if s not in shifted:
-                return False
+    lay = mesh.layout
+    cols = np.flatnonzero(lay.sizes > 1)  # a trivial group adds a 0 to every row
+    rows = lay.shifted[:, cols]
+    x = lay.add(cols, rows, lay.neg[lay.offsets[cols] + rows[0]])
+    radices = lay.sizes[cols].tolist()
+    stages, lo, span = [], 0, 1
+    for j, r in enumerate(radices):
+        if span * r * len(x) > 1 << 62:
+            stages.append((lo, j))
+            lo, span = j, 1
+        span *= r
+    stages.append((lo, len(radices)))
+    keys, rank = [], np.zeros(len(x), dtype=np.int64)
+    for lo, hi in stages:
+        code = _code(rank, x[:, lo:hi], radices[lo:hi])
+        key, first, rank = np.unique(code, return_index=True, return_inverse=True)
+        keys.append(key)
+    x = x[first]  # one row per element
+    for lo, hi in _chunks(0, len(x), len(x) * len(cols)):
+        sums = lay.add(cols, x[lo:hi, None, :], x[None, :, :])
+        if _ranks(sums, radices, stages, keys) is None:
+            return False
     return True
 
 
@@ -179,22 +363,17 @@ def semiregular_extension_form(mesh: AffineMesh) -> bool:
     subquandles of affine quandles; it does not search over isomorphic
     meshes, so it is not the semantic embedding verdict.
     """
-    g0 = mesh.groups[0]
-    for g in mesh.groups[1:]:
-        if g.moduli != g0.moduli or not np.array_equal(g.add, g0.add):
-            return False
-    shared = mesh.phi[0][0]
-    for i in range(mesh.k):
-        for j in range(mesh.k):
-            if not np.array_equal(mesh.phi[i][j], shared):
-                return False
+    lay, g0, k = mesh.layout, mesh.groups[0], mesh.k
+    n = g0.order
+    if (lay.sizes != n).any() or any(g.moduli != g0.moduli for g in mesh.groups):
+        return False
+    if not (lay.flat.reshape(k, n * n) == lay.flat[:n * n]).all():
+        return False
+    if not (lay.P.reshape(k, n, k) == lay.P[:n, :1]).all():
+        return False
     # 1 - shared is bijective: (M1) holds for phi[0][0], the same map
-    d = [mesh.c[i][0] for i in range(mesh.k)]
-    return all(
-        mesh.c[i][j] == g0.sub_el(d[i], d[j])
-        for i in range(mesh.k)
-        for j in range(mesh.k)
-    )
+    d = lay.C[:, 0]
+    return bool((lay.C == lay.add(0, d[:, None], lay.neg[d])).all())
 
 
 def generate_max_mesh(n: int, k: int) -> AffineMesh:

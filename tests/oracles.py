@@ -16,17 +16,25 @@ import numpy as np
 from quandles.core import Partition, Quandle, _check_table, validate_quandle
 from quandles.errors import (
     DegreeMismatch,
+    InvalidParams,
+    M1Violation,
+    M2Violation,
+    M3Violation,
+    M4Violation,
     NotACongruence,
+    NotAHomomorphism,
     NotLeftDistributive,
     ParseError,
 )
 from quandles.groups import (
     AbelianGroup,
+    _check_table_limit,
     check_abelian_table,
     generating_indices,
     make_cyclic_product,
 )
 from quandles.iofmt import _data_lines, _ints
+from quandles.mesh import AffineMesh
 
 
 def as_tuples(rows) -> tuple[tuple[int, ...], ...]:
@@ -466,3 +474,145 @@ def all_orbit_transversal_kappas(blocks, orbit_list):
             loads[block_of[x]] += 1
         kappas.append(max(loads))
     return kappas
+
+
+# -- the mesh layer as per-cell loops: the library lays the groups out in one
+# index space and checks each axiom with a few gathers
+
+def loop_validate_mesh(groups, phi, c) -> AffineMesh:
+    """Verify homomorphisms and (M1)-(M4) exhaustively, first witness each."""
+    groups = tuple(groups)
+    k = len(groups)
+    if k == 0:
+        raise InvalidParams("mesh needs at least one index")
+    try:
+        phi = tuple(
+            tuple(np.asarray(phi[i][j], dtype=np.int32) for j in range(k))
+            for i in range(k)
+        )
+    except OverflowError:  # an image no int32 holds is out of range
+        raise InvalidParams("phi maps outside its target group") from None
+    c = tuple(tuple(int(c[i][j]) for j in range(k)) for i in range(k))
+    for i in range(k):
+        for j in range(k):
+            if phi[i][j].shape != (groups[i].order,):
+                raise InvalidParams(f"phi[{i}][{j}] has the wrong length")
+            if phi[i][j].min(initial=0) < 0 or phi[i][j].max(initial=0) >= groups[j].order:
+                raise InvalidParams(f"phi[{i}][{j}] maps outside the target group")
+            if not 0 <= c[i][j] < groups[j].order:
+                raise InvalidParams(f"c[{i}][{j}] is not an element of the target group")
+    for i in range(k):
+        for j in range(k):
+            m = phi[i][j]
+            mapped_sum = m[groups[i].add]
+            sum_mapped = groups[j].add[np.ix_(m, m)]
+            if not np.array_equal(mapped_sum, sum_mapped):
+                a, b = map(int, np.argwhere(mapped_sum != sum_mapped)[0])
+                raise NotAHomomorphism(i, j, a, b)
+    for i in range(k):
+        gi = groups[i]
+        one_minus = gi.add[np.arange(gi.order), gi.neg[phi[i][i]]]
+        if len(set(one_minus.tolist())) != gi.order:
+            raise M1Violation(i)
+    for i in range(k):
+        if c[i][i] != 0:
+            raise M2Violation(i)
+    for i, kk in itertools.product(range(k), repeat=2):
+        # phi[j][kk] . phi[i][j] must not depend on j; compare all to j=0.
+        ref = phi[0][kk][phi[i][0]]
+        for j in range(1, k):
+            if not np.array_equal(phi[j][kk][phi[i][j]], ref):
+                raise M3Violation(i, 0, j, kk)
+    for i, j, kk in itertools.product(range(k), repeat=3):
+        lhs = int(phi[j][kk][c[i][j]])
+        rhs = int(phi[kk][kk][groups[kk].sub_el(c[i][kk], c[j][kk])])
+        if lhs != rhs:
+            raise M4Violation(i, j, kk)
+    return AffineMesh(groups, phi, c)
+
+
+def loop_mesh_sum(mesh: AffineMesh) -> Quandle:
+    """The quandle on the disjoint union, fibers concatenated in order."""
+    n = mesh.total_size
+    _check_table_limit(n, "mesh sum of order", "table")
+    table = np.empty((n, n), dtype=np.int32)
+    for j, gj in enumerate(mesh.groups):
+        rng = np.arange(gj.order)
+        one_minus = gj.add[rng, gj.neg[mesh.phi[j][j]]]
+        for i in range(mesh.k):
+            # c[i][j] + phi[i][j](a) + (1-phi[j][j])(b) inside A_j
+            shifted = gj.add[mesh.c[i][j]][mesh.phi[i][j]]
+            block = gj.add[np.ix_(shifted, one_minus)]
+            table[
+                mesh.offsets[i]:mesh.offsets[i + 1],
+                mesh.offsets[j]:mesh.offsets[j + 1],
+            ] = block + mesh.offsets[j]
+    return validate_quandle(table)
+
+
+def _loop_row_tuples(mesh: AffineMesh):
+    """The tuples (phi[i][j](a) + c[i][j])_j over all i and a in A_i."""
+    rows = []
+    for i in range(mesh.k):
+        for a in range(mesh.groups[i].order):
+            rows.append(tuple(
+                mesh.groups[j].add_el(int(mesh.phi[i][j][a]), mesh.c[i][j])
+                for j in range(mesh.k)
+            ))
+    return rows
+
+
+def loop_coset_criterion(mesh: AffineMesh) -> bool:
+    """Is {(phi[i][j](a)+c[i][j])_j} a coset of a subgroup of the product?
+
+    A subset X of a group is a coset iff -h+X is a subgroup for any single
+    h in X, so one shift and a closure check suffice.
+    """
+    rows = _loop_row_tuples(mesh)
+    h = rows[0]
+    shifted = {
+        tuple(mesh.groups[j].sub_el(r[j], h[j]) for j in range(mesh.k))
+        for r in rows
+    }
+    for x in shifted:
+        for y in shifted:
+            s = tuple(mesh.groups[j].add_el(x[j], y[j]) for j in range(mesh.k))
+            if s not in shifted:
+                return False
+    return True
+
+
+def loop_is_indecomposable(mesh: AffineMesh) -> bool:
+    """Each A_j generated by all constants c[i][j] and images phi[i][j](a),
+    closing the seed set under pairwise sums."""
+    for j, g in enumerate(mesh.groups):
+        reached = {0} | {mesh.c[i][j] for i in range(mesh.k)}
+        for i in range(mesh.k):
+            reached.update(int(x) for x in mesh.phi[i][j])
+        while True:
+            more = reached | {g.add_el(a, b) for a in reached for b in reached}
+            if more == reached:
+                break
+            reached = more
+        if len(reached) != g.order:
+            return False
+    return True
+
+
+def loop_semiregular_extension_form(mesh: AffineMesh) -> bool:
+    """Identical groups, one shared phi, c[i][j] = d_i - d_j."""
+    g0 = mesh.groups[0]
+    for g in mesh.groups[1:]:
+        if g.moduli != g0.moduli or not np.array_equal(g.add, g0.add):
+            return False
+    shared = mesh.phi[0][0]
+    for i in range(mesh.k):
+        for j in range(mesh.k):
+            if not np.array_equal(mesh.phi[i][j], shared):
+                return False
+    d = [mesh.c[i][0] for i in range(mesh.k)]
+    return all(
+        mesh.c[i][j] == g0.sub_el(d[i], d[j])
+        for i in range(mesh.k)
+        for j in range(mesh.k)
+    )

@@ -330,20 +330,81 @@ def test_oversized_affine_exits_invalid():
     assert "Traceback" not in proc.stderr
 
 
+def _fresh_process(*argv, flags=()):
+    """Exit code, stdout and stderr of the CLI in a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "quandles.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 def test_non_distributive_witness_without_asserts(tmp_path):
     # the 4x4 table of test_core.py: idempotent, rows bijective, not left
     # distributive; python -O strips asserts and must not change the error
     path = tmp_path / "bad.quandle"
     path.write_text("4\n0 2 1 3\n2 1 3 0\n3 0 2 1\n2 0 1 3\n")
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     errors = []
     for flags in ([], ["-O"]):
-        proc = subprocess.run(
-            [sys.executable, *flags, "-m", "quandles.cli", "analyze", str(path)],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert proc.returncode == 3
-        assert proc.stderr.startswith("error=") and proc.stderr.count("\n") == 1
-        errors.append(proc.stderr)
+        code, _, err = _fresh_process("analyze", str(path), flags=flags)
+        assert code == 3
+        assert err.startswith("error=") and err.count("\n") == 1
+        errors.append(err)
     assert errors[0] == errors[1]
     assert "(0,1,0)" in errors[1]
+
+
+# One mesh file per way validate_mesh can fail, with its error line.
+BAD_MESHES = {
+    "phi-length": ("mesh 1\ngroup 0 2\nphi 0 0 0\n",
+                   "phi[0][0] has the wrong length"),
+    "phi-range": ("mesh 1\ngroup 0 2\nphi 0 0 0 5\n",
+                  "phi[0][0] maps outside the target group"),
+    "c-range": ("mesh 2\ngroup 0 2\ngroup 1 2\nc 0 1 7\n",
+                "c[0][1] is not an element of the target group"),
+    "c-huge": ("mesh 2\ngroup 0 2\ngroup 1 2\nc 0 1 1180591620717411303424\n",
+               "c[0][1] is not an element of the target group"),
+    "homomorphism": ("mesh 1\ngroup 0 3\nphi 0 0 0 1 1\n",
+                     "phi[0][0] is not a homomorphism: fails at (1,1)"),
+    "M1": ("mesh 1\ngroup 0 2\nphi 0 0 0 1\n",
+           "(M1) fails: 1-phi[0][0] is not an automorphism"),
+    "M2": ("mesh 1\ngroup 0 2\nc 0 0 1\n", "(M2) fails: c[0][0] != 0"),
+    "M3": ("mesh 2\ngroup 0 3\ngroup 1 3\nphi 0 1 0 1 2\nphi 1 1 0 2 1\n",
+           "(M3) fails at (i,j,j',k)=(0,0,1,1)"),
+    "M4": ("mesh 2\ngroup 0 2\ngroup 1 2\nphi 0 1 0 1\nc 1 0 1\n",
+           "(M4) fails at (i,j,k)=(1,0,1)"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_MESHES))
+def test_mesh_failure_without_asserts(tmp_path, kind):
+    # every mesh check raises without an assert: python -O prints the same
+    text, message = BAD_MESHES[kind]
+    path = tmp_path / "bad.mesh"
+    path.write_text(text)
+    expected = (3, "", f"error={message}\n")
+    assert _fresh_process("mesh", "validate", str(path)) == expected
+    assert _fresh_process("mesh", "validate", str(path), flags=["-O"]) == expected
+
+
+def test_consecutive_main_calls_match_fresh_processes(capsys, tmp_path):
+    # main reuses one parser; an error exit must leave nothing behind for
+    # the calls after it
+    bad = tmp_path / "bad.mesh"
+    bad.write_text(BAD_MESHES["M4"][0])
+    calls = [
+        ["mesh", "validate"],  # usage error: argparse exits with 2
+        ["mesh", "genmax", "8", "2"],
+        ["affine", "5:mul:2"],
+        ["mesh", "validate", str(bad)],
+        ["mesh", "nosuch"],
+        ["mesh", "genmax", "8", "2"],
+    ]
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == _fresh_process(*argv), argv
