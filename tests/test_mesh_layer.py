@@ -135,6 +135,49 @@ def test_mutants_fail_with_the_same_witness(raw_corpus, monkeypatch, chunk):
             M3Violation, M4Violation, "mesh"} <= seen
 
 
+@pytest.mark.parametrize("homs", [False, True])
+@pytest.mark.parametrize("chunk", [None, 1, 5])
+def test_several_broken_cells_give_the_first_witness(raw_corpus, monkeypatch, chunk, homs):
+    # three maps (any maps, or homomorphisms so that (M1)-(M4) fail) and
+    # two constants redrawn at once: several checks fail, and the first in
+    # the loops' order must be reported
+    if chunk is not None:
+        monkeypatch.setattr(mesh_mod, "CHUNK_ENTRIES", chunk)
+    rng = np.random.default_rng(11)
+    seen = set()
+    for tup, phi0, c0 in raw_corpus[3::16]:
+        groups = [corpus.group_for(m) for m in tup]
+        orders = [g.order for g in groups]
+        k = len(tup)
+        phi = [[list(p) for p in row] for row in phi0]
+        c = [list(r) for r in c0]
+        for _ in range(3):
+            i, j = (int(x) for x in rng.integers(k, size=2))
+            if homs:
+                maps = corpus.homs_between(tup[i], tup[j])
+                phi[i][j] = list(maps[int(rng.integers(len(maps)))])
+            else:
+                phi[i][j] = [int(x) for x in rng.integers(orders[j], size=orders[i])]
+        for _ in range(2):
+            i, j = (int(x) for x in rng.integers(k, size=2))
+            c[i][j] = int(rng.integers(orders[j]))
+        seen.add(_agree(groups, phi, c))
+    expected = {M1Violation, M2Violation, M3Violation, M4Violation} if homs else {NotAHomomorphism}
+    assert expected <= seen
+
+
+def test_homomorphism_witness_takes_the_first_target():
+    # on Z_4, phi[0][0] first fails at (1,2) and phi[0][1] at (1,1): the
+    # witness is the first target that fails, then its first pair
+    g = make_cyclic_product((4,))
+    zero = [0, 0, 0, 0]
+    phi = [[[0, 0, 0, 1], [0, 1, 0, 0]], [zero, zero]]
+    assert _agree([g, g], phi, [[0, 0], [0, 0]]) is NotAHomomorphism
+    with pytest.raises(NotAHomomorphism) as exc:
+        validate_mesh([g, g], phi, [[0, 0], [0, 0]])
+    assert exc.value.witness == (0, 0, 1, 2)
+
+
 def _z2_identity_mutant(m, i, j):
     phi = [list(row) for row in m.phi]
     phi[i][j] = np.array([0, 1], dtype=np.int32)
@@ -222,13 +265,15 @@ def _worst_128_6():
 
 @pytest.mark.parametrize("make", [_worst_128_6, _one_index_2048])
 def test_mesh_layer_memory_stays_within_a_few_chunks(make):
-    # validate_mesh: the layout arrays the mesh keeps (one group's table is
-    # read in place, not copied) plus at most four chunks; mesh_sum: the
-    # table plus what validate_quandle needs to check it, plus two chunks
+    # validate_mesh: the layout arrays the mesh keeps besides the tables,
+    # plus at most four chunks (the worst-case family's tables have 146
+    # entries, and one group's table is read in place, not copied);
+    # mesh_sum: the table plus what validate_quandle needs to check it,
+    # plus two chunks
     groups, phi, c = make()
     m, peak = _peak(lambda: validate_mesh(groups, phi, c))
-    kept = sum(a.nbytes for a in vars(m.layout).values()
-               if isinstance(a, np.ndarray) and a.base is None)
+    kept = sum(a.nbytes for name, a in vars(m.layout).items()
+               if isinstance(a, np.ndarray) and name != "flat")
     assert peak <= kept + 4 * CHUNK_BYTES
     q, peak = _peak(lambda: mesh_sum(m))
     _, check = _peak(lambda: validate_quandle(np.array(q.array)))
