@@ -27,6 +27,23 @@ FULL_VALIDATE_LIMIT = 512
 CHUNK_ENTRIES = 1 << 20
 
 
+def _chunks(start: int, stop: int, width: int):
+    """(lo, hi) runs of start..stop-1, at most CHUNK_ENTRIES // width long
+    (at least one), so that a (hi - lo, width) temporary stays in a chunk."""
+    step = max(1, CHUNK_ENTRIES // max(1, width))
+    for lo in range(start, stop, step):
+        yield lo, min(lo + step, stop)
+
+
+def _as_int32(values) -> np.ndarray:
+    """values as an int32 array; an integer out of int32 range raises
+    OverflowError, from an array as from a Python int, instead of wrapping."""
+    arr = np.asarray(values)
+    if arr.size and arr.dtype != np.int32 and (arr.min() < -2**31 or arr.max() >= 2**31):
+        raise OverflowError("value out of int32 range")
+    return arr.astype(np.int32, copy=False)
+
+
 @dataclass(frozen=True, eq=False)
 class Quandle:
     """A validated finite quandle.  Construct via :func:`validate_quandle`.
@@ -130,9 +147,8 @@ def _check_table(table) -> np.ndarray:
     wrong = np.flatnonzero(np.diagonal(arr) != np.arange(n))
     if wrong.size:
         raise NotIdempotent(int(wrong[0]))
-    step = max(1, CHUNK_ENTRIES // n)  # rows sorted per block, to bound memory
-    for start in range(0, n, step):
-        block = np.sort(arr[start:start + step], axis=1)
+    for start, stop in _chunks(0, n, n):  # rows sorted per chunk
+        block = np.sort(arr[start:stop], axis=1)
         wrong = np.flatnonzero((block != np.arange(n)).any(axis=1))
         if wrong.size:
             raise RowNotBijective(start + int(wrong[0]))
@@ -151,12 +167,20 @@ def validate_quandle(table) -> Quandle:
     row-major order makes the witness the lexicographically first one.
     The Quandle does not share memory with the caller's array.
     """
+    arr = _validated(table)
+    if isinstance(table, np.ndarray) and np.shares_memory(arr, table):
+        arr = arr.copy()
+    return Quandle(arr)
+
+
+def _validated(table) -> np.ndarray:
+    """The checks of validate_quandle; the table as an int32 array, for a
+    library function to take over a table that it has just built."""
     arr = _check_table(table)
     n = len(arr)
-    first = np.sort(np.unique(_row_keys(arr), return_index=True)[1])
-    step = max(1, CHUNK_ENTRIES // (n * n))
-    for start in range(0, len(first), step):
-        rows = arr[first[start:start + step]]
+    first = RowSet(arr).first
+    for start, stop in _chunks(0, len(first), n * n):
+        rows = arr[first[start:stop]]
         k = len(rows)
         # a*(b*c) against (a*b)*(a*c), for a the i-th of the rows: row
         # x*k + i of the column gather is row x at the columns rows[i], so
@@ -169,20 +193,18 @@ def validate_quandle(table) -> Quandle:
             i = int(np.flatnonzero(bad.any(axis=(1, 2)))[0])
             b, c = map(int, np.argwhere(bad[i])[0])
             raise NotLeftDistributive(int(first[start + i]), b, c)
-    if isinstance(table, np.ndarray) and np.shares_memory(arr, table):
-        arr = arr.copy()
-    return Quandle(arr)
+    return arr
 
 
 def unchecked_quandle(table: np.ndarray) -> Quandle:
-    """Wrap a table that is a quandle by construction.
+    """Wrap a table that is a quandle by construction, taken over uncopied.
 
     Shape, range, idempotence and row bijectivity are still checked (they
     are quadratic); the d*n^2 distributivity check runs only up to
-    FULL_VALIDATE_LIMIT, and above it the table is taken over uncopied.
+    FULL_VALIDATE_LIMIT.
     """
     if len(table) <= FULL_VALIDATE_LIMIT:
-        return validate_quandle(table)
+        return Quandle(_validated(table))
     return Quandle(_check_table(table))
 
 
@@ -214,7 +236,7 @@ def quotient(q: Quandle, p: Partition) -> Quandle:
     off = b != np.repeat(np.repeat(corner, sizes, axis=0), sizes, axis=1)
     off_rows = np.flatnonzero(off.any(axis=1))
     if not off_rows.size:
-        return validate_quandle(corner)
+        return Quandle(_validated(corner))
     i = p.block_of[order[off_rows[0]]]
     rows = slice(starts[i], starts[i] + sizes[i])           # a2 in I
     fails = np.logical_or.reduceat(off[rows] | off[starts[i]], starts, axis=1)
@@ -234,21 +256,54 @@ def induced_subquandle(q: Quandle, subset) -> Quandle:
     if outside.any():
         i, j = map(int, np.argwhere(outside)[0])
         raise ValueError(f"subset not closed: {elems[i]}*{elems[j]} = {sub[i, j]}")
-    return validate_quandle(pos)
+    return Quandle(_validated(pos))
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
     """Each row (last axis) of an int32 array as one opaque scalar, so
     that whole rows sort, search and compare as single values."""
     rows = np.ascontiguousarray(rows, dtype=np.int32)
+    if not rows.shape[-1]:  # rows of width 0: one empty key each
+        return np.zeros(rows.shape[:-1], dtype=np.dtype((np.void, 0)))
     return rows.view(np.dtype((np.void, 4 * rows.shape[-1])))[..., 0]
+
+
+class RowSet:
+    """The distinct rows (last axis) of a nonempty 2-d int32 array, sorted
+    once as byte keys (_row_keys) and numbered by first occurrence:
+    ``first`` holds each distinct row's first index, ascending, ``which``
+    the number of every row, and ``index_of`` numbers rows of any leading
+    shape by searchsorted, -1 for a row not in the set."""
+
+    def __init__(self, rows: np.ndarray):
+        self._keys = _row_keys(rows)  # a view of rows, kept until which is read
+        self._sorted, self._at = np.unique(self._keys, return_index=True)
+        self.first = np.sort(self._at)
+
+    @cached_property
+    def _rank(self) -> np.ndarray:
+        """The number of each distinct row, in sorted key order."""
+        rank = np.empty(len(self._at), dtype=np.int32)
+        rank[np.argsort(self._at)] = np.arange(len(self._at), dtype=np.int32)
+        return rank
+
+    @cached_property
+    def which(self) -> np.ndarray:
+        which = self._rank[np.searchsorted(self._sorted, self._keys)]
+        del self._keys
+        return which
+
+    def index_of(self, rows: np.ndarray) -> np.ndarray:
+        keys = _row_keys(rows)
+        pos = np.searchsorted(self._sorted, keys).clip(max=len(self._sorted) - 1)
+        return np.where(self._sorted[pos] == keys, self._rank[pos], np.int32(-1))
 
 
 def connectivity_orbits(q: Quandle) -> Partition:
     """Orbit partition of LMlt(Q), the components of x ~ a*x: each round a
     label drops to the least label of its images and preimages under the
     distinct rows, then to its label's label, until no label changes."""
-    rows = q.array[np.unique(_row_keys(q.array), return_index=True)[1]]
+    rows = q.array[RowSet(q.array).first]
     rows = np.concatenate([rows, np.argsort(rows, axis=1)])
     label = np.arange(q.n)
     while True:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import perms
 from .affine import AffineQuandle, make_affine, one_minus_f_images
-from .core import Quandle, _row_keys
+from .core import Quandle, RowSet, _chunks
 from .errors import (
     InternalAssertionFailure,
     NotAGroup,
@@ -332,13 +332,12 @@ def _psi_witness(a: AbelianGroup, f: GroupAutomorphism, psi: np.ndarray,
     w = one_minus_f_images(a, f)
     _, reps, cls = np.unique(w, return_index=True, return_inverse=True)
     bad_rep = np.zeros(len(reps), dtype=bool)
-    step = max(1, (1 << 20) // n)  # representatives per chunk, to bound memory
-    for start in range(0, len(reps), step):
-        r = reps[start:start + step]
+    for start, stop in _chunks(0, len(reps), n):
+        r = reps[start:stop]
         lhs = psi[a.plus(w[r][:, None], im[None, :])]
         rhs = qt[psi[r][:, None], psi[None, :]]
-        bad_rep[start:start + step] = (lhs != rhs).any(axis=1)
-    row_id = np.unique(_row_keys(qt[:, np.unique(psi)]), return_inverse=True)[1]
+        bad_rep[start:stop] = (lhs != rhs).any(axis=1)
+    row_id = RowSet(qt[:, np.unique(psi)]).which
     suspect = bad_rep[cls] | (row_id[psi] != row_id[psi[reps[cls]]])
     for u in np.flatnonzero(suspect).tolist():
         lhs = psi[a.plus(w[u], im)]

@@ -23,6 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .core import _as_int32
 from .errors import EmptyModuli, NotAdditive, NotAGroup, NotBijective, TooLarge
 
 
@@ -299,7 +300,7 @@ class GroupAutomorphism:
 def validate_automorphism(group: AbelianGroup, images) -> GroupAutomorphism:
     """Check bijectivity and additivity (first witness each)."""
     try:
-        im = np.asarray(images, dtype=np.int32)
+        im = _as_int32(images)
     except OverflowError:  # an image no int32 holds is out of range
         raise NotBijective() from None
     n = group.order

@@ -11,7 +11,7 @@ import re
 import numpy as np
 
 from .affine import one_minus_f_images
-from .core import Partition, Quandle, _row_keys, validate_quandle
+from .core import Partition, Quandle, RowSet, _validated
 from .errors import ParseError
 from .groups import (
     AbelianGroup,
@@ -89,7 +89,7 @@ def parse_quandle(text: str) -> Quandle:
             out_of_range = f"entry {x} in row {a} out of range 0..{n - 1}"
     if out_of_range is not None:
         raise ParseError(out_of_range)
-    return validate_quandle(table)
+    return Quandle(_validated(table))
 
 
 def _write_table(fh, n: int, rows, which) -> None:
@@ -105,9 +105,8 @@ def _write_table(fh, n: int, rows, which) -> None:
 def write_quandle(q: Quandle, fh) -> None:
     """Write a quandle table to a text file: its size, then one line per
     row.  Equal rows share one formatted line."""
-    _, first, which = np.unique(
-        _row_keys(q.array), return_index=True, return_inverse=True)
-    _write_table(fh, q.n, q.array[first], which)
+    rows = RowSet(q.array)
+    _write_table(fh, q.n, q.array[rows.first], rows.which)
 
 
 def format_quandle(q: Quandle) -> str:

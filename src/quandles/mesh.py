@@ -9,13 +9,12 @@ disjoint union with a*b = c[i][j] + phi[i][j](a) + (1-phi[j][j])(b).
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .core import CHUNK_ENTRIES, Partition, Quandle, validate_quandle
+from .core import Partition, Quandle, RowSet, _as_int32, _chunks, _validated
 from .errors import (
     InternalAssertionFailure,
     InvalidParams,
@@ -27,14 +26,6 @@ from .errors import (
     TooLarge,
 )
 from .groups import AbelianGroup, _check_table_limit, _close_under, make_cyclic_product
-
-
-def _chunks(start: int, stop: int, width: int):
-    """(lo, hi) runs of start..stop-1, at most CHUNK_ENTRIES // width long
-    (at least one), so that a (hi - lo, width) temporary stays in a chunk."""
-    step = max(1, CHUNK_ENTRIES // max(1, width))
-    for lo in range(start, stop, step):
-        yield lo, min(lo + step, stop)
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,7 +223,7 @@ def validate_mesh(groups, phi, c) -> AffineMesh:
     """Verify homomorphisms and (M1)-(M4) exhaustively, first witness each.
 
     Each check runs over the whole layout at once, in chunks of at most
-    CHUNK_ENTRIES entries; only a failing check goes back for its witness,
+    core.CHUNK_ENTRIES entries; only a failing check goes back for its witness,
     the first failure in the order of the per-cell loops: parameters per
     (i, j), homomorphisms per (i, j) then (a, b), (M1) and (M2) per i,
     (M3) per (i, kk) then j, (M4) per (i, j, kk).
@@ -242,10 +233,7 @@ def validate_mesh(groups, phi, c) -> AffineMesh:
     if k == 0:
         raise InvalidParams("mesh needs at least one index")
     try:
-        phi = tuple(
-            tuple(np.asarray(phi[i][j], dtype=np.int32) for j in range(k))
-            for i in range(k)
-        )
+        phi = tuple(tuple(_as_int32(phi[i][j]) for j in range(k)) for i in range(k))
     except OverflowError:  # an image no int32 holds is out of range
         raise InvalidParams("phi maps outside its target group") from None
     c = tuple(tuple(int(c[i][j]) for j in range(k)) for i in range(k))
@@ -285,7 +273,7 @@ def mesh_sum(mesh: AffineMesh) -> Quandle:
     """The quandle on the disjoint union, fibers concatenated in order."""
     n = mesh.total_size
     _check_table_limit(n, "mesh sum of order", "table")
-    return validate_quandle(_sum_table(mesh.layout))
+    return Quandle(_validated(_sum_table(mesh.layout)))
 
 
 def _sum_table(lay: MeshLayout) -> np.ndarray:
@@ -302,56 +290,22 @@ def _sum_table(lay: MeshLayout) -> np.ndarray:
     return table
 
 
-def _code(rank: np.ndarray, vecs: np.ndarray, radices: list[int]) -> np.ndarray:
-    """rank, then the columns of vecs, as one mixed-radix integer."""
-    weights = [math.prod(radices[j + 1:]) for j in range(len(radices))]
-    return rank * math.prod(radices) + vecs @ np.array(weights, dtype=np.int64)
-
-
-def _ranks(vecs: np.ndarray, radices: list[int], stages, keys) -> np.ndarray | None:
-    """Rank of each row of vecs among the members whose sorted codes per
-    stage are keys, or None if some row is not a member."""
-    rank = np.zeros(vecs.shape[:-1], dtype=np.int64)
-    for (lo, hi), key in zip(stages, keys):
-        code = _code(rank, vecs[..., lo:hi], radices[lo:hi])
-        rank = np.searchsorted(key, code)
-        if not (key[np.minimum(rank, len(key) - 1)] == code).all():
-            return None
-    return rank
-
-
 def coset_criterion(mesh: AffineMesh) -> bool:
     """Is {(phi[i][j](a)+c[i][j])_j} a coset of a subgroup of the product?
 
     A subset X of a group is a coset iff -h+X is a subgroup for any single
-    h in X, so one shift and a closure check suffice.  Each element of
-    -h+X is coded as one mixed-radix integer of the product of the
-    nontrivial A_j, and the sum of every pair is looked up among the sorted
-    codes.  Should the product not fit int64, the columns are coded in
-    stages, each after the element's rank among the codes of the stages
-    before.
+    h in X, so one shift and a closure check suffice: the sum of every
+    pair of elements of -h+X is looked up among its distinct rows.
     """
     lay = mesh.layout
     cols = np.flatnonzero(lay.sizes > 1)  # a trivial group adds a 0 to every row
     rows = lay.shifted[:, cols]
     x = lay.add(cols, rows, lay.neg[lay.offsets[cols] + rows[0]])
-    radices = lay.sizes[cols].tolist()
-    stages, lo, span = [], 0, 1
-    for j, r in enumerate(radices):
-        if span * r * len(x) > 1 << 62:
-            stages.append((lo, j))
-            lo, span = j, 1
-        span *= r
-    stages.append((lo, len(radices)))
-    keys, rank = [], np.zeros(len(x), dtype=np.int64)
-    for lo, hi in stages:
-        code = _code(rank, x[:, lo:hi], radices[lo:hi])
-        key, first, rank = np.unique(code, return_index=True, return_inverse=True)
-        keys.append(key)
-    x = x[first]  # one row per element
+    members = RowSet(x)
+    x = x[members.first]
     for lo, hi in _chunks(0, len(x), len(x) * len(cols)):
         sums = lay.add(cols, x[lo:hi, None, :], x[None, :, :])
-        if _ranks(sums, radices, stages, keys) is None:
+        if (members.index_of(sums) < 0).any():
             return False
     return True
 

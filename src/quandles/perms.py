@@ -2,9 +2,9 @@
 
 A permutation of degree n is a row of n images, p[i] the image of i.  Maps
 act on the left, so "p after q" is p[q], and a set of permutations is an
-(m, n) int32 array whose rows are looked up as byte keys (core._row_keys)
-in one sorted key array.  Groups are materialized as full element sets;
-everything here is desk scale by design (no stabilizer chains).
+(m, n) int32 array whose rows are numbered and looked up by a core.RowSet.
+Groups are materialized as full element sets; everything here is desk
+scale by design (no stabilizer chains).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Partition, Quandle, _row_keys, connectivity_orbits
+from .core import Partition, Quandle, RowSet, _as_int32, _row_keys, connectivity_orbits
 from .errors import DegreeMismatch
 
 # Entries of one chunk of products (closure layers, commutators, D's table).
@@ -40,16 +40,14 @@ class PermGroup:
         return len(self.array)
 
     @cached_property
-    def _keys(self) -> np.ndarray:
-        return np.sort(_row_keys(self.array))
+    def _rows(self) -> RowSet:
+        return RowSet(self.array)
 
     def __contains__(self, p) -> bool:
         row = np.asarray(p)
         if row.shape != (self.degree,) or not np.all((row >= 0) & (row < self.degree)):
             return False
-        key = _row_keys(row)
-        pos = np.searchsorted(self._keys, key)
-        return bool(pos < self.order and self._keys[pos] == key)
+        return bool(self._rows.index_of(row) >= 0)
 
 
 def closure(generators, degree: int | None = None) -> PermGroup:
@@ -61,7 +59,10 @@ def closure(generators, degree: int | None = None) -> PermGroup:
     layer.  That is the discovery order of a FIFO queue.  Candidates are
     built in frontier chunks of about CHUNK_ENTRIES images.
     """
-    gens = [np.asarray(g, dtype=np.int32) for g in generators]
+    try:
+        gens = [_as_int32(g) for g in generators]
+    except OverflowError:
+        raise ValueError("a generator image does not fit int32") from None
     if degree is None:
         if not gens:
             raise ValueError("degree required for an empty generator list")
@@ -116,9 +117,9 @@ def orbits(q: Quandle) -> Partition:
 
 def cayley_kernel(q: Quandle) -> Partition:
     """Partition identifying elements with equal left translations."""
-    _, which = np.unique(_row_keys(q.array), return_inverse=True)
+    rows = RowSet(q.array)
     return Partition.from_blocks(
-        np.flatnonzero(which == k).tolist() for k in range(which.max() + 1)
+        np.flatnonzero(rows.which == k).tolist() for k in range(len(rows.first))
     )
 
 
@@ -148,22 +149,19 @@ class Translations:
     ``block_of[x]`` is the index of L_x L_e^{-1} in ``d``; since
     L_x = L_y iff L_x L_e^{-1} = L_y L_e^{-1}, it names the Cayley-kernel
     block of x.  ``table[i, j]`` is the index of d[i] o d[j] and
-    ``inverses[i]`` that of d[i]^{-1}, or -1 where the map is not in D.
-    The table is built in row chunks of about CHUNK_ENTRIES products.
+    ``inverses[i]`` that of d[i]^{-1}, or -1 where the map is not in D,
+    as ``index_of(rows)`` is for maps given as rows (last axis).  The
+    table is built in row chunks of about CHUNK_ENTRIES products.
     """
 
     def __init__(self, q: Quandle, e: int = 0):
         self.e = e
         rows = displacement_generators(q, e)
-        # distinct rows as sorted keys; key k first appears at x = first[k]
-        self._keys, first, which = np.unique(
-            _row_keys(rows), return_index=True, return_inverse=True
-        )
-        self._rank = np.empty(len(first), dtype=np.int32)  # key -> D index
-        self._rank[np.argsort(first)] = np.arange(len(first), dtype=np.int32)
-        self.d = rows[np.sort(first)]
+        members = RowSet(rows)
+        self.index_of = members.index_of
+        self.d = rows[members.first]
         self.d.setflags(write=False)
-        self.block_of = self._rank[which]
+        self.block_of = members.which
         m, n = self.d.shape
         self.table = np.empty((m, m), dtype=np.int32)
         step = max(1, CHUNK_ENTRIES // (m * n))
@@ -174,13 +172,6 @@ class Translations:
     @property
     def m(self) -> int:
         return len(self.d)
-
-    def index_of(self, rows: np.ndarray) -> np.ndarray:
-        """Index in D of each map given as a row (last axis), -1 if none."""
-        keys = _row_keys(rows)
-        pos = np.searchsorted(self._keys, keys).clip(max=self.m - 1)
-        hit = self._keys[pos] == keys
-        return np.where(hit, self._rank[pos], np.int32(-1))
 
     @property
     def closed(self) -> bool:

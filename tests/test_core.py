@@ -1,12 +1,21 @@
-"""Tables, validation witnesses, quotients, subquandles, isomorphism."""
+"""Tables, validation witnesses, quotients, subquandles, isomorphism,
+distinct rows."""
+
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from quandles.affine import make_affine
 from quandles.core import (
     FULL_VALIDATE_LIMIT,
     Partition,
     Quandle,
+    RowSet,
     connectivity_orbits,
     induced_subquandle,
     is_isomorphic,
@@ -21,6 +30,9 @@ from quandles.errors import (
     NotLeftDistributive,
     RowNotBijective,
 )
+from quandles.groups import make_cyclic_product, multiplication_automorphism
+from quandles.iofmt import format_quandle, parse_quandle
+from quandles.mesh import coset_criterion, mesh_sum, validate_mesh
 
 from conftest import aff
 from oracles import affine_table_mod, naive_is_quandle
@@ -54,6 +66,57 @@ def test_validated_quandle_does_not_share_the_callers_array():
     arr[0, 1] = 1
     assert arr.flags.writeable
     assert q.array.tolist() == AFF_Z4_NEG
+
+
+@pytest.mark.parametrize("make", [
+    lambda t: t,                                   # taken as it is
+    lambda t: t.astype(np.int64),                  # converted
+    lambda t: np.asfortranarray(t),                # made C-contiguous
+    lambda t: np.pad(t, ((0, 1), (0, 0)))[:-1],    # a view of a larger array
+    lambda t: t[:, ::-1][:, ::-1],                 # a strided view
+])
+def test_no_input_array_is_shared_with_the_quandle(make):
+    arr = make(np.array(AFF_Z4_NEG, dtype=np.int32))
+    q = validate_quandle(arr)
+    assert not np.shares_memory(q.array, arr)
+    assert arr.flags.writeable
+    assert q.array.tolist() == AFF_Z4_NEG
+
+
+def _mesh_sum_2048():
+    g = make_cyclic_product((2048,))
+    m = validate_mesh([g], [[(1024 * np.arange(2048, dtype=np.int32)) % 2048]], [[0]])
+    return lambda: mesh_sum(m)
+
+
+def _parse_aff_300():
+    text = format_quandle(aff(300, 7).quandle)
+    return lambda: parse_quandle(text)
+
+
+def _make_aff_512():
+    g = make_cyclic_product((FULL_VALIDATE_LIMIT,))
+    f = multiplication_automorphism(g, 5)
+    return lambda: make_affine(g, f).quandle
+
+
+@pytest.mark.parametrize("build, where", [
+    (_mesh_sum_2048, "mesh.py"),
+    (_parse_aff_300, "iofmt.py"),
+    (_make_aff_512, "affine.py"),
+])
+def test_library_built_tables_are_taken_over_uncopied(build, where):
+    # the table a library function builds and validates is kept as it is:
+    # the Quandle's array is the block allocated where the table was built
+    call = build()
+    tracemalloc.start()
+    try:
+        q = call()
+        traces = tracemalloc.take_snapshot().traces
+    finally:
+        tracemalloc.stop()
+    kept = [t for t in traces if t.size == q.array.nbytes]
+    assert [Path(t.traceback[0].filename).name for t in kept] == [where]
 
 
 def test_not_idempotent_witness():
@@ -227,3 +290,62 @@ def test_quandle_equality_is_by_table():
     relabelled[np.ix_(sigma, sigma)] = sigma[t]
     q3 = unchecked_quandle(relabelled)
     assert q3 != q1
+
+
+def _oracle_numbers(rows: np.ndarray) -> dict:
+    """Each distinct row, as a tuple, numbered by first occurrence."""
+    number: dict = {}
+    for row in map(tuple, rows.tolist()):
+        number.setdefault(row, len(number))
+    return number
+
+
+INT32_VALUES = st.sampled_from([-2**31, -1, 0, 1, 2, 2**31 - 1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 3).flatmap(lambda w: st.tuples(
+    arrays(np.int32, st.tuples(st.integers(1, 12), st.just(w)), elements=INT32_VALUES),
+    arrays(np.int32, st.tuples(st.integers(0, 3), st.integers(0, 4), st.just(w)),
+           elements=INT32_VALUES),
+)))
+def test_row_set_matches_a_dict_of_tuples(data):
+    rows, probe = data
+    number = _oracle_numbers(rows)
+    members = RowSet(rows)
+    listed = [tuple(r) for r in rows.tolist()]
+    assert members.first.tolist() == [listed.index(r) for r in number]
+    assert members.which.tolist() == [number[r] for r in listed]
+    assert members.index_of(probe).tolist() == [
+        [number.get(tuple(r), -1) for r in plane] for plane in probe.tolist()]
+    assert members.index_of(rows).tolist() == members.which.tolist()
+
+
+def test_row_set_numbers_repeated_rows_by_first_occurrence():
+    rows = np.array([[3, 1], [0, 2], [3, 1], [0, 2], [5, 5], [3, 1]], dtype=np.int32)
+    members = RowSet(rows)
+    assert members.first.tolist() == [0, 1, 4]
+    assert members.which.tolist() == [0, 1, 0, 1, 2, 0]
+
+
+def test_row_set_of_width_zero_is_one_empty_row():
+    members = RowSet(np.zeros((4, 0), dtype=np.int32))
+    assert members.first.tolist() == [0]
+    assert members.which.tolist() == [0, 0, 0, 0]
+    assert members.index_of(np.zeros((2, 3, 0), dtype=np.int32)).tolist() == [[0] * 3] * 2
+
+
+def test_row_set_index_of_absent_rows_and_3d_input():
+    members = RowSet(np.array([[1, 2, 3], [4, 5, 6]], dtype=np.int32))
+    probe = np.array([[[4, 5, 6], [1, 2, 4]], [[0, 0, 0], [1, 2, 3]]], dtype=np.int32)
+    out = members.index_of(probe)
+    assert out.shape == (2, 2) and out.tolist() == [[1, -1], [-1, 0]]
+    assert members.index_of(np.array([7, 8, 9], dtype=np.int32)) == -1
+
+
+def test_coset_criterion_on_an_all_trivial_mesh():
+    # every group is Z_1, so every row of the coset test has width 0
+    z1 = make_cyclic_product((1,))
+    zero = np.zeros(1, dtype=np.int32)
+    m = validate_mesh([z1] * 3, [[zero] * 3] * 3, [[0] * 3] * 3)
+    assert coset_criterion(m)

@@ -152,6 +152,16 @@ def test_validate_automorphism_rejects_non_bijection():
         validate_automorphism(g, [(2 * a) % 8 for a in range(8)])
 
 
+@pytest.mark.parametrize("images", [
+    np.array([0, 1 + 2**32, 2, 3]),          # wraps to the identity in int32
+    np.array([0, 3, 2, 1 - 2**32], dtype=np.int64),
+    [0, 2**63, 2, 3],
+])
+def test_validate_automorphism_refuses_images_int32_cannot_hold(images):
+    with pytest.raises(NotBijective):
+        validate_automorphism(make_cyclic_product((4,)), images)
+
+
 def test_validate_automorphism_rejects_non_additive():
     g = make_cyclic_product((4,))
     with pytest.raises(NotAdditive):

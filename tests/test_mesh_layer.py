@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from quandles import mesh as mesh_mod
+from quandles import core
 from quandles.core import CHUNK_ENTRIES, validate_quandle
 from quandles.errors import (
     InvalidParams,
@@ -125,7 +125,7 @@ def _mutants(raw, rng):
 def test_mutants_fail_with_the_same_witness(raw_corpus, monkeypatch, chunk):
     # chunk 1 and 5 split every check, and every witness search, into runs
     if chunk is not None:
-        monkeypatch.setattr(mesh_mod, "CHUNK_ENTRIES", chunk)
+        monkeypatch.setattr(core, "CHUNK_ENTRIES", chunk)
     rng = np.random.default_rng(7)
     seen = set()
     for raw in raw_corpus[::8]:
@@ -142,7 +142,7 @@ def test_several_broken_cells_give_the_first_witness(raw_corpus, monkeypatch, ch
     # two constants redrawn at once: several checks fail, and the first in
     # the loops' order must be reported
     if chunk is not None:
-        monkeypatch.setattr(mesh_mod, "CHUNK_ENTRIES", chunk)
+        monkeypatch.setattr(core, "CHUNK_ENTRIES", chunk)
     rng = np.random.default_rng(11)
     seen = set()
     for tup, phi0, c0 in raw_corpus[3::16]:
@@ -178,6 +178,13 @@ def test_homomorphism_witness_takes_the_first_target():
     assert exc.value.witness == (0, 0, 1, 2)
 
 
+@pytest.mark.parametrize("image", [2**32, -2**32 + 1, 2**31])
+def test_images_int32_cannot_hold_are_refused(image):
+    # np.array([0, 2**32]) would wrap to the zero map of Z_2
+    with pytest.raises(InvalidParams):
+        validate_mesh([make_cyclic_product((2,))], [[np.array([0, image])]], [[0]])
+
+
 def _z2_identity_mutant(m, i, j):
     phi = [list(row) for row in m.phi]
     phi[i][j] = np.array([0, 1], dtype=np.int32)
@@ -187,7 +194,7 @@ def _z2_identity_mutant(m, i, j):
 @pytest.mark.parametrize("chunk", [None, 1, 100])
 def test_worst_case_mutants_agree(monkeypatch, chunk):
     if chunk is not None:
-        monkeypatch.setattr(mesh_mod, "CHUNK_ENTRIES", chunk)
+        monkeypatch.setattr(core, "CHUNK_ENTRIES", chunk)
     m = generate_max_mesh(32, 4)
     # an identity Z2 -> Z2 off the diagonal breaks (M4) at the first row
     # whose constant in its source column is 1
@@ -223,11 +230,11 @@ def test_large_group_checks_run_in_chunks():
 
 @pytest.mark.parametrize("seed", range(8))
 def test_coset_codes_in_stages_when_the_product_overflows(seed):
-    # sixteen copies of Z_16 (product 2^64) with zero maps: every mesh with
-    # a zero diagonal of constants is valid, and row i of the coset test is
-    # c[i] = t_i * v for v of order 4; t_0 = 0 since v_0 = 4, so the rows
-    # form a coset iff the t_i form a subgroup of Z_4; the codes need more
-    # than one stage to fit int64
+    # sixteen copies of Z_16 (product 2^64, beyond int64) with zero maps:
+    # every mesh with a zero diagonal of constants is valid, and row i of
+    # the coset test is c[i] = t_i * v for v of order 4; t_0 = 0 since
+    # v_0 = 4, so the rows form a coset iff the t_i form a subgroup of Z_4;
+    # no single integer code of a row would fit int64
     rng = np.random.default_rng(seed)
     g = make_cyclic_product((16,))
     zero = np.zeros(16, dtype=np.int32)
@@ -278,3 +285,4 @@ def test_mesh_layer_memory_stays_within_a_few_chunks(make):
     q, peak = _peak(lambda: mesh_sum(m))
     _, check = _peak(lambda: validate_quandle(np.array(q.array)))
     assert peak <= q.array.nbytes + check + 2 * CHUNK_BYTES
+

@@ -64,6 +64,13 @@ def test_closure_degree_mismatch():
         closure([(1, 0), (0, 1, 2)])
 
 
+@pytest.mark.parametrize("gen", [np.array([1, 2**32]), [1, 2**40]])
+def test_closure_refuses_images_int32_cannot_hold(gen):
+    # np.array([1, 2**32]) would wrap to the swap (1, 0)
+    with pytest.raises(ValueError):
+        closure([gen])
+
+
 def test_multiplication_group_of_affine_z8_5():
     # LMlt(Aff(Z8,5)) = maps b -> 5^k b + 4t: since 5^2 = 1 (mod 8) and
     # translations lie in 4Z8, the order is 2 * 2 = 4 (naive fixpoint agrees).

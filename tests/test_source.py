@@ -21,16 +21,24 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
+def _name(node: ast.AST) -> str | None:
+    """The name a node itself binds or reads, if any."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return node.name
+    if isinstance(node, ast.alias):
+        return node.asname or node.name
+    return None
+
+
 def _names(tree: ast.AST):
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            yield node.id
-        elif isinstance(node, ast.Attribute):
-            yield node.attr
-        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node.name
-        elif isinstance(node, ast.alias):
-            yield node.asname or node.name
+        name = _name(node)
+        if name is not None:
+            yield name
 
 
 def test_no_tuple_permutation_layer_in_package():
@@ -70,4 +78,30 @@ def test_no_tuple_table_views_in_package():
                     for name in _names(node)
                     if name in banned[node.name]
                 ]
+    assert found == []
+
+
+def test_row_keys_only_in_core_and_closure():
+    # Sets of int32 rows are numbered and looked up by core.RowSet; only
+    # perms.closure keeps its own sorted keys, since its set grows once per
+    # chunk.  Anywhere else a reference to _row_keys is a second copy of
+    # RowSet.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "core.py":
+            continue
+        tree = _tree(path)
+        allowed = set()
+        if path.name == "perms.py":
+            allowed = {
+                id(node)
+                for top in tree.body
+                if isinstance(top, ast.ImportFrom) or getattr(top, "name", None) == "closure"
+                for node in ast.walk(top)
+            }
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if _name(node) == "_row_keys" and id(node) not in allowed
+        ]
     assert found == []
