@@ -42,23 +42,22 @@ def analysis_report(q: Quandle) -> list[tuple[str, object]]:
     orbit_partition = perms.orbits(q)
     dis = perms.displacement_group(q)
     lmlt = perms.multiplication_group(q)
-    kernel = perms.cayley_kernel(q)
-    abelian = perms.is_abelian(dis)
+    tr = perms.Translations(q)   # one map in D per Cayley-kernel block
+    abelian = perms.is_abelian(dis)   # Q is medial iff Dis(Q) is abelian
     semiregular = perms.is_semiregular(dis)
-    tiny = perms.is_tiny(q)
     return [
         ("n", q.n),
         ("orbits", len(orbit_partition.blocks)),
         ("orbit_sizes", orbit_partition.sizes()),
         ("lmlt_order", lmlt.order),
         ("dis_order", dis.order),
-        ("cayley_blocks", len(kernel.blocks)),
-        ("medial", perms.is_medial(q)),
+        ("cayley_blocks", tr.m),
+        ("medial", abelian),
         ("dis_abelian", abelian),
         ("dis_semiregular", semiregular),
-        ("dis_tiny", tiny),
+        ("dis_tiny", tr.closed),
         ("embeds_into_affine", abelian and semiregular),
-        ("homim_of_affine", abelian and tiny),
+        ("homim_of_affine", abelian and tr.closed),
     ]
 
 

@@ -13,7 +13,7 @@ automorphism f and a surjective quandle homomorphism psi: Aff(A,f) -> Q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import cycle
 
@@ -22,12 +22,7 @@ import numpy as np
 from . import perms
 from .affine import AffineQuandle, make_affine, one_minus_f_images
 from .core import Quandle, RowSet, _chunks
-from .errors import (
-    InternalAssertionFailure,
-    NotAGroup,
-    NotHomImage,
-    OplusUndefined,
-)
+from .errors import InternalAssertionFailure, NotHomImage, OplusUndefined
 from .groups import (
     AbelianGroup,
     GroupAutomorphism,
@@ -66,12 +61,17 @@ class Multitransversal:
     from block i (blocks follow the discovery order of D); entries are
     formally distinct even when the underlying element repeats, and the
     within-block position j is the tag valued in Z_kappa.  Entry 0 is the
-    designated zero e.
+    designated zero e.  ``translations`` is the D of the quandle it was
+    picked from, read again by build_oplus and build_cover.
     """
 
     elements: tuple[int, ...]
     kappa: int
-    m: int
+    translations: Translations = field(repr=False)
+
+    @property
+    def m(self) -> int:
+        return self.translations.m
 
     @property
     def size(self) -> int:
@@ -84,79 +84,66 @@ class Multitransversal:
 
 def simple_multitransversal(q: Quandle) -> Multitransversal:
     """All of Q, cycled per block up to the largest block size."""
-    blocks = _homim_translations(q).blocks
+    tr = _homim_translations(q)
+    blocks = tr.blocks
     kappa = max(len(b) for b in blocks)
     elems: list[int] = []
     for b in blocks:
         elems.extend(b[j % len(b)] for j in range(kappa))
-    return Multitransversal(tuple(elems), kappa, len(blocks))
+    return Multitransversal(tuple(elems), kappa, tr)
 
 
 def optimized_multitransversal(q: Quandle) -> Multitransversal:
     """Greedy transversal keeping the per-block multiplicity low.
 
-    Picks one element per orbit: the orbit of e goes first and takes e;
-    the rest are processed most-constrained first (fewest candidate
-    blocks) and each takes the smallest element of its currently
-    least-loaded block.  Blocks are then padded to the maximum load.
+    Picks one element per orbit, the orbit of e = 0 first and then the
+    most constrained first (fewest candidate blocks, then least element):
+    each orbit takes the smallest of its elements in its least-loaded
+    candidate block.  The orbit of 0 thus takes 0 into block 0, as the
+    first and least entry.  Blocks are then padded to the maximum load.
     """
     tr = _homim_translations(q)
-    blocks = tr.blocks
-    m = len(blocks)
     block_of = tr.block_of.tolist()
-    orbit_list = [list(b) for b in perms.orbits(q).blocks]
-    loads = [0] * m
-    chosen: list[list[int]] = [[] for _ in range(m)]
-
-    def take(orbit: list[int], forced: int | None = None) -> None:
-        if forced is not None:
-            b = block_of[forced]
-            chosen[b].append(forced)
-            loads[b] += 1
-            return
-        cands = sorted({block_of[x] for x in orbit})
+    loads = [0] * tr.m
+    chosen: list[list[int]] = [[] for _ in range(tr.m)]
+    orbits = [(orbit, {block_of[x] for x in orbit}) for orbit in perms.orbits(q).blocks]
+    orbits.sort(key=lambda ob: (0 not in ob[0], len(ob[1]), min(ob[0])))
+    for orbit, cands in orbits:
         b = min(cands, key=lambda i: (loads[i], i))
-        x = min(x for x in orbit if block_of[x] == b)
-        chosen[b].append(x)
+        chosen[b].append(min(x for x in orbit if block_of[x] == b))
         loads[b] += 1
-
-    e = 0
-    rest = []
-    for orbit in orbit_list:
-        if e in orbit:
-            take(orbit, forced=e)
-        else:
-            rest.append(orbit)
-    rest.sort(key=lambda orbit: (len({block_of[x] for x in orbit}), min(orbit)))
-    for orbit in rest:
-        take(orbit)
 
     kappa = max(loads)
     elems: list[int] = []
-    for i, b in enumerate(blocks):
-        entries = sorted(chosen[i])
-        if i == 0:
-            entries.remove(e)
-            entries.insert(0, e)
+    for entries, b in zip(chosen, tr.blocks):
+        entries.sort()
         unused = [x for x in b if x not in entries]
         filler = cycle(b)
         while len(entries) < kappa:
             entries.append(unused.pop(0) if unused else next(filler))
         elems.extend(entries)
-    return Multitransversal(tuple(elems), kappa, m)
+    return Multitransversal(tuple(elems), kappa, tr)
+
+
+def _transversal_translations(q: Quandle, t: Multitransversal) -> Translations:
+    """The D that t was picked from, refused unless it is Q's and, being
+    closed and commutative, Dis(Q)."""
+    tr = t.translations
+    if tr.q != q:
+        raise OplusUndefined("transversal belongs to another quandle")
+    if not _commute_and_close(tr):
+        raise OplusUndefined("D is not a closed commutative set")
+    return tr
 
 
 def build_oplus(q: Quandle, t: Multitransversal) -> AbelianGroup:
     """The abelian group (T,+) = Dis(Q) x Z_kappa: entry i*kappa + j is
     the pair (D[i], j), added by composition in D and the tag mod kappa."""
-    try:
-        return _oplus(dis_as_group(Translations(q)), t)
-    except NotAGroup as exc:
-        raise OplusUndefined(str(exc)) from exc
+    return _oplus(dis_as_group(_transversal_translations(q, t)), t)
 
 
 def _oplus(dis: AbelianGroup, t: Multitransversal) -> AbelianGroup:
-    if t.m != dis.order or t.size != dis.order * t.kappa:
+    if t.size != dis.order * t.kappa:
         raise OplusUndefined("transversal does not match the block structure")
     return direct_product(dis, make_cyclic_product((t.kappa,)), name="(T,+)")
 
@@ -192,7 +179,8 @@ class CoverResult:
 
 def dis_as_group(tr: Translations) -> AbelianGroup:
     """Dis(Q) = D, abelian and tiny, as a table-backed abelian group over
-    D (built with e = 0, so that the identity is element 0)."""
+    D (built with e = 0, so that the identity is element 0), unchecked:
+    D's table is a group table once _commute_and_close accepts it."""
     return AbelianGroup(tr.table, tr.inverses, name="Dis(Q)")
 
 
@@ -205,9 +193,11 @@ def build_cover(q: Quandle, t: Multitransversal) -> CoverResult:
     of x, L_e alpha L_x^{-1} = (L_e alpha L_e^{-1}) D[b]^{-1}: a lookup in
     D's composition table.  A is kept as its factors and no |A|^2 table
     is built; verify_cover, called once here, proves every claim from the
-    factor tables, and any failure raises InternalAssertionFailure.
+    factor tables, and any failure raises InternalAssertionFailure.  D is
+    read from t, so a transversal of another quandle is refused with
+    OplusUndefined before anything is built.
     """
-    tr = _homim_translations(q)
+    tr = _transversal_translations(q, t)
     group_d = dis_as_group(tr)
     a = direct_product(group_d, _oplus(group_d, t), name="Dis(Q) x (T,+)")
     le = q.array[0]
@@ -245,9 +235,10 @@ class VerifyReport:
 def verify_cover(result: CoverResult, q: Quandle) -> VerifyReport:
     """Check that A is an abelian group, f an automorphism and psi a
     surjective quandle homomorphism Aff(A,f) -> Q, from the factor tables
-    of A, in O(sum of factor orders^2 + |A| (d + |gens|)).  Reports the
-    first witness per failed property instead of raising.  Each claim
-    rests on one lemma:
+    of A, in O(sum of factor orders^2 + |A| (d + |gens|)); it is the one
+    check of the factor tables' group axioms.  Reports the first witness
+    per failed property instead of raising.  Each claim rests on one
+    lemma:
 
     1. A is an abelian group.  A product group's order is the product of
        its factor orders and ``plus`` adds coordinates in the factor

@@ -58,10 +58,6 @@ class EmptyModuli(QuandleError):
         super().__init__("cyclic product needs at least one modulus")
 
 
-class NotAGroup(QuandleError):
-    """An operation table fails one of the abelian group axioms."""
-
-
 class NotBijective(QuandleError):
     def __init__(self, detail: str = "map is not a bijection"):
         super().__init__(detail)

@@ -8,11 +8,13 @@ table ``add`` is built only when it is read.  A table whose finished
 int32 form would exceed 1 GiB (order above 16,384) is refused with
 TooLarge before anything is allocated.
 
-Group axioms are verified at construction: commutativity, identity and
-inverses exhaustively, associativity by Light's test over a generating
-set (equivalent to the exhaustive cubic scan, but quadratic).  A direct
-product of checked groups is a group by construction and is not checked
-again.
+An AbelianGroup is a plain record, like a Quandle: its constructor
+checks nothing.  Every group the package builds is a group by
+construction (a cyclic product from its moduli, Dis(Q) from a D that is
+closed and commutative, a direct product from two groups).
+check_abelian_table checks a table from outside: commutativity, identity
+and inverses exhaustively, associativity by Light's test over a
+generating set (equivalent to the exhaustive cubic scan, but quadratic).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import _as_int32
-from .errors import EmptyModuli, NotAdditive, NotAGroup, NotBijective, TooLarge
+from .errors import EmptyModuli, NotAdditive, NotBijective, TooLarge
 
 
 # Limit on a finished n^2 int32 table (an addition table, a mesh sum):
@@ -134,7 +136,11 @@ def check_abelian_table(add: np.ndarray, neg: np.ndarray) -> str | None:
 
 @dataclass(frozen=True, eq=False)
 class AbelianGroup:
-    """Finite abelian group on elements 0..order-1, zero at index 0."""
+    """Finite abelian group on elements 0..order-1, zero at index 0.
+
+    The tables are taken as given: build one from a table that is an
+    abelian group, or check the table with check_abelian_table first.
+    """
 
     add: np.ndarray
     neg: np.ndarray
@@ -142,9 +148,6 @@ class AbelianGroup:
     name: str = ""
 
     def __post_init__(self):
-        witness = check_abelian_table(self.add, self.neg)
-        if witness is not None:
-            raise NotAGroup(witness)
         self.add.setflags(write=False)
         self.neg.setflags(write=False)
 
@@ -229,9 +232,8 @@ class ProductGroup(AbelianGroup):
 
     ``neg`` and ``plus`` cost O(order), from the factor tables; the
     order^2 table ``add`` is built on first read and cached, and refused
-    with TooLarge beyond the table limit.  The factors were checked when
-    they were built, and a product of abelian groups is one, so nothing is
-    checked again.
+    with TooLarge beyond the table limit.  A product of abelian groups is
+    one, so nothing is checked.
     """
 
     def __init__(self, g1: AbelianGroup, g2: AbelianGroup, name: str = ""):

@@ -102,6 +102,8 @@ def multiplication_group(q: Quandle) -> PermGroup:
 
 def displacement_generators(q: Quandle, e: int = 0) -> np.ndarray:
     """The rows L_a L_e^{-1}, a in Q, as an (n, n) int32 array."""
+    if not 0 <= e < q.n:
+        raise ValueError("element e outside 0..n-1")
     return q.array[:, np.argsort(q.array[e])]
 
 
@@ -123,16 +125,24 @@ def cayley_kernel(q: Quandle) -> Partition:
     )
 
 
-def is_abelian(g: PermGroup) -> bool:
-    """Do the generators commute?  gens[:, gens][i, j] is g_i o g_j; it is
-    compared with its transpose in row chunks of about CHUNK_ENTRIES."""
-    gens = g.generators
+def _commute(rows: np.ndarray) -> bool:
+    """Do the permutations ``rows`` commute pairwise?  Over the distinct
+    rows G, G[:, G][i, j] is g_i o g_j; it is compared with its transpose
+    in row chunks of about CHUNK_ENTRIES."""
+    if not len(rows):
+        return True
+    gens = rows[RowSet(rows).first]
     step = max(1, CHUNK_ENTRIES // max(1, gens.size))
     for i in range(0, len(gens), step):
         chunk = gens[i:i + step]
         if not np.array_equal(chunk[:, gens], gens[:, chunk].transpose(1, 0, 2)):
             return False
     return True
+
+
+def is_abelian(g: PermGroup) -> bool:
+    """Do the generators commute?"""
+    return _commute(g.generators)
 
 
 def is_semiregular(g: PermGroup) -> bool:
@@ -144,8 +154,9 @@ def is_semiregular(g: PermGroup) -> bool:
 class Translations:
     """The translation set D = {L_x L_e^{-1} : x in Q} and its structure.
 
-    ``d`` is D as an (m, n) int32 array of images, listed in order of the
-    first x giving each map (the identity comes first for e = 0).
+    ``q`` is the quandle it was built from.  ``d`` is D as an (m, n)
+    int32 array of images, listed in order of the first x giving each map
+    (the identity comes first for e = 0).
     ``block_of[x]`` is the index of L_x L_e^{-1} in ``d``; since
     L_x = L_y iff L_x L_e^{-1} = L_y L_e^{-1}, it names the Cayley-kernel
     block of x.  ``table[i, j]`` is the index of d[i] o d[j] and
@@ -155,8 +166,8 @@ class Translations:
     """
 
     def __init__(self, q: Quandle, e: int = 0):
-        self.e = e
         rows = displacement_generators(q, e)
+        self.q, self.e = q, e
         members = RowSet(rows)
         self.index_of = members.index_of
         self.d = rows[members.first]
@@ -198,12 +209,7 @@ def is_tiny(q: Quandle, e: int = 0) -> bool:
 
 
 def is_medial(q: Quandle) -> bool:
-    """(x*y)*(u*v) == (x*u)*(y*v) for all quadruples."""
-    t = q.array
-    uv = t[None, :, :]                      # (u,v)
-    for x in range(q.n):                    # keep memory at O(n^3)
-        lhs = t[t[x][:, None, None], uv]    # (y,u,v)
-        rhs = t[t[x][None, :, None], t[:, None, :]]
-        if not np.array_equal(lhs, rhs):
-            return False
-    return True
+    """(x*y)*(u*v) == (x*u)*(y*v) for all quadruples?  Q is medial iff
+    Dis(Q) is abelian (Jedlicka, Pilitowska, Stanovsky, Zamojska-Dzienio,
+    J. Algebra 443, 2015), that is, iff its generators L_a L_0^{-1} commute."""
+    return _commute(displacement_generators(q))

@@ -13,7 +13,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from quandles.core import Partition, Quandle, _check_table, validate_quandle
+from quandles.core import (
+    Partition,
+    Quandle,
+    _check_table,
+    connectivity_orbits,
+    validate_quandle,
+)
+from quandles.cover import Multitransversal
 from quandles.errors import (
     DegreeMismatch,
     InvalidParams,
@@ -23,6 +30,7 @@ from quandles.errors import (
     M4Violation,
     NotACongruence,
     NotAHomomorphism,
+    NotHomImage,
     NotLeftDistributive,
     ParseError,
 )
@@ -35,6 +43,7 @@ from quandles.groups import (
 )
 from quandles.iofmt import _data_lines, _ints
 from quandles.mesh import AffineMesh
+from quandles.perms import Translations
 
 
 def as_tuples(rows) -> tuple[tuple[int, ...], ...]:
@@ -149,6 +158,19 @@ def naive_is_medial(table) -> bool:
         for u in range(n)
         for v in range(n)
     )
+
+
+def loop_is_medial(q: Quandle) -> bool:
+    """(x*y)*(u*v) == (x*u)*(y*v) for all quadruples, one x at a time
+    (O(n^3) memory); the library reads mediality as "Dis(Q) is abelian"."""
+    t = q.array
+    uv = t[None, :, :]                      # (u,v)
+    for x in range(q.n):
+        lhs = t[t[x][:, None, None], uv]    # (y,u,v)
+        rhs = t[t[x][None, :, None], t[:, None, :]]
+        if not np.array_equal(lhs, rhs):
+            return False
+    return True
 
 
 def naive_is_quandle(table) -> bool:
@@ -474,6 +496,58 @@ def all_orbit_transversal_kappas(blocks, orbit_list):
             loads[block_of[x]] += 1
         kappas.append(max(loads))
     return kappas
+
+
+def loop_optimized_multitransversal(q: Quandle) -> Multitransversal:
+    """cover.optimized_multitransversal with its explicit base point e:
+    the orbit of e is forced to take e, the other orbits go most
+    constrained first, and e is then moved to the front of its block."""
+    tr = Translations(q)
+    if not (tr.closed and np.array_equal(tr.table, tr.table.T)):
+        raise NotHomImage()
+    blocks = tr.blocks
+    m = len(blocks)
+    block_of = tr.block_of.tolist()
+    orbit_list = [list(b) for b in connectivity_orbits(q).blocks]
+    loads = [0] * m
+    chosen: list[list[int]] = [[] for _ in range(m)]
+
+    def take(orbit: list[int], forced: int | None = None) -> None:
+        if forced is not None:
+            b = block_of[forced]
+            chosen[b].append(forced)
+            loads[b] += 1
+            return
+        cands = sorted({block_of[x] for x in orbit})
+        b = min(cands, key=lambda i: (loads[i], i))
+        x = min(x for x in orbit if block_of[x] == b)
+        chosen[b].append(x)
+        loads[b] += 1
+
+    e = 0
+    rest = []
+    for orbit in orbit_list:
+        if e in orbit:
+            take(orbit, forced=e)
+        else:
+            rest.append(orbit)
+    rest.sort(key=lambda orbit: (len({block_of[x] for x in orbit}), min(orbit)))
+    for orbit in rest:
+        take(orbit)
+
+    kappa = max(loads)
+    elems: list[int] = []
+    for i, b in enumerate(blocks):
+        entries = sorted(chosen[i])
+        if i == 0:
+            entries.remove(e)
+            entries.insert(0, e)
+        unused = [x for x in b if x not in entries]
+        filler = itertools.cycle(b)
+        while len(entries) < kappa:
+            entries.append(unused.pop(0) if unused else next(filler))
+        elems.extend(entries)
+    return Multitransversal(tuple(elems), kappa, tr)
 
 
 # -- the mesh layer as per-cell loops: the library lays the groups out in one

@@ -8,9 +8,14 @@ from pathlib import Path
 
 import pytest
 
-from quandles import cover
+from quandles import cover, groups, perms
 from quandles.cli import analysis_report, main
 from quandles.iofmt import format_mesh, format_quandle, parse_quandle
+
+import corpus
+from conftest import aff
+from oracles import loop_is_medial
+from test_perms import transposition_conjugation_quandle
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -284,6 +289,72 @@ def test_cover_command_verifies_once(capsys, tmp_path, q1_file, monkeypatch):
     code, _, _ = run(capsys, "cover", str(q1_file), "--out", str(tmp_path / "o"))
     assert code == 0
     assert calls == [8]
+
+
+def test_one_translation_set_per_command(capsys, tmp_path, q1_file, monkeypatch):
+    built = []
+    real_init = perms.Translations.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(perms.Translations, "__init__", counted_init)
+    for argv in (["analyze", str(q1_file)],
+                 ["cover", str(q1_file), "--out", str(tmp_path / "o")]):
+        built.clear()
+        code, _, _ = run(capsys, *argv)
+        assert code == 0 and len(built) == 1, argv
+
+
+def test_group_axioms_checked_once_per_cover_factor(capsys, tmp_path, q1_file,
+                                                     monkeypatch):
+    orders = []
+    real = groups.check_abelian_table
+
+    def counted(add, neg):
+        orders.append(len(add))
+        return real(add, neg)
+
+    monkeypatch.setattr(groups, "check_abelian_table", counted)
+    monkeypatch.setattr(cover, "check_abelian_table", counted)
+    code, _, _ = run(capsys, "cover", str(q1_file), "--out", str(tmp_path / "o"))
+    assert code == 0 and orders == [2, 2]      # Dis(Q), then Z_kappa
+    orders.clear()
+    code, _, _ = run(capsys, "affine", "12:mul:5")
+    assert code == 0 and orders == []          # Z_12 is a group as built
+
+
+def _separate_report(q):
+    """analysis_report from one computation per entry: the Cayley kernel,
+    is_tiny, and mediality by the quadruple loop."""
+    orbit_partition = perms.orbits(q)
+    dis = perms.displacement_group(q)
+    abelian = perms.is_abelian(dis)
+    semiregular = perms.is_semiregular(dis)
+    tiny = perms.is_tiny(q)
+    return [
+        ("n", q.n),
+        ("orbits", len(orbit_partition.blocks)),
+        ("orbit_sizes", orbit_partition.sizes()),
+        ("lmlt_order", perms.multiplication_group(q).order),
+        ("dis_order", dis.order),
+        ("cayley_blocks", len(perms.cayley_kernel(q).blocks)),
+        ("medial", loop_is_medial(q)),
+        ("dis_abelian", abelian),
+        ("dis_semiregular", semiregular),
+        ("dis_tiny", tiny),
+        ("embeds_into_affine", abelian and semiregular),
+        ("homim_of_affine", abelian and tiny),
+    ]
+
+
+def test_analysis_report_matches_separate_computations(small_corpus):
+    cases = [q for _, q in small_corpus]
+    cases += [transposition_conjugation_quandle(k) for k in (4, 5, 6)]
+    cases += [aff(m, u).quandle for m, u in corpus.affine_family(16)]
+    for q in cases:
+        assert analysis_report(q) == _separate_report(q)
 
 
 HUGE = "99999999999999999999999"

@@ -21,8 +21,9 @@ from quandles.groups import make_cyclic_product
 from quandles.mesh import generate_max_mesh, mesh_sum
 from quandles.perms import Translations, displacement_group
 
+import corpus
 from conftest import aff
-from oracles import identity_perm
+from oracles import identity_perm, loop_optimized_multitransversal
 
 
 def proj(n: int):
@@ -195,7 +196,6 @@ def test_pair_of_roundtrip(sum_z2_z1):
 
 def test_build_cover_checks_the_cover_group_once(monkeypatch):
     q = mesh_sum(generate_max_mesh(8, 2))
-    t = optimized_multitransversal(q)
     orders = []
     real = groups.check_abelian_table
 
@@ -205,16 +205,15 @@ def test_build_cover_checks_the_cover_group_once(monkeypatch):
 
     monkeypatch.setattr(groups, "check_abelian_table", counted)
     monkeypatch.setattr(cover, "check_abelian_table", counted)
+    t = optimized_multitransversal(q)
     r = build_cover(q, t)
     assert r.group.order == 80 and len(r.dis) == 4 and t.size == 20
-    # only the factor tables: Dis(Q) and Z_kappa once each when built and
-    # once each in verify_cover; no order-80 (or order-20) table is checked
-    assert sorted(orders) == [4, 4, 5, 5]
+    # only the factor tables, Dis(Q) and Z_kappa, once each in
+    # verify_cover; no order-80 (or order-20) table is checked
+    assert sorted(orders) == [4, 5]
 
 
-def test_build_cover_builds_the_translation_set_once(monkeypatch):
-    q = mesh_sum(generate_max_mesh(8, 2))
-    t = optimized_multitransversal(q)
+def _count_translations(monkeypatch) -> list:
     built = []
     real_init = perms.Translations.__init__
 
@@ -223,8 +222,47 @@ def test_build_cover_builds_the_translation_set_once(monkeypatch):
         real_init(self, *args, **kwargs)
 
     monkeypatch.setattr(perms.Translations, "__init__", counted_init)
-    build_cover(q, t)
+    return built
+
+
+def test_build_cover_builds_the_translation_set_once(monkeypatch):
+    q = mesh_sum(generate_max_mesh(8, 2))
+    built = _count_translations(monkeypatch)
+    t = optimized_multitransversal(q)
+    r = build_cover(q, t)
     assert len(built) == 1
+    assert r.transversal.translations is t.translations and t.m == 4
+
+
+def test_transversal_of_another_quandle_is_refused_before_building(monkeypatch):
+    q, other = aff(8, 5).quandle, aff(8, 3).quandle
+    t = optimized_multitransversal(other)
+    built, checked = _count_translations(monkeypatch), []
+    monkeypatch.setattr(cover, "check_abelian_table", checked.append)
+    for build in (build_cover, build_oplus):
+        with pytest.raises(OplusUndefined, match="another quandle"):
+            build(q, t)
+    assert built == [] and checked == []
+    monkeypatch.undo()
+    # an equal quandle object is the same quandle
+    copy = validate_quandle(other.array.tolist())
+    assert copy is not other and verify_cover(build_cover(copy, t), copy).ok
+
+
+def test_hand_built_transversal_over_non_closed_d_is_refused(sum_two_z3):
+    t = cover.Multitransversal((0, 1, 2, 3, 4, 5), 3, Translations(sum_two_z3))
+    for build in (build_cover, build_oplus):
+        with pytest.raises(OplusUndefined, match="closed commutative"):
+            build(sum_two_z3, t)
+
+
+def test_optimized_multitransversal_matches_the_forced_base_point_loop(small_corpus):
+    cases = [q for _, q in small_corpus if is_homim_of_affine(q)]
+    cases += [aff(m, u).quandle for m, u in corpus.affine_family(16)]
+    assert len(cases) > 1000
+    for q in cases:
+        t, ref = optimized_multitransversal(q), loop_optimized_multitransversal(q)
+        assert (t.elements, t.kappa) == (ref.elements, ref.kappa)
 
 
 def test_build_oplus_matches_the_tagged_addition():

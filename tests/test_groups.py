@@ -4,10 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quandles.errors import EmptyModuli, NotAdditive, NotAGroup, NotBijective, TooLarge
+from quandles.errors import EmptyModuli, NotAdditive, NotBijective, TooLarge
 from quandles.groups import (
-    AbelianGroup,
     _check_table_limit,
     check_abelian_table,
     direct_product,
@@ -56,8 +57,6 @@ def test_group_table_validation_rejects_nonassociative():
     add[1, 1], add[1, 2] = add[1, 2], add[1, 1]
     neg = np.array(g.neg, dtype=np.int32)
     assert check_abelian_table(add, neg) is not None
-    with pytest.raises(NotAGroup):
-        AbelianGroup(add=add, neg=neg, moduli=None)
 
 
 def test_check_abelian_table_rejects_noncommutative():
@@ -128,8 +127,31 @@ def test_cyclic_product_matches_the_int64_formula(moduli):
     assert np.array_equal(g.add, add) and np.array_equal(g.neg, neg)
 
 
+# Every moduli tuple the tests of this file build a cyclic product from.
+LISTED_MODULI = [
+    (1,), (2,), (3,), (4,), (5,), (6,), (8,), (100,), (200,), (300,), (4096,),
+    (2, 2), (2, 3), (2, 4), (3, 3), (4, 6), (5, 5), (64, 64), (2, 3, 4),
+    (3, 3, 3),
+]
+
+
+@pytest.mark.parametrize("moduli", LISTED_MODULI)
+def test_cyclic_product_is_a_group(moduli):
+    # make_cyclic_product checks nothing; its tables are a group by
+    # construction, and this is the check of that.
+    g = make_cyclic_product(moduli)
+    assert check_abelian_table(g.add, g.neg) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=3))
+def test_cyclic_product_is_a_group_for_any_moduli(moduli):
+    g = make_cyclic_product(moduli)
+    assert check_abelian_table(g.add, g.neg) is None
+
+
 def test_cyclic_product_builds_in_about_its_table_size():
-    # order 4096: a 67 MB int32 table; the check copies one row gather
+    # order 4096: a 67 MB int32 table and one n^2 temporary
     tracemalloc.start()
     try:
         make_cyclic_product((4096,))

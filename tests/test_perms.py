@@ -110,6 +110,10 @@ def test_cayley_kernel_trivial_when_one_minus_f_injective():
 def test_is_abelian_on_symmetric_and_cyclic():
     assert not is_abelian(closure([(1, 0, 2), (1, 2, 0)]))
     assert is_abelian(closure([(1, 2, 3, 0)]))
+    # repeated generators and none at all
+    assert not is_abelian(closure([(1, 0, 2)] * 4 + [(1, 2, 0)] * 2))
+    assert is_abelian(closure([(1, 2, 3, 0)] * 5 + [(2, 3, 0, 1)] * 3))
+    assert is_abelian(closure([], 3))
 
 
 def test_is_semiregular():
@@ -160,10 +164,23 @@ def test_is_medial_matches_naive_oracle(sum_three_z2, sum_two_z3):
         sum_three_z2,
         sum_two_z3,
         aff(8, 5).quandle,
-        transposition_conjugation_quandle(),
+        *(transposition_conjugation_quandle(k) for k in (4, 5, 6)),
+        conjugation_quandle_s3(),
     )
+    verdicts = []
     for q in cases:
-        assert is_medial(q) == naive_is_medial(q.array.tolist())
+        verdicts.append(is_medial(q))
+        assert verdicts[-1] == naive_is_medial(q.array.tolist())
+    assert verdicts == [True] * 3 + [False] * 4
+
+
+@pytest.mark.parametrize("e", [-1, 8])
+def test_base_point_outside_the_quandle_is_refused(e):
+    q = aff(8, 5).quandle
+    for check in (displacement_generators, Translations, is_tiny,
+                  is_homim_of_affine, displacement_group):
+        with pytest.raises(ValueError, match="element e outside 0..n-1"):
+            check(q, e)
 
 
 def test_non_medial_has_nonabelian_displacement():

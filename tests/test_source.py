@@ -105,3 +105,27 @@ def test_row_keys_only_in_core_and_closure():
             if _name(node) == "_row_keys" and id(node) not in allowed
         ]
     assert found == []
+
+
+def test_group_axioms_checked_only_in_verify_cover():
+    # Every group the package builds is a group by construction, so the
+    # one call of check_abelian_table is claim 1 of verify_cover, on the
+    # cover's distinct factor tables (cover._group_witness).
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = _tree(path)
+        allowed = set()
+        if path.name == "cover.py":
+            allowed = {
+                id(node)
+                for top in tree.body
+                if getattr(top, "name", None) in {"verify_cover", "_group_witness"}
+                for node in ast.walk(top)
+            }
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and _name(node.func) == "check_abelian_table"
+            and id(node) not in allowed
+        ]
+    assert found == []
