@@ -40,9 +40,9 @@ def _emit(pairs) -> None:
 
 def analysis_report(q: Quandle) -> list[tuple[str, object]]:
     orbit_partition = perms.orbits(q)
-    dis = perms.displacement_group(q)
     lmlt = perms.multiplication_group(q)
     tr = perms.Translations(q)   # one map in D per Cayley-kernel block
+    dis = perms.closure(tr.d, q.n)   # Dis(Q) = <D>
     abelian = perms.is_abelian(dis)   # Q is medial iff Dis(Q) is abelian
     semiregular = perms.is_semiregular(dis)
     return [

@@ -74,6 +74,12 @@ class Quandle:
         return len(self.array)
 
     @cached_property
+    def rows(self) -> RowSet:
+        """The distinct left translations L_a, numbered by first occurrence;
+        validation fills it in, and every reader of Q's rows shares it."""
+        return RowSet(self.array)
+
+    @cached_property
     def ldiv_table(self) -> np.ndarray:
         """ldiv_table[a, c] = the unique b with a*b = c: each row inverted."""
         inv = np.argsort(self.array, axis=1).astype(np.int32)
@@ -160,40 +166,44 @@ def validate_quandle(table) -> Quandle:
 
     "a*(b*c) = (a*b)*(a*c) for all b, c" says that L_a is an endomorphism,
     which depends only on the row L_a: equal rows pass or fail together.
-    So each distinct row is checked once, in chunks of at most 2^20
-    products, and the cost is d*n^2 for d distinct rows instead of n^3.
-    The rows are taken at their first index, in ascending order, so the
-    first failing one is the least a that fails, and its first (b, c) in
-    row-major order makes the witness the lexicographically first one.
-    The Quandle does not share memory with the caller's array.
+    So each distinct row is checked once, and the cost is d*n^2 for d
+    distinct rows instead of n^3.  The pairs (a, b) are taken with a at
+    the first index of its row, in ascending order, then b ascending, in
+    chunks of at most 2^20 products; so the first failing pair and its
+    first c make the witness the lexicographically first one.
+    The Quandle shares no memory with the caller's array, which stays
+    writeable: it is checked through a view and copied after the check.
     """
-    arr = _validated(table)
-    if isinstance(table, np.ndarray) and np.shares_memory(arr, table):
-        arr = arr.copy()
-    return Quandle(arr)
+    q = _validated(table.view() if isinstance(table, np.ndarray) else table)
+    if isinstance(table, np.ndarray) and np.shares_memory(q.array, table):
+        q = Quandle(q.array.copy())
+    return q
 
 
-def _validated(table) -> np.ndarray:
-    """The checks of validate_quandle; the table as an int32 array, for a
-    library function to take over a table that it has just built."""
-    arr = _check_table(table)
-    n = len(arr)
-    first = RowSet(arr).first
+def _validated(table) -> Quandle:
+    """The checks of validate_quandle, returning the Quandle with its rows
+    numbered; a table that a library function has just built is taken
+    over uncopied."""
+    q = Quandle(_check_table(table))
+    arr, first, n = q.array, q.rows.first, q.n
     for start, stop in _chunks(0, len(first), n * n):
         rows = arr[first[start:stop]]
         k = len(rows)
-        # a*(b*c) against (a*b)*(a*c), for a the i-th of the rows: row
-        # x*k + i of the column gather is row x at the columns rows[i], so
-        # its row (a*b)*k + i holds (a*b)*(a*c) over c; one expression, so
-        # that only bad outlives it
-        bad = rows.take(arr, axis=1) != (
-            arr.take(rows, axis=1).reshape(n * k, n)
-            .take(rows * k + np.arange(k)[:, None], axis=0))
-        if bad.any():
-            i = int(np.flatnonzero(bad.any(axis=(1, 2)))[0])
-            b, c = map(int, np.argwhere(bad[i])[0])
-            raise NotLeftDistributive(int(first[start + i]), b, c)
-    return arr
+        for lo, hi in _chunks(0, n, n * k):   # all b at once unless k = 1
+            # a*(b*c) against (a*b)*(a*c) for a the i-th of the rows and
+            # lo <= b < hi.  One row gathers the rows a*b, then the columns
+            # a*c; several rows gather the columns rows[i] of the table, whose
+            # row x*k + i is row x at those columns.  One expression, so that
+            # only bad outlives it.
+            bad = rows.take(arr[lo:hi], axis=1) != (
+                arr.take(rows[0, lo:hi], axis=0).take(rows[0], axis=1) if k == 1 else
+                arr.take(rows, axis=1).reshape(n * k, n)
+                .take(rows * k + np.arange(k)[:, None], axis=0))
+            if bad.any():
+                i = int(np.flatnonzero(bad.any(axis=(1, 2)))[0])
+                b, c = map(int, np.argwhere(bad[i])[0])
+                raise NotLeftDistributive(int(first[start + i]), lo + b, c)
+    return q
 
 
 def unchecked_quandle(table: np.ndarray) -> Quandle:
@@ -204,7 +214,7 @@ def unchecked_quandle(table: np.ndarray) -> Quandle:
     FULL_VALIDATE_LIMIT.
     """
     if len(table) <= FULL_VALIDATE_LIMIT:
-        return Quandle(_validated(table))
+        return _validated(table)
     return Quandle(_check_table(table))
 
 
@@ -236,7 +246,7 @@ def quotient(q: Quandle, p: Partition) -> Quandle:
     off = b != np.repeat(np.repeat(corner, sizes, axis=0), sizes, axis=1)
     off_rows = np.flatnonzero(off.any(axis=1))
     if not off_rows.size:
-        return Quandle(_validated(corner))
+        return _validated(corner)
     i = p.block_of[order[off_rows[0]]]
     rows = slice(starts[i], starts[i] + sizes[i])           # a2 in I
     fails = np.logical_or.reduceat(off[rows] | off[starts[i]], starts, axis=1)
@@ -256,7 +266,7 @@ def induced_subquandle(q: Quandle, subset) -> Quandle:
     if outside.any():
         i, j = map(int, np.argwhere(outside)[0])
         raise ValueError(f"subset not closed: {elems[i]}*{elems[j]} = {sub[i, j]}")
-    return Quandle(_validated(pos))
+    return _validated(pos)
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -269,41 +279,39 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
 
 
 class RowSet:
-    """The distinct rows (last axis) of a nonempty 2-d int32 array, sorted
-    once as byte keys (_row_keys) and numbered by first occurrence:
-    ``first`` holds each distinct row's first index, ascending, ``which``
-    the number of every row, and ``index_of`` numbers rows of any leading
-    shape by searchsorted, -1 for a row not in the set."""
+    """The distinct rows (last axis) of a nonempty 2-d int32 array,
+    numbered by first occurrence: ``first`` holds each distinct row's first
+    index, ascending, ``which`` the number of every row (both read-only),
+    and ``index_of`` numbers rows of any leading shape, -1 for a row not in
+    the set.  The rows are argsorted once as byte keys (_row_keys, a view
+    of int32 rows), so beyond them a RowSet keeps O(rows) integers."""
 
     def __init__(self, rows: np.ndarray):
-        self._keys = _row_keys(rows)  # a view of rows, kept until which is read
-        self._sorted, self._at = np.unique(self._keys, return_index=True)
-        self.first = np.sort(self._at)
-
-    @cached_property
-    def _rank(self) -> np.ndarray:
-        """The number of each distinct row, in sorted key order."""
-        rank = np.empty(len(self._at), dtype=np.int32)
-        rank[np.argsort(self._at)] = np.arange(len(self._at), dtype=np.int32)
-        return rank
-
-    @cached_property
-    def which(self) -> np.ndarray:
-        which = self._rank[np.searchsorted(self._sorted, self._keys)]
-        del self._keys
-        return which
+        self._keys = _row_keys(rows)
+        self._order = np.argsort(self._keys, kind="stable")
+        new = np.ones(len(self._order), dtype=bool)   # starts a run of equal keys
+        for lo, hi in _chunks(1, len(new), rows.shape[-1]):
+            run = self._keys[self._order[lo - 1:hi]]
+            new[lo:hi] = run[1:] != run[:-1]
+        at = self._order[new]   # the least index of each run, the sort being stable
+        self.first = np.sort(at)
+        self.which = np.empty(len(new), dtype=np.int32)
+        self.which[self._order] = np.searchsorted(self.first, at)[np.cumsum(new) - 1]
+        self.first.setflags(write=False)
+        self.which.setflags(write=False)
 
     def index_of(self, rows: np.ndarray) -> np.ndarray:
         keys = _row_keys(rows)
-        pos = np.searchsorted(self._sorted, keys).clip(max=len(self._sorted) - 1)
-        return np.where(self._sorted[pos] == keys, self._rank[pos], np.int32(-1))
+        pos = np.searchsorted(self._keys, keys, sorter=self._order)
+        hit = self._order[pos.clip(max=len(self._order) - 1)]
+        return np.where(self._keys[hit] == keys, self.which[hit], np.int32(-1))
 
 
 def connectivity_orbits(q: Quandle) -> Partition:
     """Orbit partition of LMlt(Q), the components of x ~ a*x: each round a
     label drops to the least label of its images and preimages under the
     distinct rows, then to its label's label, until no label changes."""
-    rows = q.array[RowSet(q.array).first]
+    rows = q.array[q.rows.first]
     rows = np.concatenate([rows, np.argsort(rows, axis=1)])
     label = np.arange(q.n)
     while True:

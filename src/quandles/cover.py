@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import cycle
 
 import numpy as np
 
@@ -85,12 +84,7 @@ class Multitransversal:
 def simple_multitransversal(q: Quandle) -> Multitransversal:
     """All of Q, cycled per block up to the largest block size."""
     tr = _homim_translations(q)
-    blocks = tr.blocks
-    kappa = max(len(b) for b in blocks)
-    elems: list[int] = []
-    for b in blocks:
-        elems.extend(b[j % len(b)] for j in range(kappa))
-    return Multitransversal(tuple(elems), kappa, tr)
+    return _padded(tr, [[]] * tr.m, max(len(b) for b in tr.blocks))
 
 
 def optimized_multitransversal(q: Quandle) -> Multitransversal:
@@ -112,16 +106,19 @@ def optimized_multitransversal(q: Quandle) -> Multitransversal:
         b = min(cands, key=lambda i: (loads[i], i))
         chosen[b].append(min(x for x in orbit if block_of[x] == b))
         loads[b] += 1
+    return _padded(tr, chosen, max(loads))
 
-    kappa = max(loads)
+
+def _padded(tr: Translations, chosen: list[list[int]], kappa: int) -> Multitransversal:
+    """kappa entries per Cayley-kernel block, block-major: the block's
+    chosen entries ascending, then its unused elements, then the block
+    again in turn from its start."""
     elems: list[int] = []
-    for entries, b in zip(chosen, tr.blocks):
-        entries.sort()
-        unused = [x for x in b if x not in entries]
-        filler = cycle(b)
-        while len(entries) < kappa:
-            entries.append(unused.pop(0) if unused else next(filler))
-        elems.extend(entries)
+    for picks, b in zip(chosen, tr.blocks):
+        taken = set(picks)
+        entries = sorted(picks) + [x for x in b if x not in taken]
+        entries += [b[j % len(b)] for j in range(kappa - len(entries))]
+        elems.extend(entries[:kappa])
     return Multitransversal(tuple(elems), kappa, tr)
 
 
@@ -200,8 +197,7 @@ def build_cover(q: Quandle, t: Multitransversal) -> CoverResult:
     tr = _transversal_translations(q, t)
     group_d = dis_as_group(tr)
     a = direct_product(group_d, _oplus(group_d, t), name="Dis(Q) x (T,+)")
-    le = q.array[0]
-    conj = tr.index_of(le[tr.d[:, np.argsort(le)]])    # L_e alpha L_e^{-1}
+    conj = q.rows.index_of(q.array[0][tr.d])    # L_e alpha L_e^{-1}, by its row L_e alpha
     if conj.min() < 0:
         raise InternalAssertionFailure(
             "f image escapes D; displacement group is not tiny"
@@ -224,8 +220,6 @@ def build_cover(q: Quandle, t: Multitransversal) -> CoverResult:
 @dataclass(frozen=True)
 class VerifyReport:
     failures: tuple[str, ...]
-    a_order: int
-    psi_bijective: bool
 
     @property
     def ok(self) -> bool:
@@ -275,8 +269,7 @@ def verify_cover(result: CoverResult, q: Quandle) -> VerifyReport:
     n = a.order
     witness = _group_witness(a, len(result.dis) * result.transversal.size)
     if witness is not None:
-        return VerifyReport((f"A is not an abelian group: {witness}",), n,
-                            result.psi_bijective)
+        return VerifyReport((f"A is not an abelian group: {witness}",))
     rng = np.arange(n, dtype=np.int32)
     f_in_range = im.shape == (n,) and im.min() >= 0 and im.max() < n
     if not (f_in_range and np.array_equal(np.sort(im), rng)):
@@ -297,7 +290,7 @@ def verify_cover(result: CoverResult, q: Quandle) -> VerifyReport:
                                 "psi(u*v)={} but psi(u)*psi(v)={}".format(*witness))
         if len(np.unique(psi)) != q.n:
             failures.append("psi is not surjective")
-    return VerifyReport(tuple(failures), a_order=n, psi_bijective=result.psi_bijective)
+    return VerifyReport(tuple(failures))
 
 
 def _group_witness(a: AbelianGroup, order: int) -> str | None:

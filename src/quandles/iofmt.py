@@ -11,7 +11,7 @@ import re
 import numpy as np
 
 from .affine import one_minus_f_images
-from .core import Partition, Quandle, RowSet, _validated
+from .core import Partition, Quandle, _validated
 from .errors import ParseError
 from .groups import (
     AbelianGroup,
@@ -89,7 +89,7 @@ def parse_quandle(text: str) -> Quandle:
             out_of_range = f"entry {x} in row {a} out of range 0..{n - 1}"
     if out_of_range is not None:
         raise ParseError(out_of_range)
-    return Quandle(_validated(table))
+    return _validated(table)
 
 
 def _write_table(fh, n: int, rows, which) -> None:
@@ -105,8 +105,7 @@ def _write_table(fh, n: int, rows, which) -> None:
 def write_quandle(q: Quandle, fh) -> None:
     """Write a quandle table to a text file: its size, then one line per
     row.  Equal rows share one formatted line."""
-    rows = RowSet(q.array)
-    _write_table(fh, q.n, q.array[rows.first], rows.which)
+    _write_table(fh, q.n, q.array[q.rows.first], q.rows.which)
 
 
 def format_quandle(q: Quandle) -> str:

@@ -273,7 +273,7 @@ def mesh_sum(mesh: AffineMesh) -> Quandle:
     """The quandle on the disjoint union, fibers concatenated in order."""
     n = mesh.total_size
     _check_table_limit(n, "mesh sum of order", "table")
-    return Quandle(_validated(_sum_table(mesh.layout)))
+    return _validated(_sum_table(mesh.layout))
 
 
 def _sum_table(lay: MeshLayout) -> np.ndarray:

@@ -96,8 +96,8 @@ def closure(generators, degree: int | None = None) -> PermGroup:
 
 
 def multiplication_group(q: Quandle) -> PermGroup:
-    """LMlt(Q), generated by all left translations."""
-    return closure(q.array, q.n)
+    """LMlt(Q), generated by the distinct left translations."""
+    return closure(q.array[q.rows.first], q.n)
 
 
 def displacement_generators(q: Quandle, e: int = 0) -> np.ndarray:
@@ -108,8 +108,8 @@ def displacement_generators(q: Quandle, e: int = 0) -> np.ndarray:
 
 
 def displacement_group(q: Quandle, e: int = 0) -> PermGroup:
-    """Dis(Q) = <L_a L_e^{-1} : a in Q>, for any fixed e."""
-    return closure(displacement_generators(q, e), q.n)
+    """Dis(Q) = <L_a L_e^{-1} : a in Q>, for any fixed e, generated by D."""
+    return closure(Translations(q, e).d, q.n)
 
 
 def orbits(q: Quandle) -> Partition:
@@ -119,19 +119,15 @@ def orbits(q: Quandle) -> Partition:
 
 def cayley_kernel(q: Quandle) -> Partition:
     """Partition identifying elements with equal left translations."""
-    rows = RowSet(q.array)
     return Partition.from_blocks(
-        np.flatnonzero(rows.which == k).tolist() for k in range(len(rows.first))
+        np.flatnonzero(q.rows.which == k).tolist() for k in range(len(q.rows.first))
     )
 
 
-def _commute(rows: np.ndarray) -> bool:
-    """Do the permutations ``rows`` commute pairwise?  Over the distinct
-    rows G, G[:, G][i, j] is g_i o g_j; it is compared with its transpose
-    in row chunks of about CHUNK_ENTRIES."""
-    if not len(rows):
-        return True
-    gens = rows[RowSet(rows).first]
+def _commute(gens: np.ndarray) -> bool:
+    """Do the permutations ``gens`` commute pairwise?  gens[:, gens][i, j]
+    is g_i o g_j; it is compared with its transpose in row chunks of about
+    CHUNK_ENTRIES."""
     step = max(1, CHUNK_ENTRIES // max(1, gens.size))
     for i in range(0, len(gens), step):
         chunk = gens[i:i + step]
@@ -152,37 +148,41 @@ def is_semiregular(g: PermGroup) -> bool:
 
 
 class Translations:
-    """The translation set D = {L_x L_e^{-1} : x in Q} and its structure.
+    """The translation set D = {L_x L_e^{-1} : x in Q}, read off Q's
+    numbered rows ``q.rows``: L_x L_e^{-1} = L_y L_e^{-1} iff L_x = L_y,
+    and a map M is in D iff M o L_e is a row of Q.
 
-    ``q`` is the quandle it was built from.  ``d`` is D as an (m, n)
-    int32 array of images, listed in order of the first x giving each map
-    (the identity comes first for e = 0).
-    ``block_of[x]`` is the index of L_x L_e^{-1} in ``d``; since
-    L_x = L_y iff L_x L_e^{-1} = L_y L_e^{-1}, it names the Cayley-kernel
-    block of x.  ``table[i, j]`` is the index of d[i] o d[j] and
-    ``inverses[i]`` that of d[i]^{-1}, or -1 where the map is not in D,
-    as ``index_of(rows)`` is for maps given as rows (last axis).  The
-    table is built in row chunks of about CHUNK_ENTRIES products.
+    ``d`` is D as (m, n) int32 images, d[i] = L_x L_e^{-1} for x the i-th
+    of ``q.rows.first`` (the identity first for e = 0).  ``block_of`` is
+    ``q.rows.which``, the index in ``d`` of L_x L_e^{-1}: the Cayley-kernel
+    block of x.  ``table[i, j]`` is the index of d[i] o d[j], looked up as
+    the row d[i] o L_x for x the j-th of ``q.rows.first``, ``inverses[i]``
+    that of d[i]^{-1}, -1 where the map is not in D; both are built when
+    first read, the table in row chunks of about CHUNK_ENTRIES products.
     """
 
     def __init__(self, q: Quandle, e: int = 0):
-        rows = displacement_generators(q, e)
+        if not 0 <= e < q.n:
+            raise ValueError("element e outside 0..n-1")
         self.q, self.e = q, e
-        members = RowSet(rows)
-        self.index_of = members.index_of
-        self.d = rows[members.first]
+        self.d = q.array[q.rows.first][:, np.argsort(q.array[e])]
         self.d.setflags(write=False)
-        self.block_of = members.which
-        m, n = self.d.shape
-        self.table = np.empty((m, m), dtype=np.int32)
-        step = max(1, CHUNK_ENTRIES // (m * n))
-        for i in range(0, m, step):
-            self.table[i:i + step] = self.index_of(self.d[i:i + step][:, self.d])
-        self.inverses = self.index_of(np.argsort(self.d, axis=1))
+        self.block_of = q.rows.which
 
     @property
     def m(self) -> int:
         return len(self.d)
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        gens, (m, n) = self.q.array[self.q.rows.first], self.d.shape
+        step = max(1, CHUNK_ENTRIES // (m * n))
+        return np.concatenate([self.q.rows.index_of(self.d[i:i + step][:, gens])
+                               for i in range(0, m, step)])
+
+    @cached_property
+    def inverses(self) -> np.ndarray:
+        return self.q.rows.index_of(np.argsort(self.d, axis=1)[:, self.q.array[self.e]])
 
     @property
     def closed(self) -> bool:
@@ -211,5 +211,5 @@ def is_tiny(q: Quandle, e: int = 0) -> bool:
 def is_medial(q: Quandle) -> bool:
     """(x*y)*(u*v) == (x*u)*(y*v) for all quadruples?  Q is medial iff
     Dis(Q) is abelian (Jedlicka, Pilitowska, Stanovsky, Zamojska-Dzienio,
-    J. Algebra 443, 2015), that is, iff its generators L_a L_0^{-1} commute."""
-    return _commute(displacement_generators(q))
+    J. Algebra 443, 2015), that is, iff the maps of D = {L_a L_0^{-1}} commute."""
+    return _commute(Translations(q).d)

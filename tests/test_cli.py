@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from quandles import cover, groups, perms
+from quandles import core, cover, groups, perms
 from quandles.cli import analysis_report, main
 from quandles.iofmt import format_mesh, format_quandle, parse_quandle
 
@@ -305,6 +305,24 @@ def test_one_translation_set_per_command(capsys, tmp_path, q1_file, monkeypatch)
         built.clear()
         code, _, _ = run(capsys, *argv)
         assert code == 0 and len(built) == 1, argv
+
+
+def test_rows_numbered_once_per_command(capsys, tmp_path, monkeypatch):
+    shapes = []
+    real_init = core.RowSet.__init__
+
+    def counted_init(self, rows):
+        shapes.append(rows.shape)
+        real_init(self, rows)
+
+    monkeypatch.setattr(core.RowSet, "__init__", counted_init)
+    table = tmp_path / "aff256.quandle"
+    code, _, _ = run(capsys, "affine", "256:mul:65", "--out", str(table))
+    assert code == 0 and shapes == [(256, 256)]     # Quandle.rows
+    shapes.clear()
+    code, _, _ = run(capsys, "cover", str(table), "--out", str(tmp_path / "o"))
+    # Quandle.rows, and verify_cover's rows of Q over the image of psi
+    assert code == 0 and len(shapes) == 2
 
 
 def test_group_axioms_checked_once_per_cover_factor(capsys, tmp_path, q1_file,

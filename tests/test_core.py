@@ -119,6 +119,19 @@ def test_library_built_tables_are_taken_over_uncopied(build, where):
     assert [Path(t.traceback[0].filename).name for t in kept] == [where]
 
 
+def test_distributivity_check_holds_one_chunk_of_temporaries():
+    # the sum of the one-index Z_2048 mesh is a 16 MiB table; checking it
+    # a whole row of n^2 products at a time would gather three tables more
+    call = _mesh_sum_2048()
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 << 20
+
+
 def test_not_idempotent_witness():
     bad = [[1, 1], [0, 0]]
     with pytest.raises(NotIdempotent) as exc:

@@ -71,6 +71,17 @@ def test_simple_multitransversal_sizes(sum_three_z2, sum_z2_z1):
     assert (t3.elements, t3.kappa, t3.m) == ((0, 1, 2, 2), 2, 2)
 
 
+def test_simple_multitransversal_cycles_each_block(small_corpus):
+    cases = [q for _, q in small_corpus if is_homim_of_affine(q)]
+    cases += [aff(m, u).quandle for m, u in corpus.affine_family(16)]
+    for q in cases:
+        t = simple_multitransversal(q)
+        blocks = t.translations.blocks
+        kappa = max(len(b) for b in blocks)
+        assert t.kappa == kappa
+        assert t.elements == tuple(b[j % len(b)] for b in blocks for j in range(kappa))
+
+
 def test_optimized_multitransversal_smaller(sum_three_z2, sum_z2_z1):
     t = optimized_multitransversal(sum_three_z2)
     assert (t.elements, t.kappa) == ((0, 2, 4, 5), 2)

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 
+from quandles import core
 from quandles.core import _row_keys, validate_quandle
 from quandles.errors import NotLeftDistributive, QuandleError
 
@@ -61,7 +62,7 @@ def _units(m):
     return [u for u in range(1, m) if np.gcd(u, m) == 1]
 
 
-def test_affine_tables_with_swaps_agree():
+def _affine_swaps_agree():
     rng = np.random.default_rng(11)
     failures = 0
     for m in range(3, 17):
@@ -76,6 +77,17 @@ def test_affine_tables_with_swaps_agree():
     assert failures > 100
 
 
+def test_affine_tables_with_swaps_agree():
+    _affine_swaps_agree()
+
+
+def test_affine_tables_with_swaps_agree_in_small_chunks(monkeypatch):
+    # with 40 products a chunk, the rows of m > 6 are checked a few b at a
+    # time, and those of m <= 6 several rows at once
+    monkeypatch.setattr(core, "CHUNK_ENTRIES", 40)
+    _affine_swaps_agree()
+
+
 def test_repeated_failing_row_agrees():
     # Aff(Z_16, 5): L_a = L_b iff a = b mod 4.  The same swap in rows 1, 5,
     # 9 and 13 keeps them equal, and row 1 is the first to fail.
@@ -87,7 +99,7 @@ def test_repeated_failing_row_agrees():
 
 
 def test_large_table_one_row_per_chunk_agrees():
-    # n^2 > 2^20, so each chunk holds a single row
+    # n^2 > 2^20, so each row is checked in two chunks of b
     m = 1032
     table = np.asarray(affine_table_mod(m, 1 + m // 4), dtype=np.int32)
     assert validate_quandle(table).array.tobytes() == table.tobytes()

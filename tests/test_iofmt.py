@@ -76,6 +76,21 @@ def test_quandle_parse_memory():
     assert q.n == 1024 and peak < 32 << 20
 
 
+def test_numbered_rows_keep_no_second_table():
+    # Aff(Z_1023, 2) has 1,023 distinct rows; numbering them keeps O(n)
+    # integers beside the 4 MB table, not a sorted copy of its rows
+    g = make_cyclic_product((1023,))
+    text = format_quandle(make_affine(g, multiplication_automorphism(g, 2)).quandle)
+    tracemalloc.start()
+    try:
+        q = parse_quandle(text)
+        assert len(q.rows.first) == q.n == 1023
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept - q.array.nbytes < 1 << 20
+
+
 def _outcome(parse, text):
     """The parsed table, or the type and message of the error raised;
     any warning, such as numpy's for a string it could not read to its

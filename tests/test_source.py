@@ -129,3 +129,29 @@ def test_group_axioms_checked_only_in_verify_cover():
             and id(node) not in allowed
         ]
     assert found == []
+
+
+def test_quandle_rows_numbered_only_by_quandle_rows():
+    # Q's left translations have one numbering, the cached Quandle.rows; a
+    # RowSet over an .array elsewhere would sort them again.  (A PermGroup's
+    # array is its element set, which PermGroup._rows numbers.)
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = _tree(path)
+        allowed = {
+            id(node)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name in {"Quandle", "PermGroup"}
+            for method in cls.body
+            if getattr(method, "name", None) in {"rows", "_rows"}
+            for node in ast.walk(method)
+        }
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and _name(node.func) == "RowSet"
+            and id(node) not in allowed
+            and any(isinstance(sub, ast.Attribute) and sub.attr == "array"
+                    for arg in node.args for sub in ast.walk(arg))
+        ]
+    assert found == []
