@@ -20,7 +20,7 @@ import numpy as np
 
 from . import perms
 from .affine import AffineQuandle, make_affine, one_minus_f_images
-from .core import Quandle, RowSet, _chunks
+from .core import Quandle, _chunks
 from .errors import InternalAssertionFailure, NotHomImage, OplusUndefined
 from .groups import (
     AbelianGroup,
@@ -151,15 +151,18 @@ class CoverResult:
 
     ``group`` is kept as its factors and ``f``, ``psi`` are image arrays,
     so a result costs O(|A|); ``group.add`` and ``cover`` (the |A|^2
-    table of Aff(A,f)) are built on first read and cached.  ``dis`` is
-    D = Dis(Q) as read-only (|D|, |Q|) int32 rows (``Translations.d``).
+    table of Aff(A,f)) are built on first read and cached.
     """
 
     group: AbelianGroup
     f: GroupAutomorphism
     psi: np.ndarray
     transversal: Multitransversal
-    dis: np.ndarray
+
+    @property
+    def dis(self) -> np.ndarray:
+        """D = Dis(Q) as read-only (|D|, |Q|) int32 rows (``Translations.d``)."""
+        return self.transversal.translations.d
 
     @cached_property
     def cover(self) -> AffineQuandle:
@@ -208,7 +211,7 @@ def build_cover(q: Quandle, t: Multitransversal) -> CoverResult:
     f_im = (f_d * np.int32(nt) + np.arange(nt, dtype=np.int32)).reshape(-1)
     psi = tr.d[:, elems].reshape(-1)
     f = GroupAutomorphism(a, f_im)
-    result = CoverResult(a, f, psi, t, tr.d)
+    result = CoverResult(a, f, psi, t)
     report = verify_cover(result, q)
     if not report.ok:
         raise InternalAssertionFailure(
@@ -254,9 +257,10 @@ def verify_cover(result: CoverResult, q: Quandle) -> VerifyReport:
        For one representative r per value of w, psi(r*v) = psi(r)*psi(v)
        is checked for every v (d * |A| for d values).  If r passes, then
        for u with w(u) = w(r), psi(u*v) = psi(r*v) = psi(r)*psi(v), so u
-       passes iff the row of psi(u) in Q equals that of psi(r) on the image
-       of psi: one comparison of row ids per u.  Every u that fails is
-       therefore behind a failing representative or has a differing row;
+       passes if the row of psi(u) in Q equals that of psi(r): one
+       comparison of the row numbers ``q.rows.which`` per u.  Every u that
+       fails is therefore behind a failing representative or has a
+       differing row (rows equal in full are equal on the image of psi);
        only those are rescanned, in ascending order, so the witness (u, v)
        is the first in row-major order.
     6. psi is surjective: its values cover 0..|Q|-1.
@@ -284,7 +288,7 @@ def verify_cover(result: CoverResult, q: Quandle) -> VerifyReport:
         failures.append("psi is not a map into Q")
     else:
         if f_in_range:
-            witness = _psi_witness(a, result.f, psi, q.array)
+            witness = _psi_witness(a, result.f, psi, q)
             if witness is not None:
                 failures.append("psi is not a homomorphism at ({},{}): "
                                 "psi(u*v)={} but psi(u)*psi(v)={}".format(*witness))
@@ -309,10 +313,10 @@ def _group_witness(a: AbelianGroup, order: int) -> str | None:
 
 
 def _psi_witness(a: AbelianGroup, f: GroupAutomorphism, psi: np.ndarray,
-                 qt: np.ndarray) -> tuple[int, int, int, int] | None:
+                 q: Quandle) -> tuple[int, int, int, int] | None:
     """Claim 5: the first (u, v, psi(u*v), psi(u)*psi(v)) in row-major
     order with psi(u*v) != psi(u)*psi(v), or None."""
-    n, im = a.order, f.images
+    n, im, qt = a.order, f.images, q.array
     w = one_minus_f_images(a, f)
     _, reps, cls = np.unique(w, return_index=True, return_inverse=True)
     bad_rep = np.zeros(len(reps), dtype=bool)
@@ -321,7 +325,7 @@ def _psi_witness(a: AbelianGroup, f: GroupAutomorphism, psi: np.ndarray,
         lhs = psi[a.plus(w[r][:, None], im[None, :])]
         rhs = qt[psi[r][:, None], psi[None, :]]
         bad_rep[start:stop] = (lhs != rhs).any(axis=1)
-    row_id = RowSet(qt[:, np.unique(psi)]).which
+    row_id = q.rows.which
     suspect = bad_rep[cls] | (row_id[psi] != row_id[psi[reps[cls]]])
     for u in np.flatnonzero(suspect).tolist():
         lhs = psi[a.plus(w[u], im)]

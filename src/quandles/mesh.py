@@ -29,16 +29,19 @@ from .groups import AbelianGroup, _check_table_limit, _close_under, make_cyclic_
 
 
 @dataclass(frozen=True, eq=False)
-class MeshLayout:
-    """The k groups of a mesh side by side in one index space 0..N-1.
+class AffineMesh:
+    """Validated mesh, its k groups side by side in one index space
+    0..N-1; construct via :func:`validate_mesh`.
 
     Element a of A_i is o_i + a, o_i = ``offsets[i]``.  ``flat`` holds the
     addition tables one after another, so a + b in A_i is
     ``flat[bases[i] + a*sizes[i] + b]``; ``neg[o_i + a]`` is -a in A_i and
     ``P[o_i + a, j]`` is phi[i][j](a), both as indices of their group; ``C``
     is the (k, k) matrix of constants and ``fiber[x]`` the i of element x.
+    Every array is read-only; ``phi`` and ``c`` are read off P and C.
     """
 
+    groups: tuple[AbelianGroup, ...]
     offsets: np.ndarray
     sizes: np.ndarray
     bases: np.ndarray
@@ -48,13 +51,54 @@ class MeshLayout:
     P: np.ndarray
     C: np.ndarray
 
-    @property
-    def k(self) -> int:
-        return len(self.sizes)
+    @classmethod
+    def from_cells(cls, groups, phi, c) -> AffineMesh:
+        """The mesh of the int32 maps phi[i][j] and constants c[i][j],
+        unchecked; nothing of phi or c is kept."""
+        groups = tuple(groups)
+        sizes = np.array([g.order for g in groups], dtype=np.int64)
+        offsets = np.concatenate([[0], np.cumsum(sizes)])
+        k = len(groups)
+        # phi in (i, j) order: source i's block holds its k maps one after another
+        images = np.concatenate([p for row in phi for p in row])
+        tables = [g.add.reshape(-1) for g in groups]
+        mesh = cls(
+            groups=groups,
+            offsets=offsets,
+            sizes=sizes,
+            bases=np.concatenate([[0], np.cumsum(sizes * sizes)[:-1]]),
+            fiber=np.repeat(np.arange(k), sizes),
+            flat=tables[0] if k == 1 else np.concatenate(tables),  # no copy of one table
+            neg=np.concatenate([g.neg for g in groups]),
+            P=np.concatenate([
+                images[k * o:k * (o + n)].reshape(k, n).T
+                for o, n in zip(offsets[:-1].tolist(), sizes.tolist())
+            ]),
+            C=np.array(c, dtype=np.int64),
+        )
+        for a in vars(mesh).values():
+            if isinstance(a, np.ndarray):
+                a.setflags(write=False)
+        return mesh
 
     @property
-    def n(self) -> int:
+    def k(self) -> int:
+        return len(self.groups)
+
+    @property
+    def total_size(self) -> int:
         return len(self.fiber)
+
+    @cached_property
+    def phi(self) -> tuple[tuple[np.ndarray, ...], ...]:
+        """phi[i][j] as a read-only view of P[o_i:o_{i+1}, j]."""
+        o = self.offsets.tolist()
+        return tuple(tuple(self.P[o[i]:o[i + 1], j] for j in range(self.k))
+                     for i in range(self.k))
+
+    @cached_property
+    def c(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(row) for row in self.C.tolist())
 
     def add(self, i, a, b) -> np.ndarray:
         """a + b in A_i, elementwise; i, a and b broadcast."""
@@ -63,71 +107,24 @@ class MeshLayout:
     @cached_property
     def one_minus(self) -> np.ndarray:
         """(1 - phi[i][i])(a) at element o_i + a."""
-        f = self.fiber
-        local = np.arange(self.n) - self.offsets[f]
-        return self.add(f, local, self.neg[self.offsets[f] + self.P[np.arange(self.n), f]])
+        f, x = self.fiber, np.arange(self.total_size)
+        out = self.add(f, x - self.offsets[f], self.neg[self.offsets[f] + self.P[x, f]])
+        out.setflags(write=False)
+        return out
 
     @cached_property
     def shifted(self) -> np.ndarray:
         """(N, k): phi[i][j](a) + c[i][j] in A_j at row o_i + a."""
         out = np.empty_like(self.P)
         cols = np.arange(self.k)
-        for lo, hi in _chunks(0, self.n, self.k):
+        for lo, hi in _chunks(0, self.total_size, self.k):
             out[lo:hi] = self.add(cols, self.P[lo:hi], self.C[self.fiber[lo:hi]])
+        out.setflags(write=False)
         return out
 
-
-def _layout(groups, phi, c) -> MeshLayout:
-    sizes = np.array([g.order for g in groups], dtype=np.int64)
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    k = len(groups)
-    # phi in (i, j) order: source i's block holds its k maps one after another
-    images = np.concatenate([p for row in phi for p in row])
-    tables = [g.add.reshape(-1) for g in groups]
-    return MeshLayout(
-        offsets=offsets,
-        sizes=sizes,
-        bases=np.concatenate([[0], np.cumsum(sizes * sizes)[:-1]]),
-        fiber=np.repeat(np.arange(k), sizes),
-        flat=tables[0] if k == 1 else np.concatenate(tables),  # no copy of one table
-        neg=np.concatenate([g.neg for g in groups]),
-        P=np.concatenate([
-            images[k * o:k * (o + n)].reshape(k, n).T
-            for o, n in zip(offsets[:-1].tolist(), sizes.tolist())
-        ]),
-        C=np.array(c, dtype=np.int64),
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class AffineMesh:
-    """Validated mesh; construct via :func:`validate_mesh`."""
-
-    groups: tuple[AbelianGroup, ...]
-    phi: tuple[tuple[np.ndarray, ...], ...]
-    c: tuple[tuple[int, ...], ...]
-
-    @property
-    def k(self) -> int:
-        return len(self.groups)
-
-    @cached_property
-    def offsets(self) -> tuple[int, ...]:
-        return tuple(self.layout.offsets.tolist())
-
-    @property
-    def total_size(self) -> int:
-        return self.offsets[-1]
-
-    @cached_property
-    def layout(self) -> MeshLayout:
-        return _layout(self.groups, self.phi, self.c)
-
     def fiber_partition(self) -> Partition:
-        return Partition.from_blocks(
-            tuple(range(self.offsets[i], self.offsets[i + 1]))
-            for i in range(self.k)
-        )
+        o = self.offsets.tolist()
+        return Partition.from_blocks(range(o[i], o[i + 1]) for i in range(self.k))
 
 
 def _param_error(groups, phi, c) -> InvalidParams | None:
@@ -145,74 +142,75 @@ def _param_error(groups, phi, c) -> InvalidParams | None:
     return None
 
 
-def _hom_mismatch(lay: MeshLayout, x0: int, x1: int) -> np.ndarray:
+def _hom_mismatch(mesh: AffineMesh, x0: int, x1: int) -> np.ndarray:
     """(x1 - x0, m, k), m the largest order: at row x = o_i + a, column b
     and target j, is phi[i][j](a + b) != phi[i][j](a) + phi[i][j](b)?
 
     A column b past the end of A_i repeats b = |A_i| - 1, so the first
     failing column of a row is a real one.
     """
-    f = lay.fiber[x0:x1, None]
-    o, n = lay.offsets[f], lay.sizes[f]
+    f = mesh.fiber[x0:x1, None]
+    o, n = mesh.offsets[f], mesh.sizes[f]
     a = np.arange(x0, x1)[:, None] - o
-    b = np.minimum(np.arange(lay.sizes.max()), n - 1)
-    cols = np.arange(lay.k)
-    return lay.P[o + lay.add(f, a, b)] != lay.add(cols, lay.P[x0:x1, None, :], lay.P[o + b])
+    b = np.minimum(np.arange(mesh.sizes.max()), n - 1)
+    cols = np.arange(mesh.k)
+    P = mesh.P
+    return P[o + mesh.add(f, a, b)] != mesh.add(cols, P[x0:x1, None, :], P[o + b])
 
 
-def _check_homomorphisms(lay: MeshLayout) -> None:
+def _check_homomorphisms(mesh: AffineMesh) -> None:
     """Every phi[i][j] at once; the witness is the first (i, j), then the
     first (a, b)."""
-    for lo, hi in _chunks(0, lay.n, int(lay.sizes.max()) * lay.k):
-        bad = _hom_mismatch(lay, lo, hi)
+    for lo, hi in _chunks(0, mesh.total_size, int(mesh.sizes.max()) * mesh.k):
+        bad = _hom_mismatch(mesh, lo, hi)
         if bad.any():
-            raise _hom_witness(lay, int(lay.fiber[lo + int(bad.any(axis=(1, 2)).argmax())]))
+            raise _hom_witness(mesh, int(mesh.fiber[lo + int(bad.any(axis=(1, 2)).argmax())]))
 
 
-def _hom_witness(lay: MeshLayout, i: int) -> NotAHomomorphism:
+def _hom_witness(mesh: AffineMesh, i: int) -> NotAHomomorphism:
     """The first failing target j of source i, then its first (a, b)."""
-    k, m, o = lay.k, int(lay.sizes.max()), int(lay.offsets[i])
+    k, m, o = mesh.k, int(mesh.sizes.max()), int(mesh.offsets[i])
     first = np.full(k, -1)  # first failing a*m + b, per j
-    for lo, hi in _chunks(o, o + int(lay.sizes[i]), m * k):
-        bad = _hom_mismatch(lay, lo, hi).reshape(-1, k)
+    for lo, hi in _chunks(o, o + int(mesh.sizes[i]), m * k):
+        bad = _hom_mismatch(mesh, lo, hi).reshape(-1, k)
         hit = bad.any(axis=0) & (first < 0)
         first[hit] = (lo - o) * m + bad.argmax(axis=0)[hit]
     j = int(np.flatnonzero(first >= 0)[0])
     return NotAHomomorphism(i, j, *divmod(int(first[j]), m))
 
 
-def _m3_mismatch(lay: MeshLayout, lo: int, hi: int) -> np.ndarray:
+def _m3_mismatch(mesh: AffineMesh, lo: int, hi: int) -> np.ndarray:
     """(hi - lo, k, k): at element x = o_i + a, is
     phi[j][kk](phi[i][j](a)) != phi[0][kk](phi[i][0](a))?"""
-    g = lay.P[lay.offsets[:-1] + lay.P[lo:hi]]
+    g = mesh.P[mesh.offsets[:-1] + mesh.P[lo:hi]]
     return g != g[:, :1, :]
 
 
-def _check_m3(lay: MeshLayout) -> None:
+def _check_m3(mesh: AffineMesh) -> None:
     """The witness is the first (i, kk), then the least j."""
-    k = lay.k
-    for lo, hi in _chunks(0, lay.n, k * k):
-        bad = _m3_mismatch(lay, lo, hi)
+    k = mesh.k
+    for lo, hi in _chunks(0, mesh.total_size, k * k):
+        bad = _m3_mismatch(mesh, lo, hi)
         if not bad.any():
             continue
-        i = int(lay.fiber[lo + int(bad.any(axis=(1, 2)).argmax())])
+        i = int(mesh.fiber[lo + int(bad.any(axis=(1, 2)).argmax())])
         failing = np.zeros((k, k), dtype=bool)  # [j, kk] over all of A_i
-        for start, stop in _chunks(int(lay.offsets[i]), int(lay.offsets[i + 1]), k * k):
-            failing |= _m3_mismatch(lay, start, stop).any(axis=0)
+        for start, stop in _chunks(int(mesh.offsets[i]), int(mesh.offsets[i + 1]), k * k):
+            failing |= _m3_mismatch(mesh, start, stop).any(axis=0)
         kk, j = map(int, np.argwhere(failing.T)[0])
         raise M3Violation(i, 0, j, kk)
 
 
-def _check_m4(lay: MeshLayout) -> None:
+def _check_m4(mesh: AffineMesh) -> None:
     """phi[j][kk](c[i][j]) = phi[kk][kk](c[i][kk] - c[j][kk]) for every
     (i, j, kk); the witness is the first in row-major order."""
-    k = lay.k
-    o, cols = lay.offsets[:-1], np.arange(k)
-    minus = lay.neg[o + lay.C]  # [j, kk]: -c[j][kk] in A_kk
+    k = mesh.k
+    o, cols = mesh.offsets[:-1], np.arange(k)
+    minus = mesh.neg[o + mesh.C]  # [j, kk]: -c[j][kk] in A_kk
     for lo, hi in _chunks(0, k, k * k):
-        ci = lay.C[lo:hi]
-        lhs = lay.P[o + ci]  # [i, j, kk]
-        rhs = lay.P[o + lay.add(cols, ci[:, None, :], minus), cols]
+        ci = mesh.C[lo:hi]
+        lhs = mesh.P[o + ci]  # [i, j, kk]
+        rhs = mesh.P[o + mesh.add(cols, ci[:, None, :], minus), cols]
         bad = lhs != rhs
         if bad.any():
             i, j, kk = map(int, np.argwhere(bad)[0])
@@ -237,34 +235,32 @@ def validate_mesh(groups, phi, c) -> AffineMesh:
     except OverflowError:  # an image no int32 holds is out of range
         raise InvalidParams("phi maps outside its target group") from None
     c = tuple(tuple(int(c[i][j]) for j in range(k)) for i in range(k))
-    mesh = AffineMesh(groups, phi, c)
     orders = [g.order for g in groups]
     if not (
         all(p.shape == (orders[i],) for i, row in enumerate(phi) for p in row)
         and all(0 <= x < orders[j] for row in c for j, x in enumerate(row))
-        and mesh.layout.P.min(initial=0) >= 0
-        and (mesh.layout.P < mesh.layout.sizes).all()
     ):
         raise _param_error(groups, phi, c)
-    lay = mesh.layout
-    _check_homomorphisms(lay)
-    unseen = np.ones(lay.n, dtype=bool)
-    unseen[lay.offsets[lay.fiber] + lay.one_minus] = False
+    mesh = AffineMesh.from_cells(groups, phi, c)
+    if mesh.P.min(initial=0) < 0 or (mesh.P >= mesh.sizes).any():
+        raise _param_error(groups, phi, c)
+    _check_homomorphisms(mesh)
+    unseen = np.ones(mesh.total_size, dtype=bool)
+    unseen[mesh.offsets[mesh.fiber] + mesh.one_minus] = False
     if unseen.any():  # 1 - phi[i][i] misses an element of A_i: not onto
-        raise M1Violation(int(lay.fiber[unseen.argmax()]))
-    diagonal = np.flatnonzero(np.diagonal(lay.C))
+        raise M1Violation(int(mesh.fiber[unseen.argmax()]))
+    diagonal = np.flatnonzero(np.diagonal(mesh.C))
     if diagonal.size:
         raise M2Violation(int(diagonal[0]))
-    _check_m3(lay)
-    _check_m4(lay)
+    _check_m3(mesh)
+    _check_m4(mesh)
     return mesh
 
 
 def is_indecomposable(mesh: AffineMesh) -> bool:
     """Each A_j generated by all constants c[i][j] and images phi[i][j](a)."""
-    lay = mesh.layout
     return all(
-        _close_under(g.add, np.concatenate([lay.P[:, j], lay.C[:, j]])).all()
+        _close_under(g.add, np.concatenate([mesh.P[:, j], mesh.C[:, j]])).all()
         for j, g in enumerate(mesh.groups)
     )
 
@@ -273,20 +269,20 @@ def mesh_sum(mesh: AffineMesh) -> Quandle:
     """The quandle on the disjoint union, fibers concatenated in order."""
     n = mesh.total_size
     _check_table_limit(n, "mesh sum of order", "table")
-    return _validated(_sum_table(mesh.layout))
+    return _validated(_sum_table(mesh))
 
 
-def _sum_table(lay: MeshLayout) -> np.ndarray:
+def _sum_table(mesh: AffineMesh) -> np.ndarray:
     """Row o_i + a, column o_j + b holds
     o_j + c[i][j] + phi[i][j](a) + (1 - phi[j][j])(b): one gather per chunk
     of rows."""
-    f = lay.fiber
-    scale, col, o = lay.sizes[f], lay.bases[f] + lay.one_minus, lay.offsets[f]
-    table = np.empty((lay.n, lay.n), dtype=np.int32)
-    for lo, hi in _chunks(0, lay.n, lay.n):
-        idx = lay.shifted[lo:hi, f] * scale
+    f, n = mesh.fiber, mesh.total_size
+    scale, col, o = mesh.sizes[f], mesh.bases[f] + mesh.one_minus, mesh.offsets[f]
+    table = np.empty((n, n), dtype=np.int32)
+    for lo, hi in _chunks(0, n, n):
+        idx = mesh.shifted[lo:hi, f] * scale
         idx += col
-        np.add(lay.flat[idx], o, out=table[lo:hi], casting="unsafe")
+        np.add(mesh.flat[idx], o, out=table[lo:hi], casting="unsafe")
     return table
 
 
@@ -297,14 +293,13 @@ def coset_criterion(mesh: AffineMesh) -> bool:
     h in X, so one shift and a closure check suffice: the sum of every
     pair of elements of -h+X is looked up among its distinct rows.
     """
-    lay = mesh.layout
-    cols = np.flatnonzero(lay.sizes > 1)  # a trivial group adds a 0 to every row
-    rows = lay.shifted[:, cols]
-    x = lay.add(cols, rows, lay.neg[lay.offsets[cols] + rows[0]])
+    cols = np.flatnonzero(mesh.sizes > 1)  # a trivial group adds a 0 to every row
+    rows = mesh.shifted[:, cols]
+    x = mesh.add(cols, rows, mesh.neg[mesh.offsets[cols] + rows[0]])
     members = RowSet(x)
     x = x[members.first]
     for lo, hi in _chunks(0, len(x), len(x) * len(cols)):
-        sums = lay.add(cols, x[lo:hi, None, :], x[None, :, :])
+        sums = mesh.add(cols, x[lo:hi, None, :], x[None, :, :])
         if (members.index_of(sums) < 0).any():
             return False
     return True
@@ -317,17 +312,17 @@ def semiregular_extension_form(mesh: AffineMesh) -> bool:
     subquandles of affine quandles; it does not search over isomorphic
     meshes, so it is not the semantic embedding verdict.
     """
-    lay, g0, k = mesh.layout, mesh.groups[0], mesh.k
+    g0, k = mesh.groups[0], mesh.k
     n = g0.order
-    if (lay.sizes != n).any() or any(g.moduli != g0.moduli for g in mesh.groups):
+    if (mesh.sizes != n).any() or any(g.moduli != g0.moduli for g in mesh.groups):
         return False
-    if not (lay.flat.reshape(k, n * n) == lay.flat[:n * n]).all():
+    if not (mesh.flat.reshape(k, n * n) == mesh.flat[:n * n]).all():
         return False
-    if not (lay.P.reshape(k, n, k) == lay.P[:n, :1]).all():
+    if not (mesh.P.reshape(k, n, k) == mesh.P[:n, :1]).all():
         return False
     # 1 - shared is bijective: (M1) holds for phi[0][0], the same map
-    d = lay.C[:, 0]
-    return bool((lay.C == lay.add(0, d[:, None], lay.neg[d])).all())
+    d = mesh.C[:, 0]
+    return bool((mesh.C == mesh.add(0, d[:, None], mesh.neg[d])).all())
 
 
 def generate_max_mesh(n: int, k: int) -> AffineMesh:

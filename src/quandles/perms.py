@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Partition, Quandle, RowSet, _as_int32, _row_keys, connectivity_orbits
+from .core import Partition, Quandle, RowSet, _as_int32, connectivity_orbits
 from .errors import DegreeMismatch
 
 # Entries of one chunk of products (closure layers, commutators, D's table).
@@ -57,7 +57,8 @@ def closure(generators, degree: int | None = None) -> PermGroup:
     p in discovery order and, for each p, over the generators g in order;
     the first occurrence of each candidate not met before joins the next
     layer.  That is the discovery order of a FIFO queue.  Candidates are
-    built in frontier chunks of about CHUNK_ENTRIES images.
+    built in frontier chunks of about CHUNK_ENTRIES images, each numbered
+    after the elements found so far by one core.RowSet.
     """
     try:
         gens = [_as_int32(g) for g in generators]
@@ -71,25 +72,15 @@ def closure(generators, degree: int | None = None) -> PermGroup:
         if g.shape != (degree,):
             raise DegreeMismatch(degree, len(g))
     gen_rows = np.array(gens, dtype=np.int32).reshape(len(gens), degree)
-    frontier = np.arange(degree, dtype=np.int32)[None, :]
-    layers = [frontier]
-    keys = _row_keys(frontier) if degree else None   # of all found, sorted
+    elements = np.arange(degree, dtype=np.int32)[None, :]
+    done = 0   # elements[:done] have been multiplied out
     step = max(1, CHUNK_ENTRIES // max(1, len(gens) * degree))
-    while degree and len(frontier):
-        found = []
+    while degree and done < len(elements):
+        frontier, done = elements[done:], len(elements)
         for start in range(0, len(frontier), step):
             cand = gen_rows[:, frontier[start:start + step]]   # (g, p, x)
-            cand = cand.transpose(1, 0, 2).reshape(-1, degree)
-            cand_keys = _row_keys(cand)
-            _, first = np.unique(cand_keys, return_index=True)
-            first.sort()
-            pos = np.searchsorted(keys, cand_keys[first]).clip(max=len(keys) - 1)
-            first = first[keys[pos] != cand_keys[first]]
-            found.append(cand[first])
-            keys = np.sort(np.concatenate([keys, cand_keys[first]]))
-        frontier = np.concatenate(found)
-        layers.append(frontier)
-    elements = np.concatenate(layers)
+            rows = np.concatenate([elements, cand.transpose(1, 0, 2).reshape(-1, degree)])
+            elements = rows[RowSet(rows).first]   # the elements, then new rows in order
     elements.setflags(write=False)
     gen_rows.setflags(write=False)
     return PermGroup(degree, gen_rows, elements)

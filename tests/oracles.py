@@ -602,7 +602,7 @@ def loop_validate_mesh(groups, phi, c) -> AffineMesh:
         rhs = int(phi[kk][kk][groups[kk].sub_el(c[i][kk], c[j][kk])])
         if lhs != rhs:
             raise M4Violation(i, j, kk)
-    return AffineMesh(groups, phi, c)
+    return AffineMesh.from_cells(groups, phi, c)
 
 
 def loop_mesh_sum(mesh: AffineMesh) -> Quandle:

@@ -321,8 +321,7 @@ def test_rows_numbered_once_per_command(capsys, tmp_path, monkeypatch):
     assert code == 0 and shapes == [(256, 256)]     # Quandle.rows
     shapes.clear()
     code, _, _ = run(capsys, "cover", str(table), "--out", str(tmp_path / "o"))
-    # Quandle.rows, and verify_cover's rows of Q over the image of psi
-    assert code == 0 and len(shapes) == 2
+    assert code == 0 and shapes == [(256, 256)]     # Quandle.rows, read by verify_cover too
 
 
 def test_group_axioms_checked_once_per_cover_factor(capsys, tmp_path, q1_file,

@@ -13,6 +13,7 @@ from quandles.errors import (
     TooLarge,
 )
 from quandles.groups import make_cyclic_product
+from quandles.iofmt import format_mesh, parse_mesh
 from quandles.mesh import (
     coset_criterion,
     generate_max_mesh,
@@ -35,6 +36,21 @@ def test_single_index_mesh_is_affine_table():
     assert all(
         t[a][b] == (4 * a + 5 * b) % 8 for a in range(8) for b in range(8)
     )
+
+
+def test_mesh_keeps_no_reference_to_the_callers_maps():
+    # Aff(Z_3, -1) as the one-index mesh phi = 2x; the caller then turns
+    # its array into the identity, which would break (M1)
+    images = np.array([0, 2, 1], dtype=np.int32)
+    m = validate_mesh([make_cyclic_product((3,))], [[images]], [[0]])
+    text, table = format_mesh(m), mesh_sum(m).array
+    images[:] = [0, 1, 2]
+    assert format_mesh(m) == text
+    assert format_mesh(parse_mesh(format_mesh(m))) == text
+    assert np.array_equal(mesh_sum(m).array, table)
+    arrays = [a for a in vars(m).values() if isinstance(a, np.ndarray)]
+    arrays += [p for row in m.phi for p in row]
+    assert len(arrays) > 8 and not any(a.flags.writeable for a in arrays)
 
 
 def test_example_meshes_validate(mesh_three_z2, mesh_two_z3, mesh_z2_z1):

@@ -279,7 +279,7 @@ def test_mesh_layer_memory_stays_within_a_few_chunks(make):
     # plus two chunks
     groups, phi, c = make()
     m, peak = _peak(lambda: validate_mesh(groups, phi, c))
-    kept = sum(a.nbytes for name, a in vars(m.layout).items()
+    kept = sum(a.nbytes for name, a in vars(m).items()
                if isinstance(a, np.ndarray) and name != "flat")
     assert peak <= kept + 4 * CHUNK_BYTES
     q, peak = _peak(lambda: mesh_sum(m))

@@ -59,6 +59,12 @@ def test_closure_starts_at_identity_bfs_order():
     )
 
 
+@pytest.mark.parametrize("gens,degree", [([], 0), ([[]], None), ([[], []], None)])
+def test_closure_of_degree_zero_is_the_trivial_group(gens, degree):
+    g = closure(gens, degree)
+    assert g.degree == 0 and g.order == 1 and g.array.shape == (1, 0)
+
+
 def test_closure_degree_mismatch():
     with pytest.raises(DegreeMismatch):
         closure([(1, 0), (0, 1, 2)])

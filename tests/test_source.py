@@ -81,29 +81,15 @@ def test_no_tuple_table_views_in_package():
     assert found == []
 
 
-def test_row_keys_only_in_core_and_closure():
-    # Sets of int32 rows are numbered and looked up by core.RowSet; only
-    # perms.closure keeps its own sorted keys, since its set grows once per
-    # chunk.  Anywhere else a reference to _row_keys is a second copy of
-    # RowSet.
-    found = []
-    for path in sorted(SRC.glob("*.py")):
-        if path.name == "core.py":
-            continue
-        tree = _tree(path)
-        allowed = set()
-        if path.name == "perms.py":
-            allowed = {
-                id(node)
-                for top in tree.body
-                if isinstance(top, ast.ImportFrom) or getattr(top, "name", None) == "closure"
-                for node in ast.walk(top)
-            }
-        found += [
-            f"{path.name}:{node.lineno}"
-            for node in ast.walk(tree)
-            if _name(node) == "_row_keys" and id(node) not in allowed
-        ]
+def test_row_keys_only_in_core():
+    # Sets of int32 rows are numbered and looked up by core.RowSet, the
+    # growing element set of perms.closure too.  Anywhere else a reference
+    # to _row_keys is a second copy of RowSet.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py")) if path.name != "core.py"
+        for node in ast.walk(_tree(path)) if _name(node) == "_row_keys"
+    ]
     assert found == []
 
 
