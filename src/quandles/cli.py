@@ -57,7 +57,7 @@ def analysis_report(q: Quandle) -> list[tuple[str, object]]:
         ("dis_semiregular", semiregular),
         ("dis_tiny", tr.closed),
         ("embeds_into_affine", abelian and semiregular),
-        ("homim_of_affine", abelian and tr.closed),
+        ("homim_of_affine", tr.closed_abelian),
     ]
 
 

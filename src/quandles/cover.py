@@ -3,7 +3,8 @@ construction of a covering affine quandle with a verified surjection.
 
 The verdict: Q is a homomorphic image of an affine quandle iff its
 displacement group is abelian and tiny, checked directly on the set
-D = {L_x L_e^{-1}} without computing any group closure.
+D = {L_x L_0^{-1}} (perms.Translations) without computing any group
+closure.
 
 The construction: pick a multitransversal T of the Cayley kernel that
 meets every orbit, endow T with an abelian operation indexed by D and a
@@ -32,22 +33,18 @@ from .groups import (
 from .perms import Translations
 
 
-def _commute_and_close(tr: Translations) -> bool:
-    return tr.closed and np.array_equal(tr.table, tr.table.T)
-
-
-def is_homim_of_affine(q: Quandle, e: int = 0) -> bool:
+def is_homim_of_affine(q: Quandle) -> bool:
     """Is Q a homomorphic image of an affine quandle?
 
-    True iff D = {L_x L_e^{-1} : x in Q} commutes and is closed under
+    True iff D = {L_x L_0^{-1} : x in Q} commutes and is closed under
     composition, read off D's composition table.
     """
-    return _commute_and_close(Translations(q, e))
+    return Translations(q).closed_abelian
 
 
 def _homim_translations(q: Quandle) -> Translations:
     tr = Translations(q)
-    if not _commute_and_close(tr):
+    if not tr.closed_abelian:
         raise NotHomImage()
     return tr
 
@@ -59,9 +56,9 @@ class Multitransversal:
     Entries are stored block-major: entry i*kappa + j is the j-th pick
     from block i (blocks follow the discovery order of D); entries are
     formally distinct even when the underlying element repeats, and the
-    within-block position j is the tag valued in Z_kappa.  Entry 0 is the
-    designated zero e.  ``translations`` is the D of the quandle it was
-    picked from, read again by build_oplus and build_cover.
+    within-block position j is the tag valued in Z_kappa.  ``translations``
+    is the D of the quandle it was picked from, read again by build_oplus
+    and build_cover.
     """
 
     elements: tuple[int, ...]
@@ -76,10 +73,6 @@ class Multitransversal:
     def size(self) -> int:
         return len(self.elements)
 
-    @property
-    def e(self) -> int:
-        return self.elements[0]
-
 
 def simple_multitransversal(q: Quandle) -> Multitransversal:
     """All of Q, cycled per block up to the largest block size."""
@@ -90,7 +83,7 @@ def simple_multitransversal(q: Quandle) -> Multitransversal:
 def optimized_multitransversal(q: Quandle) -> Multitransversal:
     """Greedy transversal keeping the per-block multiplicity low.
 
-    Picks one element per orbit, the orbit of e = 0 first and then the
+    Picks one element per orbit, the orbit of 0 first and then the
     most constrained first (fewest candidate blocks, then least element):
     each orbit takes the smallest of its elements in its least-loaded
     candidate block.  The orbit of 0 thus takes 0 into block 0, as the
@@ -128,7 +121,7 @@ def _transversal_translations(q: Quandle, t: Multitransversal) -> Translations:
     tr = t.translations
     if tr.q != q:
         raise OplusUndefined("transversal belongs to another quandle")
-    if not _commute_and_close(tr):
+    if not tr.closed_abelian:
         raise OplusUndefined("D is not a closed commutative set")
     return tr
 
@@ -179,8 +172,8 @@ class CoverResult:
 
 def dis_as_group(tr: Translations) -> AbelianGroup:
     """Dis(Q) = D, abelian and tiny, as a table-backed abelian group over
-    D (built with e = 0, so that the identity is element 0), unchecked:
-    D's table is a group table once _commute_and_close accepts it."""
+    D, unchecked: D's table is a group table, with the identity d[0] as
+    element 0, once ``closed_abelian`` accepts it."""
     return AbelianGroup(tr.table, tr.inverses, name="Dis(Q)")
 
 
@@ -188,9 +181,9 @@ def build_cover(q: Quandle, t: Multitransversal) -> CoverResult:
     """Construct Aff(A,f) and the surjection psi onto Q, and verify them.
 
     A = Dis(Q) x (T,+), element (alpha, t) at alpha * |T| + t.  f maps
-    (alpha, t) to (L_e alpha L_x^{-1}, t), where x is the element behind
-    t, and psi maps it to alpha(x).  Since L_x = D[b] L_e for the block b
-    of x, L_e alpha L_x^{-1} = (L_e alpha L_e^{-1}) D[b]^{-1}: a lookup in
+    (alpha, t) to (L_0 alpha L_x^{-1}, t), where x is the element behind
+    t, and psi maps it to alpha(x).  Since L_x = D[b] L_0 for the block b
+    of x, L_0 alpha L_x^{-1} = (L_0 alpha L_0^{-1}) D[b]^{-1}: a lookup in
     D's composition table.  A is kept as its factors and no |A|^2 table
     is built; verify_cover, called once here, proves every claim from the
     factor tables, and any failure raises InternalAssertionFailure.  D is
@@ -200,7 +193,7 @@ def build_cover(q: Quandle, t: Multitransversal) -> CoverResult:
     tr = _transversal_translations(q, t)
     group_d = dis_as_group(tr)
     a = direct_product(group_d, _oplus(group_d, t), name="Dis(Q) x (T,+)")
-    conj = q.rows.index_of(q.array[0][tr.d])    # L_e alpha L_e^{-1}, by its row L_e alpha
+    conj = q.rows.index_of(q.array[0][tr.d])    # L_0 alpha L_0^{-1}, by its row L_0 alpha
     if conj.min() < 0:
         raise InternalAssertionFailure(
             "f image escapes D; displacement group is not tiny"

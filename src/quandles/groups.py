@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import _as_int32
+from .core import _as_int32, _chunks
 from .errors import EmptyModuli, NotAdditive, NotBijective, TooLarge
 
 
@@ -300,7 +300,8 @@ class GroupAutomorphism:
 
 
 def validate_automorphism(group: AbelianGroup, images) -> GroupAutomorphism:
-    """Check bijectivity and additivity (first witness each)."""
+    """Check bijectivity and additivity (first witness each), the latter
+    f(a+b) = f(a)+f(b) in row chunks of a."""
     try:
         im = _as_int32(images)
     except OverflowError:  # an image no int32 holds is out of range
@@ -310,11 +311,11 @@ def validate_automorphism(group: AbelianGroup, images) -> GroupAutomorphism:
         raise ValueError(f"map has {im.shape} images, expected {n}")
     if not np.array_equal(np.sort(im), np.arange(n)):
         raise NotBijective()
-    mapped_sum = im[group.add]
-    sum_mapped = group.add[np.ix_(im, im)]
-    if not np.array_equal(mapped_sum, sum_mapped):
-        a, b = _first_mismatch(mapped_sum, sum_mapped)
-        raise NotAdditive(a, b)
+    for lo, hi in _chunks(0, n, n):
+        bad = im.take(group.add[lo:hi]) != group.add.take(im[lo:hi], axis=0).take(im, axis=1)
+        if bad.any():
+            a, b = np.argwhere(bad)[0].tolist()
+            raise NotAdditive(lo + a, b)
     return GroupAutomorphism(group, im)
 
 

@@ -275,14 +275,18 @@ def mesh_sum(mesh: AffineMesh) -> Quandle:
 def _sum_table(mesh: AffineMesh) -> np.ndarray:
     """Row o_i + a, column o_j + b holds
     o_j + c[i][j] + phi[i][j](a) + (1 - phi[j][j])(b): one gather per chunk
-    of rows."""
+    of rows, its index built in place in int32: every index is below
+    len(flat) = sum |A_i|^2 <= n^2 < 2^31 under the table limit."""
     f, n = mesh.fiber, mesh.total_size
-    scale, col, o = mesh.sizes[f], mesh.bases[f] + mesh.one_minus, mesh.offsets[f]
+    scale, o = mesh.sizes[f].astype(np.int32), mesh.offsets[f].astype(np.int32)
+    col = (mesh.bases[f] + mesh.one_minus).astype(np.int32)
     table = np.empty((n, n), dtype=np.int32)
     for lo, hi in _chunks(0, n, n):
-        idx = mesh.shifted[lo:hi, f] * scale
+        idx = mesh.shifted[lo:hi].take(f, axis=1)
+        idx *= scale
         idx += col
-        np.add(mesh.flat[idx], o, out=table[lo:hi], casting="unsafe")
+        mesh.flat.take(idx, out=table[lo:hi])
+        table[lo:hi] += o
     return table
 
 

@@ -91,16 +91,9 @@ def multiplication_group(q: Quandle) -> PermGroup:
     return closure(q.array[q.rows.first], q.n)
 
 
-def displacement_generators(q: Quandle, e: int = 0) -> np.ndarray:
-    """The rows L_a L_e^{-1}, a in Q, as an (n, n) int32 array."""
-    if not 0 <= e < q.n:
-        raise ValueError("element e outside 0..n-1")
-    return q.array[:, np.argsort(q.array[e])]
-
-
-def displacement_group(q: Quandle, e: int = 0) -> PermGroup:
-    """Dis(Q) = <L_a L_e^{-1} : a in Q>, for any fixed e, generated by D."""
-    return closure(Translations(q, e).d, q.n)
+def displacement_group(q: Quandle) -> PermGroup:
+    """Dis(Q) = <L_a L_0^{-1} : a in Q>, generated by D."""
+    return closure(Translations(q).d, q.n)
 
 
 def orbits(q: Quandle) -> Partition:
@@ -139,24 +132,26 @@ def is_semiregular(g: PermGroup) -> bool:
 
 
 class Translations:
-    """The translation set D = {L_x L_e^{-1} : x in Q}, read off Q's
-    numbered rows ``q.rows``: L_x L_e^{-1} = L_y L_e^{-1} iff L_x = L_y,
-    and a map M is in D iff M o L_e is a row of Q.
+    """The translation set D = {L_x L_0^{-1} : x in Q}, read off Q's
+    numbered rows ``q.rows``: L_x L_0^{-1} = L_y L_0^{-1} iff L_x = L_y,
+    and a map M is in D iff M o L_0 is a row of Q.
 
-    ``d`` is D as (m, n) int32 images, d[i] = L_x L_e^{-1} for x the i-th
-    of ``q.rows.first`` (the identity first for e = 0).  ``block_of`` is
-    ``q.rows.which``, the index in ``d`` of L_x L_e^{-1}: the Cayley-kernel
+    The base point is 0, which loses nothing: relabeling Q by the
+    transposition (0 e) conjugates D at base point e into D at 0, so the
+    verdicts read off D are the same for every e.
+
+    ``d`` is D as (m, n) int32 images, d[i] = L_x L_0^{-1} for x the i-th
+    of ``q.rows.first``, the identity first.  ``block_of`` is
+    ``q.rows.which``, the index in ``d`` of L_x L_0^{-1}: the Cayley-kernel
     block of x.  ``table[i, j]`` is the index of d[i] o d[j], looked up as
     the row d[i] o L_x for x the j-th of ``q.rows.first``, ``inverses[i]``
     that of d[i]^{-1}, -1 where the map is not in D; both are built when
     first read, the table in row chunks of about CHUNK_ENTRIES products.
     """
 
-    def __init__(self, q: Quandle, e: int = 0):
-        if not 0 <= e < q.n:
-            raise ValueError("element e outside 0..n-1")
-        self.q, self.e = q, e
-        self.d = q.array[q.rows.first][:, np.argsort(q.array[e])]
+    def __init__(self, q: Quandle):
+        self.q = q
+        self.d = q.array[q.rows.first][:, np.argsort(q.array[0])]
         self.d.setflags(write=False)
         self.block_of = q.rows.which
 
@@ -173,7 +168,7 @@ class Translations:
 
     @cached_property
     def inverses(self) -> np.ndarray:
-        return self.q.rows.index_of(np.argsort(self.d, axis=1)[:, self.q.array[self.e]])
+        return self.q.rows.index_of(np.argsort(self.d, axis=1)[:, self.q.array[0]])
 
     @property
     def closed(self) -> bool:
@@ -181,22 +176,26 @@ class Translations:
         return bool(self.table.min() >= 0)
 
     @property
+    def closed_abelian(self) -> bool:
+        """Is D closed under composition and commutative, that is, Dis(Q)
+        abelian and tiny?  Then, and only then, Q is a homomorphic image
+        of an affine quandle."""
+        return self.closed and np.array_equal(self.table, self.table.T)
+
+    @property
     def blocks(self) -> list[list[int]]:
         """Cayley-kernel blocks aligned with ``d``: block i holds every x
-        with L_x L_e^{-1} = d[i], ascending, except that e is moved to the
-        front of its block."""
-        blocks = [np.flatnonzero(self.block_of == i).tolist() for i in range(self.m)]
-        blocks[self.block_of[self.e]].sort(key=lambda x: x != self.e)
-        return blocks
+        with L_x L_0^{-1} = d[i], ascending."""
+        return [np.flatnonzero(self.block_of == i).tolist() for i in range(self.m)]
 
 
-def is_tiny(q: Quandle, e: int = 0) -> bool:
-    """Does Dis(Q) equal the plain set {L_x L_e^{-1} : x in Q}?
+def is_tiny(q: Quandle) -> bool:
+    """Does Dis(Q) equal the plain set {L_x L_0^{-1} : x in Q}?
 
     The set always sits inside Dis(Q) and holds the identity, so equality
     amounts to the set being closed under composition.
     """
-    return Translations(q, e).closed
+    return Translations(q).closed
 
 
 def is_medial(q: Quandle) -> bool:

@@ -73,6 +73,15 @@ def inverse(p: Perm) -> Perm:
     return tuple(out)
 
 
+def swap_labels(q: Quandle, a: int, b: int) -> Quandle:
+    """Q relabeled by the transposition s = (a b): x *' y = s(s(x) * s(y)).
+    D at base point a of Q, conjugated by s, is D at base point b of it."""
+    s = list(range(q.n))
+    s[a], s[b] = b, a
+    t = q.array.tolist()
+    return validate_quandle([[s[t[x][y]] for y in s] for x in s])
+
+
 class FifoGroup(NamedTuple):
     degree: int
     generators: tuple[Perm, ...]
@@ -330,6 +339,14 @@ def exhaustive_verify_cover(result, q: Quandle) -> tuple[str, ...]:
         if set(psi.tolist()) != set(range(q.n)):
             failures.append("psi is not surjective")
     return tuple(failures)
+
+
+def exhaustive_additivity_witness(group: AbelianGroup, images) -> tuple[int, int] | None:
+    """The first (a, b) in row-major order with f(a+b) != f(a)+f(b), read
+    off the two whole n^2 tables f(a+b) and f(a)+f(b), or None."""
+    im = np.asarray(images)
+    bad = np.argwhere(im[group.add] != group.add[np.ix_(im, im)])
+    return (int(bad[0][0]), int(bad[0][1])) if len(bad) else None
 
 
 def int64_cyclic_product(moduli) -> tuple[np.ndarray, np.ndarray]:

@@ -129,7 +129,7 @@ def test_distributivity_check_holds_one_chunk_of_temporaries():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 40 << 20
+    assert peak < 34 << 20
 
 
 def test_not_idempotent_witness():

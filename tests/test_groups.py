@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quandles import core
 from quandles.errors import EmptyModuli, NotAdditive, NotBijective, TooLarge
 from quandles.groups import (
     _check_table_limit,
@@ -19,7 +20,11 @@ from quandles.groups import (
     validate_automorphism,
 )
 
-from oracles import enumerate_homomorphism_images, int64_cyclic_product
+from oracles import (
+    enumerate_homomorphism_images,
+    exhaustive_additivity_witness,
+    int64_cyclic_product,
+)
 
 
 def test_cyclic_group_table():
@@ -188,6 +193,44 @@ def test_validate_automorphism_rejects_non_additive():
     g = make_cyclic_product((4,))
     with pytest.raises(NotAdditive):
         validate_automorphism(g, [0, 1, 3, 2])
+
+
+def test_validate_automorphism_witness_matches_exhaustive_check(monkeypatch):
+    # random permutations, mostly not additive, and the automorphisms x -> -x;
+    # at one row per chunk a witness past the first chunk must be offset right
+    rng = np.random.default_rng(20261019)
+    moduli = [(m,) for m in range(1, 40)] + [(2, 2), (2, 4), (3, 3), (2, 2, 2), (4, 4)]
+    cases = []
+    for mod in moduli:
+        g = make_cyclic_product(mod)
+        cases += [(g, g.neg)] + [(g, rng.permutation(g.order)) for _ in range(25)]
+    rejected = 0
+    for chunk in (core.CHUNK_ENTRIES, 1):
+        monkeypatch.setattr(core, "CHUNK_ENTRIES", chunk)
+        for g, images in cases:
+            witness = exhaustive_additivity_witness(g, images)
+            if witness is None:
+                validate_automorphism(g, images)
+                continue
+            with pytest.raises(NotAdditive) as exc:
+                validate_automorphism(g, images)
+            assert exc.value.witness == witness
+            rejected += 1
+    assert rejected > 2 * 1000
+
+
+def test_validate_automorphism_holds_one_chunk_of_temporaries():
+    # Z_2048's table is 16 MiB; f(a+b) and f(a)+f(b) as whole tables would
+    # be two more
+    g = make_cyclic_product((2048,))
+    images = (3 * np.arange(2048)) % 2048
+    tracemalloc.start()
+    try:
+        validate_automorphism(g, images)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
 
 
 def test_multiplication_automorphism_requires_unit():

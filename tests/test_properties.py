@@ -19,7 +19,7 @@ from quandles.perms import (
 )
 
 from conftest import aff, zero_phi_mesh
-from oracles import as_tuples, compose, inverse
+from oracles import as_tuples, compose, inverse, swap_labels
 
 
 def _quandle_pool():
@@ -85,7 +85,7 @@ def test_verdicts_invariant_under_relabeling(qi, data):
     ]
     q2 = validate_quandle(table)
     assert is_medial(q2) == is_medial(q)
-    assert is_tiny(q2, e=sigma[0]) == is_tiny(q)
+    assert is_tiny(q2) == is_tiny(q)
     d1, d2 = displacement_group(q), displacement_group(q2)
     assert d1.order == d2.order
     assert is_semiregular(d1) == is_semiregular(d2)
@@ -112,7 +112,7 @@ def test_translation_conjugation_identity(qi):
 def test_tiny_is_independent_of_base_point(qi, data):
     q = POOL[qi]
     e = data.draw(st.integers(min_value=0, max_value=q.n - 1))
-    assert is_tiny(q, e=e) == is_tiny(q, e=0)
+    assert is_tiny(swap_labels(q, e, 0)) == is_tiny(q)
 
 
 @given(st.integers(min_value=2, max_value=12), st.data())

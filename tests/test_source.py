@@ -141,3 +141,21 @@ def test_quandle_rows_numbered_only_by_quandle_rows():
                     for arg in node.args for sub in ast.walk(arg))
         ]
     assert found == []
+
+
+def test_translations_have_one_base_point():
+    # D is read at base point 0, which every verdict allows (relabeling by
+    # the transposition (0 e) carries D at e to D at 0), so no function
+    # takes a base point e and every Translations call passes Q alone.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                found += [f"{path.name}:{node.lineno}: parameter e"
+                          for p in params if p is not None and p.arg == "e"]
+            if (isinstance(node, ast.Call) and _name(node.func) == "Translations"
+                    and len(node.args) + len(node.keywords) != 1):
+                found.append(f"{path.name}:{node.lineno}: Translations call")
+    assert found == []
