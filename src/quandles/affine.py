@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Quandle, _element_set, unchecked_quandle
+from .core import Quandle, _element_set
 from .groups import AbelianGroup, GroupAutomorphism
 
 
@@ -23,12 +23,13 @@ def one_minus_f_images(group: AbelianGroup, f: GroupAutomorphism) -> np.ndarray:
 
 
 def make_affine(group: AbelianGroup, f: GroupAutomorphism) -> AffineQuandle:
-    """Build Aff(A,f) under the group's element indexing."""
+    """Build Aff(A,f) under the group's element indexing, unchecked: it
+    is a quandle for every automorphism f of an abelian group A."""
     if f.group is not group and not np.array_equal(f.group.add, group.add):
         raise ValueError("automorphism belongs to a different group")
     g = one_minus_f_images(group, f)
     table = group.add[np.ix_(g, f.images)]
-    return AffineQuandle(group, f, unchecked_quandle(table))
+    return AffineQuandle(group, f, Quandle(table))
 
 
 def image_of_one_minus_f(group: AbelianGroup, f: GroupAutomorphism) -> tuple[int, ...]:

@@ -18,11 +18,6 @@ from .errors import (
     RowNotBijective,
 )
 
-# The self-distributivity check (d*n^2 products for d distinct rows) is
-# skipped above this size for tables that are correct by construction
-# (affine tables); validate_quandle itself always runs it.
-FULL_VALIDATE_LIMIT = 512
-
 # Largest temporary, in entries, that a table or mesh check builds at once.
 CHUNK_ENTRIES = 1 << 20
 
@@ -46,7 +41,7 @@ def _as_int32(values) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Quandle:
-    """A validated finite quandle.  Construct via :func:`validate_quandle`.
+    """A finite quandle; a table from outside comes in via validate_quandle.
 
     The only stored field is ``array``, the table as a read-only
     C-contiguous int32 array, a*b at ``array[a, b]``; such an array is
@@ -182,8 +177,9 @@ def validate_quandle(table) -> Quandle:
 
 def _validated(table) -> Quandle:
     """The checks of validate_quandle, returning the Quandle with its rows
-    numbered; a table that a library function has just built is taken
-    over uncopied."""
+    numbered; an int32 table is taken over uncopied.  It checks tables
+    from outside (validate_quandle, iofmt.parse_quandle) only: a table
+    the library builds from checked parts is a quandle by construction."""
     q = Quandle(_check_table(table))
     arr, first, n = q.array, q.rows.first, q.n
     for start, stop in _chunks(0, len(first), n * n):
@@ -206,18 +202,6 @@ def _validated(table) -> Quandle:
     return q
 
 
-def unchecked_quandle(table: np.ndarray) -> Quandle:
-    """Wrap a table that is a quandle by construction, taken over uncopied.
-
-    Shape, range, idempotence and row bijectivity are still checked (they
-    are quadratic); the d*n^2 distributivity check runs only up to
-    FULL_VALIDATE_LIMIT.
-    """
-    if len(table) <= FULL_VALIDATE_LIMIT:
-        return _validated(table)
-    return Quandle(_check_table(table))
-
-
 def _element_set(q: Quandle, subset) -> np.ndarray:
     """Distinct elements of subset, ascending, checked to be in 0..n-1."""
     elems = np.unique(np.array([int(x) for x in subset], dtype=np.int64))
@@ -231,10 +215,12 @@ def quotient(q: Quandle, p: Partition) -> Quandle:
     """Quandle on the blocks of a congruence, labeled by block order.
 
     With rows and columns in block order, block_of[a*b] must equal its
-    block x block rectangle's corner entry; the corners form the quotient.
-    Else the witness is the first in (block I, a, a2 in I, block J, b, b2
-    in J) loop order: I is the block of the first row off its corners,
-    and its corner row a = I[0] already fails against some a2.
+    block x block rectangle's corner entry; the corners form the quotient,
+    unchecked: the block map is a homomorphism onto them, and their rows
+    are onto, so bijective.  Else the witness is the first in (block I,
+    a, a2 in I, block J, b, b2 in J) loop order: I is the block of the
+    first row off its corners, and its corner row a = I[0] already fails
+    against some a2.
     """
     if p.n != q.n:
         raise ValueError(f"partition of {p.n} elements for a quandle of order {q.n}")
@@ -246,7 +232,7 @@ def quotient(q: Quandle, p: Partition) -> Quandle:
     off = b != np.repeat(np.repeat(corner, sizes, axis=0), sizes, axis=1)
     off_rows = np.flatnonzero(off.any(axis=1))
     if not off_rows.size:
-        return _validated(corner)
+        return Quandle(corner)
     i = p.block_of[order[off_rows[0]]]
     rows = slice(starts[i], starts[i] + sizes[i])           # a2 in I
     fails = np.logical_or.reduceat(off[rows] | off[starts[i]], starts, axis=1)
@@ -258,15 +244,19 @@ def quotient(q: Quandle, p: Partition) -> Quandle:
 
 
 def induced_subquandle(q: Quandle, subset) -> Quandle:
-    """Restrict to a subset closed under * (relabeled in ascending order)."""
+    """Restrict to a nonempty subset closed under * (relabeled in
+    ascending order), unchecked: each row maps it into itself
+    injectively, so onto it."""
     elems = _element_set(q, subset)
+    if not elems.size:
+        raise ValueError("empty table")
     sub = q.array[np.ix_(elems, elems)]
-    pos = np.searchsorted(elems, sub).clip(max=max(len(elems) - 1, 0))
+    pos = np.searchsorted(elems, sub).clip(max=len(elems) - 1)
     outside = elems[pos] != sub
     if outside.any():
         i, j = map(int, np.argwhere(outside)[0])
         raise ValueError(f"subset not closed: {elems[i]}*{elems[j]} = {sub[i, j]}")
-    return _validated(pos)
+    return Quandle(pos)
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:

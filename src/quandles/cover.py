@@ -184,20 +184,19 @@ def build_cover(q: Quandle, t: Multitransversal) -> CoverResult:
     (alpha, t) to (L_0 alpha L_x^{-1}, t), where x is the element behind
     t, and psi maps it to alpha(x).  Since L_x = D[b] L_0 for the block b
     of x, L_0 alpha L_x^{-1} = (L_0 alpha L_0^{-1}) D[b]^{-1}: a lookup in
-    D's composition table.  A is kept as its factors and no |A|^2 table
-    is built; verify_cover, called once here, proves every claim from the
-    factor tables, and any failure raises InternalAssertionFailure.  D is
-    read from t, so a transversal of another quandle is refused with
-    OplusUndefined before anything is built.
+    D's composition table.  For alpha = L_y L_0^{-1}, left distributivity
+    gives L_0 L_y L_0^{-1} = L_{0*y}, so L_0 alpha L_0^{-1} is the member
+    of D at the row number of 0*y.  A is kept as its factors and no
+    |A|^2 table is built; verify_cover, called once here, proves every
+    claim from the factor tables and is the certificate of the cover: a
+    failure raises InternalAssertionFailure.  D is read from t, so a
+    transversal of another quandle is refused with OplusUndefined before
+    anything is built.
     """
     tr = _transversal_translations(q, t)
     group_d = dis_as_group(tr)
     a = direct_product(group_d, _oplus(group_d, t), name="Dis(Q) x (T,+)")
-    conj = q.rows.index_of(q.array[0][tr.d])    # L_0 alpha L_0^{-1}, by its row L_0 alpha
-    if conj.min() < 0:
-        raise InternalAssertionFailure(
-            "f image escapes D; displacement group is not tiny"
-        )
+    conj = q.rows.which[q.array[0, q.rows.first]]   # L_0 alpha L_0^{-1} = L_{0*y} L_0^{-1}
     elems = np.asarray(t.elements)
     nt = t.size
     f_d = tr.table[conj][:, tr.inverses[tr.block_of[elems]]]   # (alpha, t)

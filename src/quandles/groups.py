@@ -320,11 +320,14 @@ def validate_automorphism(group: AbelianGroup, images) -> GroupAutomorphism:
 
 
 def multiplication_automorphism(group: AbelianGroup, u: int) -> GroupAutomorphism:
-    """x -> u*x on a single cyclic group Z_m."""
+    """x -> u*x on a single cyclic group Z_m.  It is additive for every u
+    and a bijection iff gcd(u, m) = 1, so only the gcd is checked."""
     if group.moduli is None or len(group.moduli) != 1:
         raise ValueError("multiplication shorthand needs a single cyclic factor")
     m = group.moduli[0]
-    return validate_automorphism(group, [(u * x) % m for x in range(m)])
+    if math.gcd(u, m) != 1:
+        raise NotBijective()
+    return GroupAutomorphism(group, (np.arange(m) * (u % m) % m).astype(np.int32))
 
 
 def identity_automorphism(group: AbelianGroup) -> GroupAutomorphism:

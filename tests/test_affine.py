@@ -81,6 +81,13 @@ def test_closed_subset_gives_subquandle():
     assert validate_quandle(s.array.tolist()).n == s.n
 
 
+@pytest.mark.parametrize("m,u", [(640, 161), (1024, 257)])
+def test_large_affine_table_passes_validation_unchanged(m, u):
+    # make_affine takes its table as a quandle by construction, at any size
+    q = aff(m, u).quandle
+    assert validate_quandle(q.array) == q
+
+
 def test_displacement_of_affine_is_translation_by_image():
     g = make_cyclic_product((12,))
     f = multiplication_automorphism(g, 7)

@@ -12,7 +12,6 @@ from hypothesis.extra.numpy import arrays
 
 from quandles.affine import make_affine
 from quandles.core import (
-    FULL_VALIDATE_LIMIT,
     Partition,
     Quandle,
     RowSet,
@@ -21,7 +20,6 @@ from quandles.core import (
     is_isomorphic,
     quotient,
     singleton_partition,
-    unchecked_quandle,
     validate_quandle,
 )
 from quandles.errors import (
@@ -95,7 +93,7 @@ def _parse_aff_300():
 
 
 def _make_aff_512():
-    g = make_cyclic_product((FULL_VALIDATE_LIMIT,))
+    g = make_cyclic_product((512,))
     f = multiplication_automorphism(g, 5)
     return lambda: make_affine(g, f).quandle
 
@@ -266,32 +264,32 @@ def test_is_isomorphic_size_mismatch():
 
 
 def _affine_513() -> np.ndarray:
-    """Aff(Z_513, 2), one size above the full-validation limit."""
-    m = FULL_VALIDATE_LIMIT + 1
+    """Aff(Z_513, 2), a table over 512 elements."""
+    m = 513
     a = np.arange(m)
     return ((-a[:, None] + 2 * a[None, :]) % m).astype(np.int32)
 
 
-def test_unchecked_quandle_reports_bad_diagonal():
+def test_large_table_reports_bad_diagonal():
     t = _affine_513()
     t[7, 7] = 8
     with pytest.raises(NotIdempotent) as exc:
-        unchecked_quandle(t)
+        validate_quandle(t)
     assert exc.value.a == 7
 
 
-def test_unchecked_quandle_reports_repeated_entry():
+def test_large_table_reports_repeated_entry():
     t = _affine_513()
     t[9, 10] = t[9, 11]
     with pytest.raises(RowNotBijective) as exc:
-        unchecked_quandle(t)
+        validate_quandle(t)
     assert exc.value.a == 9
 
 
 def test_quandle_equality_is_by_table():
     t = _affine_513()
     q1 = validate_quandle(t.tolist())
-    q2 = unchecked_quandle(t)
+    q2 = Quandle(t)
     assert q1 == q2 and hash(q1) == hash(q2)
     assert q2.array.dtype == np.int32 and q2.array.flags.c_contiguous
     assert not q2.array.flags.writeable
@@ -301,7 +299,7 @@ def test_quandle_equality_is_by_table():
     sigma[[1, 2]] = [2, 1]
     relabelled = np.empty_like(t)
     relabelled[np.ix_(sigma, sigma)] = sigma[t]
-    q3 = unchecked_quandle(relabelled)
+    q3 = Quandle(relabelled)
     assert q3 != q1
 
 

@@ -50,6 +50,21 @@ def test_cover_of_every_small_affine_quandle(affine_corpus):
             assert verify_cover(build_cover(q, make(q)), q).ok
 
 
+def test_conjugate_by_row_number_matches_row_lookup(small_corpus):
+    # build_cover reads L_0 alpha L_0^{-1} for alpha = L_y L_0^{-1} as the
+    # row number of 0*y (left distributivity: L_0 L_y L_0^{-1} = L_{0*y});
+    # it must be the number of the row L_0 alpha, looked up in full.  The
+    # identity holds in any quandle, so the negatives are checked too.
+    cases = [q for _, q in small_corpus]
+    cases += [aff(m, u).quandle for m in range(1, 17) for u in range(m)
+              if np.gcd(u, m) == 1]
+    for q in cases:
+        tr = Translations(q)
+        expected = q.rows.index_of(q.array[0][tr.d])
+        assert (expected >= 0).all()
+        assert q.rows.which[q.array[0, q.rows.first]].tolist() == expected.tolist()
+
+
 def test_translation_blocks_identity_first(sum_three_z2):
     tr = Translations(sum_three_z2)
     d, blocks = [tuple(p) for p in tr.d.tolist()], tr.blocks

@@ -240,6 +240,26 @@ def test_multiplication_automorphism_requires_unit():
         multiplication_automorphism(g, 2)
 
 
+def _images_or_refusal(make):
+    try:
+        f = make()
+    except NotBijective:
+        return "NotBijective"
+    assert f.images.dtype == np.int32 and not f.images.flags.writeable
+    return f.images.tolist()
+
+
+def test_multiplication_automorphism_matches_the_validated_image_list():
+    # x -> u*x is additive for every u, so only gcd(u, m) is checked; the
+    # reference validates the whole image list.
+    for m in range(1, 65):
+        g = make_cyclic_product((m,))
+        for u in range(-2 * m, 3 * m):
+            expected = _images_or_refusal(
+                lambda: validate_automorphism(g, [(u * x) % m for x in range(m)]))
+            assert _images_or_refusal(lambda: multiplication_automorphism(g, u)) == expected
+
+
 def test_identity_automorphism():
     g = make_cyclic_product((2, 2))
     f = identity_automorphism(g)

@@ -75,8 +75,11 @@ def test_every_corpus_mesh_agrees(raw_corpus):
 
 @pytest.mark.parametrize("n,k", [(4, 1), (8, 2), (16, 3), (32, 4), (64, 5)])
 def test_worst_case_family_agrees(n, k):
+    # the family is built unvalidated: validate_mesh must accept it, and
+    # it must be indecomposable
     m = generate_max_mesh(n, k)
     assert _agree(m.groups, m.phi, m.c) == "mesh"
+    assert is_indecomposable(m)
     _same_verdicts(m)
 
 

@@ -159,3 +159,38 @@ def test_translations_have_one_base_point():
                     and len(node.args) + len(node.keywords) != 1):
                 found.append(f"{path.name}:{node.lineno}: Translations call")
     assert found == []
+
+
+def _sites(match) -> list[str]:
+    """module.function of every node for which match holds, named by the
+    top-level definition around it (module-level code by its line)."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for top in _tree(path).body:
+            where = f"{path.stem}.{getattr(top, 'name', top.lineno)}"
+            found += [where for node in ast.walk(top) if match(node)]
+    return found
+
+
+def test_only_outside_input_is_checked_and_only_the_cover_certified():
+    # Tables and meshes from outside are checked where they come in; what
+    # the package builds from checked parts (Aff(A, f), mesh sums,
+    # quotients, subquandles, the worst-case meshes) is valid by
+    # construction, and the cover alone is certified, by verify_cover.
+    def call_of(name):
+        return lambda node: isinstance(node, ast.Call) and _name(node.func) == name
+
+    def raise_of(name):
+        return lambda node: (isinstance(node, ast.Raise) and node.exc is not None
+                             and _name(getattr(node.exc, "func", node.exc)) == name)
+
+    assert _sites(call_of("_validated")) == ["core.validate_quandle", "iofmt.parse_quandle"]
+    assert _sites(call_of("validate_mesh")) == ["iofmt.parse_mesh"]
+    assert _sites(raise_of("InternalAssertionFailure")) == ["cover.build_cover"]
+    found = [
+        f"{path.name}: {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name in ("unchecked_quandle", "FULL_VALIDATE_LIMIT")
+        if name in path.read_text()
+    ]
+    assert found == []
