@@ -3,7 +3,6 @@ meshes, and explicit construction of covering affine quandles."""
 
 from .affine import (
     AffineQuandle,
-    image_of_one_minus_f,
     make_affine,
     subquandle_closure,
 )
@@ -28,7 +27,6 @@ from .cover import (
 from .groups import (
     AbelianGroup,
     GroupAutomorphism,
-    identity_automorphism,
     make_cyclic_product,
     multiplication_automorphism,
     validate_automorphism,

@@ -32,11 +32,6 @@ def make_affine(group: AbelianGroup, f: GroupAutomorphism) -> AffineQuandle:
     return AffineQuandle(group, f, Quandle(table))
 
 
-def image_of_one_minus_f(group: AbelianGroup, f: GroupAutomorphism) -> tuple[int, ...]:
-    """The subgroup {a - f(a) : a in A}, as a sorted element tuple."""
-    return tuple(np.unique(one_minus_f_images(group, f)).tolist())
-
-
 def subquandle_closure(q: Quandle, subset) -> tuple[int, ...]:
     """Smallest superset of the subset closed under * and left division;
     each round forms only the products with a factor found in the last."""

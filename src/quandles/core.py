@@ -6,6 +6,7 @@ L_a : b -> a*b is an automorphism.  Everything here is immutable and pure.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -30,10 +31,39 @@ def _chunks(start: int, stop: int, width: int):
         yield lo, min(lo + step, stop)
 
 
+def _hom_failure(r: np.ndarray, src: np.ndarray, dst: np.ndarray) -> tuple[int, int] | None:
+    """The first (b, c) in row-major order with r[src[b, c]] != dst[r[b], r[c]],
+    or None if the map r is a homomorphism from the table src to the table
+    dst.  Rows b are taken in chunks of at most CHUNK_ENTRIES products."""
+    n = len(r)
+    for lo, hi in _chunks(0, n, n):
+        bad = r.take(src[lo:hi]) != dst.take(r[lo:hi], axis=0).take(r, axis=1)
+        if bad.any():
+            b, c = np.argwhere(bad)[0].tolist()
+            return lo + b, c
+    return None
+
+
+def _first_non_integer(arr: np.ndarray) -> tuple[int, ...] | None:
+    """Index of the first entry of arr that is not an integer, or None.  A
+    number is one when it equals its floor; an integer array is not looked
+    at, and one with no floor (strings, None) holds no integers."""
+    if arr.dtype.kind in "iub":
+        return None
+    try:
+        bad = np.floor(arr) != arr
+    except TypeError:
+        bad = np.ones(arr.shape, dtype=bool)
+    return tuple(np.argwhere(bad)[0].tolist()) if bad.any() else None
+
+
 def _as_int32(values) -> np.ndarray:
-    """values as an int32 array; an integer out of int32 range raises
-    OverflowError, from an array as from a Python int, instead of wrapping."""
+    """values as an int32 array.  A value that is not an integer raises
+    TypeError; an integer out of int32 range raises OverflowError, from an
+    array as from a Python int, instead of wrapping."""
     arr = np.asarray(values)
+    if (at := _first_non_integer(arr)) is not None:
+        raise TypeError(f"{arr[at]} is not an integer")
     if arr.size and arr.dtype != np.int32 and (arr.min() < -2**31 or arr.max() >= 2**31):
         raise OverflowError("value out of int32 range")
     return arr.astype(np.int32, copy=False)
@@ -81,9 +111,6 @@ class Quandle:
         inv.setflags(write=False)
         return inv
 
-    def elements(self) -> range:
-        return range(self.n)
-
 
 @dataclass(frozen=True)
 class Partition:
@@ -105,7 +132,7 @@ class Partition:
             raise ValueError("blocks are not disjoint or repeat an element")
         if set(elems) != set(range(len(elems))) or not elems:
             raise ValueError("blocks do not cover 0..n-1")
-        return Partition(canon)
+        return Partition(tuple(tuple(map(int, b)) for b in canon))  # 1.0 passed as 1
 
     @property
     def n(self) -> int:
@@ -123,12 +150,8 @@ class Partition:
         return tuple(len(b) for b in self.blocks)
 
 
-def singleton_partition(n: int) -> Partition:
-    return Partition(tuple((i,) for i in range(n)))
-
-
 def _check_table(table) -> np.ndarray:
-    """Shape, range, idempotence and row bijectivity, first witness each.
+    """Shape, integer entries, range and idempotence, first witness each.
 
     Returns the table as an int32 array.
     """
@@ -139,6 +162,8 @@ def _check_table(table) -> np.ndarray:
     bad = next((a for a, row in enumerate(rows) if len(row) != n), None)
     # an out-of-range entry in a row before the first bad one comes first
     arr = np.asarray(rows[:bad]).reshape(-1, n)
+    if (at := _first_non_integer(arr)) is not None:
+        raise ValueError(f"entry {arr[at]} in row {at[0]} is not an integer")
     if arr.size and (arr.min() < 0 or arr.max() >= n):
         a, b = map(int, np.argwhere((arr < 0) | (arr >= n))[0])
         raise ValueError(f"entry {arr[a, b]} in row {a} out of range 0..{n - 1}")
@@ -148,30 +173,27 @@ def _check_table(table) -> np.ndarray:
     wrong = np.flatnonzero(np.diagonal(arr) != np.arange(n))
     if wrong.size:
         raise NotIdempotent(int(wrong[0]))
-    for start, stop in _chunks(0, n, n):  # rows sorted per chunk
-        block = np.sort(arr[start:stop], axis=1)
-        wrong = np.flatnonzero((block != np.arange(n)).any(axis=1))
-        if wrong.size:
-            raise RowNotBijective(start + int(wrong[0]))
     return arr
 
 
 def validate_quandle(table) -> Quandle:
     """Check idempotence, row bijectivity and left self-distributivity.
 
-    "a*(b*c) = (a*b)*(a*c) for all b, c" says that L_a is an endomorphism,
-    which depends only on the row L_a: equal rows pass or fail together.
-    So each distinct row is checked once, and the cost is d*n^2 for d
-    distinct rows instead of n^3.  The pairs (a, b) are taken with a at
-    the first index of its row, in ascending order, then b ascending, in
-    chunks of at most 2^20 products; so the first failing pair and its
-    first c make the witness the lexicographically first one.
+    Both row checks depend only on the row L_a, so each distinct row is
+    checked once, at the first index of its row, in ascending order: the
+    first failure is at the least failing a.  "a*(b*c) = (a*b)*(a*c) for
+    all b, c" says that L_a is an endomorphism (_hom_failure, n^2 per
+    distinct row), so the witness is the lexicographically first one.
     The Quandle shares no memory with the caller's array, which stays
-    writeable: it is checked through a view and copied after the check.
+    writeable: it is checked through a view and copied after the check,
+    the copy keeping the numbering of its rows made for the check.
     """
     q = _validated(table.view() if isinstance(table, np.ndarray) else table)
     if isinstance(table, np.ndarray) and np.shares_memory(q.array, table):
+        rows = copy.copy(q.rows)
         q = Quandle(q.array.copy())
+        rows._keys = _row_keys(q.array)
+        q.__dict__["rows"] = rows
     return q
 
 
@@ -182,23 +204,16 @@ def _validated(table) -> Quandle:
     the library builds from checked parts is a quandle by construction."""
     q = Quandle(_check_table(table))
     arr, first, n = q.array, q.rows.first, q.n
-    for start, stop in _chunks(0, len(first), n * n):
-        rows = arr[first[start:stop]]
-        k = len(rows)
-        for lo, hi in _chunks(0, n, n * k):   # all b at once unless k = 1
-            # a*(b*c) against (a*b)*(a*c) for a the i-th of the rows and
-            # lo <= b < hi.  One row gathers the rows a*b, then the columns
-            # a*c; several rows gather the columns rows[i] of the table, whose
-            # row x*k + i is row x at those columns.  One expression, so that
-            # only bad outlives it.
-            bad = rows.take(arr[lo:hi], axis=1) != (
-                arr.take(rows[0, lo:hi], axis=0).take(rows[0], axis=1) if k == 1 else
-                arr.take(rows, axis=1).reshape(n * k, n)
-                .take(rows * k + np.arange(k)[:, None], axis=0))
-            if bad.any():
-                i = int(np.flatnonzero(bad.any(axis=(1, 2)))[0])
-                b, c = map(int, np.argwhere(bad[i])[0])
-                raise NotLeftDistributive(int(first[start + i]), lo + b, c)
+    for lo, hi in _chunks(0, len(first), n):   # distinct rows sorted per chunk
+        rows = arr[first[lo:hi]]
+        rows.sort(axis=1)
+        wrong = np.flatnonzero((rows != np.arange(n)).any(axis=1))
+        if wrong.size:
+            raise RowNotBijective(int(first[lo + wrong[0]]))
+    for a in first.tolist():
+        failure = _hom_failure(arr[a], arr, arr)
+        if failure is not None:
+            raise NotLeftDistributive(a, *failure)
     return q
 
 
@@ -361,8 +376,7 @@ def is_isomorphic(q1: Quandle, q2: Quandle) -> tuple[int, ...] | None:
         if pos == n:
             # pairwise pruning does not see products landing on elements
             # mapped later, so confirm the full table once at the leaf
-            sig = np.asarray(sigma)
-            return np.array_equal(sig[q1.array], q2.array[np.ix_(sig, sig)])
+            return _hom_failure(np.asarray(sigma), q1.array, q2.array) is None
         a = order[pos]
         for b in candidates[a]:
             if used[b]:

@@ -77,7 +77,7 @@ class Multitransversal:
 def simple_multitransversal(q: Quandle) -> Multitransversal:
     """All of Q, cycled per block up to the largest block size."""
     tr = _homim_translations(q)
-    return _padded(tr, [[]] * tr.m, max(len(b) for b in tr.blocks))
+    return _padded(tr, [[]] * tr.m, int(np.bincount(tr.block_of).max()))
 
 
 def optimized_multitransversal(q: Quandle) -> Multitransversal:
@@ -107,7 +107,7 @@ def _padded(tr: Translations, chosen: list[list[int]], kappa: int) -> Multitrans
     chosen entries ascending, then its unused elements, then the block
     again in turn from its start."""
     elems: list[int] = []
-    for picks, b in zip(chosen, tr.blocks):
+    for picks, b in zip(chosen, perms.cayley_kernel(tr.q).blocks):
         taken = set(picks)
         entries = sorted(picks) + [x for x in b if x not in taken]
         entries += [b[j % len(b)] for j in range(kappa - len(entries))]

@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import _as_int32, _chunks
+from .core import _as_int32, _hom_failure
 from .errors import EmptyModuli, NotAdditive, NotBijective, TooLarge
 
 
@@ -167,25 +167,6 @@ class AbelianGroup:
         """A generating set, read off the table."""
         return generating_indices(self.add)
 
-    def add_el(self, a: int, b: int) -> int:
-        return int(self.plus(a, b))
-
-    def neg_el(self, a: int) -> int:
-        return int(self.neg[a])
-
-    def sub_el(self, a: int, b: int) -> int:
-        return int(self.plus(a, self.neg[b]))
-
-    def element_tuple(self, i: int) -> tuple[int, ...]:
-        """Mixed-radix coordinates (cyclic products only)."""
-        if self.moduli is None:
-            raise ValueError("group has no modulus coordinates")
-        out = []
-        for m in reversed(self.moduli):
-            out.append(i % m)
-            i //= m
-        return tuple(reversed(out))
-
     def __repr__(self) -> str:
         label = self.name or (
             "Z" + "xZ".join(map(str, self.moduli)) if self.moduli else "group"
@@ -288,34 +269,22 @@ class GroupAutomorphism:
     def __post_init__(self):
         self.images.setflags(write=False)
 
-    def __call__(self, a: int) -> int:
-        return int(self.images[a])
-
-    @cached_property
-    def inverse_images(self) -> np.ndarray:
-        inv = np.empty_like(self.images)
-        inv[self.images] = np.arange(len(self.images), dtype=self.images.dtype)
-        inv.setflags(write=False)
-        return inv
-
 
 def validate_automorphism(group: AbelianGroup, images) -> GroupAutomorphism:
     """Check bijectivity and additivity (first witness each), the latter
-    f(a+b) = f(a)+f(b) in row chunks of a."""
+    f(a+b) = f(a)+f(b) by core._hom_failure on the addition table."""
     try:
         im = _as_int32(images)
-    except OverflowError:  # an image no int32 holds is out of range
+    except (OverflowError, TypeError):  # an image that is no int32 integer is no element
         raise NotBijective() from None
     n = group.order
     if im.shape != (n,):
         raise ValueError(f"map has {im.shape} images, expected {n}")
     if not np.array_equal(np.sort(im), np.arange(n)):
         raise NotBijective()
-    for lo, hi in _chunks(0, n, n):
-        bad = im.take(group.add[lo:hi]) != group.add.take(im[lo:hi], axis=0).take(im, axis=1)
-        if bad.any():
-            a, b = np.argwhere(bad)[0].tolist()
-            raise NotAdditive(lo + a, b)
+    failure = _hom_failure(im, group.add, group.add)
+    if failure is not None:
+        raise NotAdditive(*failure)
     return GroupAutomorphism(group, im)
 
 
@@ -328,7 +297,3 @@ def multiplication_automorphism(group: AbelianGroup, u: int) -> GroupAutomorphis
     if math.gcd(u, m) != 1:
         raise NotBijective()
     return GroupAutomorphism(group, (np.arange(m) * (u % m) % m).astype(np.int32))
-
-
-def identity_automorphism(group: AbelianGroup) -> GroupAutomorphism:
-    return GroupAutomorphism(group, np.arange(group.order, dtype=np.int32))

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Partition, Quandle, RowSet, _as_int32, _chunks
+from .core import Quandle, RowSet, _as_int32, _chunks
 from .errors import (
     InvalidParams,
     M1Violation,
@@ -122,10 +122,6 @@ class AffineMesh:
         out.setflags(write=False)
         return out
 
-    def fiber_partition(self) -> Partition:
-        o = self.offsets.tolist()
-        return Partition.from_blocks(range(o[i], o[i + 1]) for i in range(self.k))
-
 
 def _param_error(groups, phi, c) -> InvalidParams | None:
     """The first bad cell (i, j) in row-major order: its length, then its
@@ -137,7 +133,7 @@ def _param_error(groups, phi, c) -> InvalidParams | None:
                 return InvalidParams(f"phi[{i}][{j}] has the wrong length")
             if phi[i][j].min(initial=0) < 0 or phi[i][j].max(initial=0) >= groups[j].order:
                 return InvalidParams(f"phi[{i}][{j}] maps outside the target group")
-            if not 0 <= c[i][j] < groups[j].order:
+            if c[i][j] not in range(groups[j].order):
                 return InvalidParams(f"c[{i}][{j}] is not an element of the target group")
     return None
 
@@ -232,13 +228,13 @@ def validate_mesh(groups, phi, c) -> AffineMesh:
         raise InvalidParams("mesh needs at least one index")
     try:
         phi = tuple(tuple(_as_int32(phi[i][j]) for j in range(k)) for i in range(k))
-    except OverflowError:  # an image no int32 holds is out of range
+    except (OverflowError, TypeError):  # an image that is no int32 integer is no element
         raise InvalidParams("phi maps outside its target group") from None
-    c = tuple(tuple(int(c[i][j]) for j in range(k)) for i in range(k))
+    c = tuple(tuple(c[i][j] for j in range(k)) for i in range(k))  # a non-integer is in no range
     orders = [g.order for g in groups]
     if not (
         all(p.shape == (orders[i],) for i, row in enumerate(phi) for p in row)
-        and all(0 <= x < orders[j] for row in c for j, x in enumerate(row))
+        and all(x in range(orders[j]) for row in c for j, x in enumerate(row))
     ):
         raise _param_error(groups, phi, c)
     mesh = AffineMesh.from_cells(groups, phi, c)

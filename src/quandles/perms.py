@@ -39,16 +39,6 @@ class PermGroup:
     def order(self) -> int:
         return len(self.array)
 
-    @cached_property
-    def _rows(self) -> RowSet:
-        return RowSet(self.array)
-
-    def __contains__(self, p) -> bool:
-        row = np.asarray(p)
-        if row.shape != (self.degree,) or not np.all((row >= 0) & (row < self.degree)):
-            return False
-        return bool(self._rows.index_of(row) >= 0)
-
 
 def closure(generators, degree: int | None = None) -> PermGroup:
     """BFS multiplication closure from the identity, generators in order.
@@ -58,12 +48,15 @@ def closure(generators, degree: int | None = None) -> PermGroup:
     the first occurrence of each candidate not met before joins the next
     layer.  That is the discovery order of a FIFO queue.  Candidates are
     built in frontier chunks of about CHUNK_ENTRIES images, each numbered
-    after the elements found so far by one core.RowSet.
+    after the elements found so far by one core.RowSet.  A generator that
+    is not a permutation of 0..degree-1 is refused with ValueError.
     """
     try:
         gens = [_as_int32(g) for g in generators]
     except OverflowError:
         raise ValueError("a generator image does not fit int32") from None
+    except TypeError as exc:
+        raise ValueError(f"a generator image {exc}") from None
     if degree is None:
         if not gens:
             raise ValueError("degree required for an empty generator list")
@@ -72,6 +65,9 @@ def closure(generators, degree: int | None = None) -> PermGroup:
         if g.shape != (degree,):
             raise DegreeMismatch(degree, len(g))
     gen_rows = np.array(gens, dtype=np.int32).reshape(len(gens), degree)
+    wrong = np.flatnonzero((np.sort(gen_rows, axis=1) != np.arange(degree)).any(axis=1))
+    if wrong.size:
+        raise ValueError(f"generator {wrong[0]} is not a permutation of 0..{degree - 1}")
     elements = np.arange(degree, dtype=np.int32)[None, :]
     done = 0   # elements[:done] have been multiplied out
     step = max(1, CHUNK_ENTRIES // max(1, len(gens) * degree))
@@ -102,10 +98,11 @@ def orbits(q: Quandle) -> Partition:
 
 
 def cayley_kernel(q: Quandle) -> Partition:
-    """Partition identifying elements with equal left translations."""
-    return Partition.from_blocks(
-        np.flatnonzero(q.rows.which == k).tolist() for k in range(len(q.rows.first))
-    )
+    """Partition identifying elements with equal left translations; block
+    k, of the k-th distinct row, is least at q.rows.first[k]: canonical."""
+    return Partition(tuple(
+        tuple(np.flatnonzero(q.rows.which == k).tolist()) for k in range(len(q.rows.first))
+    ))
 
 
 def _commute(gens: np.ndarray) -> bool:
@@ -181,12 +178,6 @@ class Translations:
         abelian and tiny?  Then, and only then, Q is a homomorphic image
         of an affine quandle."""
         return self.closed and np.array_equal(self.table, self.table.T)
-
-    @property
-    def blocks(self) -> list[list[int]]:
-        """Cayley-kernel blocks aligned with ``d``: block i holds every x
-        with L_x L_0^{-1} = d[i], ascending."""
-        return [np.flatnonzero(self.block_of == i).tolist() for i in range(self.m)]
 
 
 def is_tiny(q: Quandle) -> bool:

@@ -33,7 +33,7 @@ def homs_between(src: tuple[int, ...], dst: tuple[int, ...]) -> tuple:
 
 
 def _one_minus_bijective(g: AbelianGroup, phi_im) -> bool:
-    im = {g.sub_el(a, phi_im[a]) for a in range(g.order)}
+    im = {int(g.add[a, g.neg[phi_im[a]]]) for a in range(g.order)}
     return len(im) == g.order
 
 
@@ -93,7 +93,7 @@ def _meshes_over(tup: tuple[tuple[int, ...], ...]):
     def m4_ok(triple) -> bool:
         i, j, kk = triple
         lhs = phi[(j, kk)][consts[(i, j)]]
-        rhs = phi[(kk, kk)][groups[kk].sub_el(consts[(i, kk)], consts[(j, kk)])]
+        rhs = phi[(kk, kk)][groups[kk].add[consts[(i, kk)], groups[kk].neg[consts[(j, kk)]]]]
         return lhs == rhs
 
     results = []

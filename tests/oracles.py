@@ -17,6 +17,7 @@ from quandles.core import (
     Partition,
     Quandle,
     _check_table,
+    _chunks,
     connectivity_orbits,
     validate_quandle,
 )
@@ -33,6 +34,7 @@ from quandles.errors import (
     NotHomImage,
     NotLeftDistributive,
     ParseError,
+    RowNotBijective,
 )
 from quandles.groups import (
     AbelianGroup,
@@ -43,7 +45,7 @@ from quandles.groups import (
 )
 from quandles.iofmt import _data_lines, _ints
 from quandles.mesh import AffineMesh
-from quandles.perms import Translations
+from quandles.perms import Translations, cayley_kernel
 
 
 def as_tuples(rows) -> tuple[tuple[int, ...], ...]:
@@ -199,9 +201,16 @@ def naive_is_quandle(table) -> bool:
 
 def lexicographic_validate(table) -> Quandle:
     """validate_quandle as it was before distinct rows were checked once:
-    the quadratic table checks, then a scan of every a in order, raising at
-    the lexicographically first (a, b, c) that breaks distributivity."""
+    the quadratic table checks, the bijectivity of every row in order,
+    then a scan of every a in order, raising at the lexicographically
+    first (a, b, c) that breaks distributivity."""
     arr = _check_table(table)
+    n = len(arr)
+    for start, stop in _chunks(0, n, n):  # rows sorted per chunk
+        block = np.sort(arr[start:stop], axis=1)
+        wrong = np.flatnonzero((block != np.arange(n)).any(axis=1))
+        if wrong.size:
+            raise RowNotBijective(start + int(wrong[0]))
     for a in range(len(arr)):
         # a*(b*c) == (a*b)*(a*c), vectorized over (b,c)
         lhs = arr[a][arr]
@@ -392,8 +401,8 @@ def enumerate_homomorphism_images(src: AbelianGroup, dst: AbelianGroup) -> list[
             changed = False
             for a in list(assigned):
                 for b in list(assigned):
-                    s = src.add_el(a, b)
-                    v = dst.add_el(int(im[a]), int(im[b]))
+                    s = int(src.add[a, b])
+                    v = int(dst.add[im[a], im[b]])
                     if im[s] == -1:
                         im[s] = v
                         assigned.add(s)
@@ -451,7 +460,7 @@ def all_affine_tables_upto(max_order: int):
         for images in all_automorphism_images(moduli):
             f = list(images)
             table = [
-                [int(add[g.sub_el(a, f[a]), f[b]]) for b in range(g.order)]
+                [int(add[add[a, g.neg[f[a]]], f[b]]) for b in range(g.order)]
                 for a in range(g.order)
             ]
             yield moduli, images, table
@@ -522,7 +531,7 @@ def loop_optimized_multitransversal(q: Quandle) -> Multitransversal:
     tr = Translations(q)
     if not (tr.closed and np.array_equal(tr.table, tr.table.T)):
         raise NotHomImage()
-    blocks = tr.blocks
+    blocks = [list(b) for b in cayley_kernel(q).blocks]
     m = len(blocks)
     block_of = tr.block_of.tolist()
     orbit_list = [list(b) for b in connectivity_orbits(q).blocks]
@@ -616,7 +625,7 @@ def loop_validate_mesh(groups, phi, c) -> AffineMesh:
                 raise M3Violation(i, 0, j, kk)
     for i, j, kk in itertools.product(range(k), repeat=3):
         lhs = int(phi[j][kk][c[i][j]])
-        rhs = int(phi[kk][kk][groups[kk].sub_el(c[i][kk], c[j][kk])])
+        rhs = int(phi[kk][kk][groups[kk].add[c[i][kk], groups[kk].neg[c[j][kk]]]])
         if lhs != rhs:
             raise M4Violation(i, j, kk)
     return AffineMesh.from_cells(groups, phi, c)
@@ -647,7 +656,7 @@ def _loop_row_tuples(mesh: AffineMesh):
     for i in range(mesh.k):
         for a in range(mesh.groups[i].order):
             rows.append(tuple(
-                mesh.groups[j].add_el(int(mesh.phi[i][j][a]), mesh.c[i][j])
+                int(mesh.groups[j].add[mesh.phi[i][j][a], mesh.c[i][j]])
                 for j in range(mesh.k)
             ))
     return rows
@@ -662,12 +671,12 @@ def loop_coset_criterion(mesh: AffineMesh) -> bool:
     rows = _loop_row_tuples(mesh)
     h = rows[0]
     shifted = {
-        tuple(mesh.groups[j].sub_el(r[j], h[j]) for j in range(mesh.k))
+        tuple(int(mesh.groups[j].add[r[j], mesh.groups[j].neg[h[j]]]) for j in range(mesh.k))
         for r in rows
     }
     for x in shifted:
         for y in shifted:
-            s = tuple(mesh.groups[j].add_el(x[j], y[j]) for j in range(mesh.k))
+            s = tuple(int(mesh.groups[j].add[x[j], y[j]]) for j in range(mesh.k))
             if s not in shifted:
                 return False
     return True
@@ -681,7 +690,7 @@ def loop_is_indecomposable(mesh: AffineMesh) -> bool:
         for i in range(mesh.k):
             reached.update(int(x) for x in mesh.phi[i][j])
         while True:
-            more = reached | {g.add_el(a, b) for a in reached for b in reached}
+            more = reached | {int(g.add[a, b]) for a in reached for b in reached}
             if more == reached:
                 break
             reached = more
@@ -703,7 +712,7 @@ def loop_semiregular_extension_form(mesh: AffineMesh) -> bool:
                 return False
     d = [mesh.c[i][0] for i in range(mesh.k)]
     return all(
-        mesh.c[i][j] == g0.sub_el(d[i], d[j])
+        mesh.c[i][j] == g0.add[d[i], g0.neg[d[j]]]
         for i in range(mesh.k)
         for j in range(mesh.k)
     )

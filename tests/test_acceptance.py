@@ -362,7 +362,7 @@ def test_criterion_10_property_suites(small_corpus):
             inv_alpha = inverse(alpha)
             if any(
                 rows[alpha[x]] != compose(alpha, compose(rows[x], inv_alpha))
-                for x in q.elements()
+                for x in range(q.n)
             ):
                 conj_failures += 1
                 break

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from quandles import core
 from quandles.affine import make_affine
 from quandles.core import (
     Partition,
@@ -19,21 +20,26 @@ from quandles.core import (
     induced_subquandle,
     is_isomorphic,
     quotient,
-    singleton_partition,
     validate_quandle,
 )
 from quandles.errors import (
+    InvalidParams,
     NotACongruence,
+    NotBijective,
     NotIdempotent,
     NotLeftDistributive,
     RowNotBijective,
 )
-from quandles.groups import make_cyclic_product, multiplication_automorphism
+from quandles.groups import (
+    make_cyclic_product,
+    multiplication_automorphism,
+    validate_automorphism,
+)
 from quandles.iofmt import format_quandle, parse_quandle
 from quandles.mesh import coset_criterion, mesh_sum, validate_mesh
 
 from conftest import aff
-from oracles import affine_table_mod, naive_is_quandle
+from oracles import affine_table_mod, lexicographic_validate, naive_is_quandle
 
 PROJECTION_4 = [[b for b in range(4)] for _ in range(4)]
 
@@ -169,8 +175,8 @@ def test_not_distributive_first_witness():
 def test_left_divide_roundtrip():
     q = aff(8, 5).quandle
     t, ldiv = q.array.tolist(), q.ldiv_table.tolist()
-    for a in q.elements():
-        for c in q.elements():
+    for a in range(q.n):
+        for c in range(q.n):
             b = ldiv[a][c]
             assert t[a][b] == c
 
@@ -211,7 +217,8 @@ def test_quotient_rejects_non_congruence():
 
 def test_quotient_by_singletons_is_identity():
     q = aff(5, 2).quandle
-    assert quotient(q, singleton_partition(5)).array.tolist() == q.array.tolist()
+    singletons = Partition.from_blocks([x] for x in range(5))
+    assert quotient(q, singletons).array.tolist() == q.array.tolist()
 
 
 def test_induced_subquandle_relabels_in_order():
@@ -360,3 +367,102 @@ def test_coset_criterion_on_an_all_trivial_mesh():
     zero = np.zeros(1, dtype=np.int32)
     m = validate_mesh([z1] * 3, [[zero] * 3] * 3, [[0] * 3] * 3)
     assert coset_criterion(m)
+
+
+# -- values that are not integers are refused where they come in, not
+#    truncated; floats with integer values are taken
+
+def test_table_with_a_fraction_is_refused():
+    with pytest.raises(ValueError, match="entry 1.7 in row 0 is not an integer"):
+        validate_quandle([[0, 1.7], [0, 1]])
+    assert validate_quandle([[0.0, 1.0], [0, 1]]).array.tolist() == [[0, 1], [0, 1]]
+
+
+@pytest.mark.parametrize("table", [[["0", "1"], ["0", "1"]], [[0, None], [0, 1]]])
+def test_table_of_non_numbers_is_refused_with_value_error(table):
+    with pytest.raises(ValueError, match="is not an integer"):
+        validate_quandle(table)
+
+
+def test_automorphism_with_a_fraction_is_refused():
+    g = make_cyclic_product((4,))
+    with pytest.raises(NotBijective):
+        validate_automorphism(g, [0, 1.5, 2, 3.9])
+    assert validate_automorphism(g, [0.0, 3.0, 2.0, 1.0]).images.tolist() == [0, 3, 2, 1]
+
+
+def test_mesh_constant_with_a_fraction_is_refused():
+    g = make_cyclic_product((2,))
+    phi = [[np.zeros(2, dtype=np.int32)]]
+    with pytest.raises(InvalidParams, match=r"c\[0\]\[0\] is not an element"):
+        validate_mesh([g], phi, [[0.7]])
+    assert validate_mesh([g], phi, [[0.0]]).c == ((0,),)
+
+
+def test_partition_with_a_fraction_is_refused():
+    with pytest.raises(ValueError, match="do not cover"):
+        Partition.from_blocks([[0.5], [1]])
+    p = Partition.from_blocks([[0.0], [1]])
+    assert p.blocks == ((0,), (1,)) and type(p.blocks[0][0]) is int
+
+
+def test_validated_copy_keeps_the_rows_numbered_for_the_check(monkeypatch):
+    # validate_quandle copies a caller's int32 array after the check; the
+    # copy takes over the check's numbering instead of sorting again, and
+    # keeps nothing of the caller's array.
+    inits = []
+    real_init = RowSet.__init__
+
+    def counted_init(self, rows):
+        inits.append(rows.shape)
+        real_init(self, rows)
+
+    monkeypatch.setattr(RowSet, "__init__", counted_init)
+    arr = np.array(affine_table_mod(16, 5), dtype=np.int32)
+    q = validate_quandle(arr)
+    assert len(q.rows.first) == 4 and inits == [(16, 16)]
+    arr[:] = arr[::-1]
+    assert q.rows.index_of(q.array).tolist() == q.rows.which.tolist()
+    assert q.rows.index_of(arr[:1]).tolist() == [q.rows.which[15]]
+
+
+def _non_bijective_mutants(rng):
+    """Mutants of Aff(Z_m, u), m <= 16, with repeated rows: the rows of
+    one class of equal rows get the same repeated entry (so that a broken
+    row repeats), and one row of another class later gets its own."""
+    for m in range(4, 17):
+        for u in range(2, m):
+            if np.gcd(u, m) != 1:
+                continue
+            table = np.array(affine_table_mod(m, u), dtype=np.int32)
+            rows = validate_quandle(table).rows
+            classes = [np.flatnonzero(rows.which == k) for k in range(len(rows.first))]
+            repeated = [c for c in classes if len(c) > 1]
+            if not repeated:
+                continue
+            for _ in range(3):
+                cls = repeated[rng.integers(len(repeated))]
+                free = [x for x in range(m) if x not in cls]
+                c1, c2 = rng.choice(free, size=2, replace=False)
+                bad = table.copy()
+                bad[cls, c1] = bad[cls, c2]
+                later = [a for a in range(cls[0] + 1, m) if rows.which[a] != rows.which[cls[0]]]
+                if later:
+                    a = later[rng.integers(len(later))]
+                    d1, d2 = rng.choice([x for x in range(m) if x != a], size=2, replace=False)
+                    bad[a, d1] = bad[a, d2]
+                yield bad
+
+
+@pytest.mark.parametrize("chunk", [core.CHUNK_ENTRIES, 20])
+def test_row_not_bijective_witness_matches_the_every_row_scan(monkeypatch, chunk):
+    monkeypatch.setattr(core, "CHUNK_ENTRIES", chunk)
+    witnesses = []
+    for bad in _non_bijective_mutants(np.random.default_rng(16)):
+        with pytest.raises(RowNotBijective) as expected:
+            lexicographic_validate(bad)
+        with pytest.raises(RowNotBijective) as got:
+            validate_quandle(bad)
+        assert got.value.a == expected.value.a
+        witnesses.append(got.value.a)
+    assert len(witnesses) > 30 and len(set(witnesses)) > 3

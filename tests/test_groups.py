@@ -14,7 +14,6 @@ from quandles.groups import (
     check_abelian_table,
     direct_product,
     generating_indices,
-    identity_automorphism,
     make_cyclic_product,
     multiplication_automorphism,
     validate_automorphism,
@@ -30,24 +29,24 @@ from oracles import (
 def test_cyclic_group_table():
     g = make_cyclic_product((5,))
     assert g.order == 5
-    assert g.add_el(3, 4) == 2
-    assert g.neg_el(2) == 3
-    assert g.sub_el(1, 3) == 3
+    assert g.add[3, 4] == 2
+    assert g.neg[2] == 3
+    assert g.add[1, g.neg[3]] == 3
 
 
 def test_mixed_radix_product_order_and_tuples():
     g = make_cyclic_product((2, 3))
     assert g.order == 6
     # Index i encodes (i // 3, i % 3).
-    assert g.element_tuple(5) == (1, 2)
+    assert np.unravel_index(5, g.moduli) == (1, 2)
     a, b = 4, 5  # (1,1) + (1,2) = (0,0)
-    assert g.add_el(a, b) == 0
+    assert g.add[a, b] == 0
 
 
 def test_zero_is_element_zero():
     for moduli in [(1,), (4,), (2, 2), (3, 3)]:
         g = make_cyclic_product(moduli)
-        assert all(g.add_el(0, a) == a for a in range(g.order))
+        assert all(g.add[0, a] == a for a in range(g.order))
 
 
 def test_empty_moduli_rejected():
@@ -103,7 +102,7 @@ def test_direct_product_index_layout():
     g = direct_product(g1, g2)
     assert g.order == 6
     # index = a * |G2| + b
-    assert g.add_el(1 * 3 + 2, 1 * 3 + 2) == 0 * 3 + 1
+    assert g.plus(1 * 3 + 2, 1 * 3 + 2) == 0 * 3 + 1
 
 
 def test_direct_product_sums_from_its_factors():
@@ -120,7 +119,7 @@ def test_direct_product_sums_from_its_factors():
 
 def test_oversized_direct_product_table_refused_before_allocating():
     g = direct_product(make_cyclic_product((200,)), make_cyclic_product((100,)))
-    assert g.order == 20000 and g.add_el(1, 100) == 101
+    assert g.order == 20000 and g.plus(1, 100) == 101
     assert _refusal_peak(lambda: g.add) < 1 << 20
 
 
@@ -169,8 +168,8 @@ def test_cyclic_product_builds_in_about_its_table_size():
 def test_validate_automorphism_accepts_and_inverts():
     g = make_cyclic_product((8,))
     f = validate_automorphism(g, [(3 * a) % 8 for a in range(8)])
-    assert f(1) == 3
-    assert f.inverse_images[3] == 1
+    assert f.images[1] == 3
+    assert np.argsort(f.images)[3] == 1
 
 
 def test_validate_automorphism_rejects_non_bijection():
@@ -235,7 +234,7 @@ def test_validate_automorphism_holds_one_chunk_of_temporaries():
 
 def test_multiplication_automorphism_requires_unit():
     g = make_cyclic_product((8,))
-    assert multiplication_automorphism(g, 5)(3) == 7
+    assert multiplication_automorphism(g, 5).images[3] == 7
     with pytest.raises(NotBijective):
         multiplication_automorphism(g, 2)
 
@@ -258,12 +257,6 @@ def test_multiplication_automorphism_matches_the_validated_image_list():
             expected = _images_or_refusal(
                 lambda: validate_automorphism(g, [(u * x) % m for x in range(m)]))
             assert _images_or_refusal(lambda: multiplication_automorphism(g, u)) == expected
-
-
-def test_identity_automorphism():
-    g = make_cyclic_product((2, 2))
-    f = identity_automorphism(g)
-    assert list(f.images) == list(range(4))
 
 
 def test_hom_count_between_cyclic_groups():

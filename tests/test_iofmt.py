@@ -156,13 +156,13 @@ def test_parse_moduli():
 def test_parse_affine_spec_mul():
     g, f = parse_affine_spec("8:mul:5")
     assert g.order == 8
-    assert f(1) == 5
+    assert f.images[1] == 5
 
 
 def test_parse_affine_spec_image_list():
     g, f = parse_affine_spec("2x2:0,2,1,3")
     assert g.order == 4
-    assert f(1) == 2
+    assert f.images[1] == 2
 
 
 @pytest.mark.parametrize(

@@ -119,17 +119,16 @@ def test_group_axioms_checked_only_in_verify_cover():
 
 def test_quandle_rows_numbered_only_by_quandle_rows():
     # Q's left translations have one numbering, the cached Quandle.rows; a
-    # RowSet over an .array elsewhere would sort them again.  (A PermGroup's
-    # array is its element set, which PermGroup._rows numbers.)
+    # RowSet over an .array elsewhere would sort them again.
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = _tree(path)
         allowed = {
             id(node)
             for cls in ast.walk(tree)
-            if isinstance(cls, ast.ClassDef) and cls.name in {"Quandle", "PermGroup"}
+            if isinstance(cls, ast.ClassDef) and cls.name == "Quandle"
             for method in cls.body
-            if getattr(method, "name", None) in {"rows", "_rows"}
+            if getattr(method, "name", None) == "rows"
             for node in ast.walk(method)
         }
         found += [
@@ -193,4 +192,34 @@ def test_only_outside_input_is_checked_and_only_the_cover_certified():
         for name in ("unchecked_quandle", "FULL_VALIDATE_LIMIT")
         if name in path.read_text()
     ]
+    assert found == []
+
+
+def test_one_homomorphism_check():
+    # core._hom_failure is the one check that a map is a homomorphism
+    # between tables: L_a of Q's table, f of A's addition table, and an
+    # isomorphism candidate.
+    def call_of(node):
+        return isinstance(node, ast.Call) and _name(node.func) == "_hom_failure"
+
+    assert sorted(_sites(call_of)) == [
+        "core._validated", "core.is_isomorphic", "groups.validate_automorphism"]
+
+
+def test_test_only_helpers_stay_deleted():
+    # Names that only tests called; tests read the primitives instead
+    # (g.add[a, b], g.neg[a], f.images, Partition.from_blocks, g.array).
+    gone = {"add_el", "neg_el", "sub_el", "element_tuple", "inverse_images",
+            "singleton_partition", "fiber_partition", "identity_automorphism",
+            "image_of_one_minus_f"}
+    gone_from = {"Quandle": {"elements"}, "PermGroup": {"__contains__", "_rows"},
+                 "Translations": {"blocks"}, "GroupAutomorphism": {"__call__"}}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = _tree(path)
+        found += [f"{path.name}: {name}" for name in _names(tree) if name in gone]
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and cls.name in gone_from:
+                found += [f"{path.name}: {cls.name}.{name}"
+                          for name in _names(cls) if name in gone_from[cls.name]]
     assert found == []

@@ -55,8 +55,9 @@ def test_agree_on_small_corpus(small_corpus):
     rng = random.Random(7)
     kinds = set()
     for mesh, q in small_corpus:
-        partitions = [orbits(q), cayley_kernel(q), mesh.fiber_partition(),
-                      _random_partition(rng, q.n)]
+        o = mesh.offsets.tolist()
+        fibers = Partition.from_blocks(range(o[i], o[i + 1]) for i in range(mesh.k))
+        partitions = [orbits(q), cayley_kernel(q), fibers, _random_partition(rng, q.n)]
         subsets = _random_subsets(rng, q.n, 2)
         subsets += [subquandle_closure(q, s) for s in subsets if s]
         kinds |= _agree(q, partitions, subsets)
