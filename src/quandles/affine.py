@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Quandle, _element_set
+from .core import Quandle, _element_set, _reach
 from .groups import AbelianGroup, GroupAutomorphism
 
 
@@ -33,20 +33,13 @@ def make_affine(group: AbelianGroup, f: GroupAutomorphism) -> AffineQuandle:
 
 
 def subquandle_closure(q: Quandle, subset) -> tuple[int, ...]:
-    """Smallest superset of the subset closed under * and left division;
-    each round forms only the products with a factor found in the last."""
-    frontier = _element_set(q, subset)
-    if not frontier.size:
+    """Smallest superset of the subset closed under * and left division:
+    the orbit of S under <L_s : s in S>.  That orbit is closed, as
+    L_{g(s)} = g L_s g^-1 lies in the group for each g in it, and each
+    L_s has finite order, so L_s^-1 is a power of L_s."""
+    elems = _element_set(q, subset)
+    if not elems.size:
         raise ValueError("subset must be nonempty")
     inside = np.zeros(q.n, dtype=bool)
-    inside[frontier] = True
-    while frontier.size:
-        members = np.flatnonzero(inside)
-        found = np.concatenate([
-            table[np.ix_(rows, cols)].ravel()
-            for table in (q.array, q.ldiv_table)
-            for rows, cols in ((frontier, members), (members, frontier))
-        ])
-        frontier = np.unique(found[~inside[found]])
-        inside[frontier] = True
+    _reach(q.array[elems], inside, elems)
     return tuple(np.flatnonzero(inside).tolist())

@@ -44,6 +44,18 @@ def _hom_failure(r: np.ndarray, src: np.ndarray, dst: np.ndarray) -> tuple[int, 
     return None
 
 
+def _reach(maps: np.ndarray, reached: np.ndarray, frontier) -> None:
+    """Mark in the mask ``reached`` the frontier and everything it leads to
+    under the rows of maps (each a map of 0..n-1): a search that applies
+    the maps to the elements newly marked only."""
+    while frontier.size:
+        fresh = np.zeros(len(reached), dtype=bool)
+        fresh[frontier] = True
+        fresh &= ~reached
+        reached |= fresh
+        frontier = maps[:, np.flatnonzero(fresh)].ravel()
+
+
 def _first_non_integer(arr: np.ndarray) -> tuple[int, ...] | None:
     """Index of the first entry of arr that is not an integer, or None.  A
     number is one when it equals its floor; an integer array is not looked
@@ -103,13 +115,6 @@ class Quandle:
         """The distinct left translations L_a, numbered by first occurrence;
         validation fills it in, and every reader of Q's rows shares it."""
         return RowSet(self.array)
-
-    @cached_property
-    def ldiv_table(self) -> np.ndarray:
-        """ldiv_table[a, c] = the unique b with a*b = c: each row inverted."""
-        inv = np.argsort(self.array, axis=1).astype(np.int32)
-        inv.setflags(write=False)
-        return inv
 
 
 @dataclass(frozen=True)
@@ -218,8 +223,17 @@ def _validated(table) -> Quandle:
 
 
 def _element_set(q: Quandle, subset) -> np.ndarray:
-    """Distinct elements of subset, ascending, checked to be in 0..n-1."""
-    elems = np.unique(np.array([int(x) for x in subset], dtype=np.int64))
+    """Distinct elements of subset, ascending, checked to be integers (a
+    fraction or a string is refused, not truncated or parsed) in 0..n-1."""
+    try:
+        elems = _as_int32(list(subset))
+    except TypeError as exc:
+        raise ValueError(f"subset element {exc}") from None
+    except OverflowError:
+        raise ValueError(f"subset element outside 0..{q.n - 1}") from None
+    if elems.ndim != 1:
+        raise ValueError("subset is not a list of elements")
+    elems = np.unique(elems)
     bad = elems[(elems < 0) | (elems >= q.n)]
     if bad.size:
         raise ValueError(f"element {int(bad[0])} outside 0..{q.n - 1}")
@@ -312,6 +326,16 @@ class RowSet:
         return np.where(self._keys[hit] == keys, self.which[hit], np.int32(-1))
 
 
+def _partition(labels: np.ndarray) -> Partition:
+    """The Partition into the classes of equal label, for labels ordered
+    as their classes' least elements are (then the blocks come out
+    canonical): a stable argsort, split where the label changes."""
+    order = np.argsort(labels, kind="stable")
+    cuts = [0, *(np.flatnonzero(np.diff(labels[order])) + 1).tolist(), len(order)]
+    elems = order.tolist()
+    return Partition(tuple(tuple(elems[lo:hi]) for lo, hi in zip(cuts, cuts[1:])))
+
+
 def connectivity_orbits(q: Quandle) -> Partition:
     """Orbit partition of LMlt(Q), the components of x ~ a*x: each round a
     label drops to the least label of its images and preimages under the
@@ -323,8 +347,7 @@ def connectivity_orbits(q: Quandle) -> Partition:
         new = np.minimum(label, label[rows].min(axis=0))
         new = new[new]
         if np.array_equal(new, label):
-            return Partition.from_blocks(
-                np.flatnonzero(label == x).tolist() for x in np.unique(label))
+            return _partition(label)   # each label is its orbit's least element
         label = new
 
 
@@ -372,38 +395,38 @@ def is_isomorphic(q1: Quandle, q2: Quandle) -> tuple[int, ...] | None:
     sigma = [-1] * n
     used = [False] * n
 
-    def extend(pos: int) -> bool:
-        if pos == n:
-            # pairwise pruning does not see products landing on elements
-            # mapped later, so confirm the full table once at the leaf
-            return _hom_failure(np.asarray(sigma), q1.array, q2.array) is None
-        a = order[pos]
-        for b in candidates[a]:
-            if used[b]:
+    def fits(a: int, b: int) -> bool:
+        """Does a -> b agree with sigma on every product with a mapped c?"""
+        for c in range(n):
+            sc = sigma[c]
+            if sc < 0:
                 continue
-            ok = True
-            for c in range(n):
-                sc = sigma[c]
-                if sc < 0:
-                    continue
-                im = sigma[t1[a][c]]
-                if im >= 0 and im != t2[b][sc]:
-                    ok = False
-                    break
-                im = sigma[t1[c][a]]
-                if im >= 0 and im != t2[sc][b]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            sigma[a] = b
-            used[b] = True
-            if extend(pos + 1):
-                return True
-            sigma[a] = -1
-            used[b] = False
-        return False
+            im = sigma[t1[a][c]]
+            if im >= 0 and im != t2[b][sc]:
+                return False
+            im = sigma[t1[c][a]]
+            if im >= 0 and im != t2[sc][b]:
+                return False
+        return True
 
-    if extend(0):
-        return tuple(sigma)
+    # depth-first, with one iterator over the candidates of order[pos] per
+    # mapped position pos, so that the depth is not bounded by Python's stack
+    stack = [iter(candidates[order[0]])]
+    while stack:
+        a = order[len(stack) - 1]
+        if sigma[a] >= 0:   # back at a: unmap it before its next candidate
+            used[sigma[a]] = False
+            sigma[a] = -1
+        b = next((b for b in stack[-1] if not used[b] and fits(a, b)), None)
+        if b is None:
+            stack.pop()
+            continue
+        sigma[a] = b
+        used[b] = True
+        if len(stack) < n:
+            stack.append(iter(candidates[order[len(stack)]]))
+        # pairwise pruning does not see products landing on elements
+        # mapped later, so confirm the full table once at the leaf
+        elif _hom_failure(np.asarray(sigma), q1.array, q2.array) is None:
+            return tuple(sigma)
     return None

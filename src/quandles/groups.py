@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
-from .core import _as_int32, _hom_failure
+from .core import _as_int32, _hom_failure, _reach
 from .errors import EmptyModuli, NotAdditive, NotBijective, TooLarge
 
 
@@ -60,21 +60,10 @@ def _first_asymmetry(b: np.ndarray, tile: int = 256) -> tuple[int, int] | None:
     return None
 
 
-def _grow(add: np.ndarray, reached: np.ndarray, gens, frontier) -> None:
-    """Mark in ``reached`` every frontier + g1 + ... + gk with gi in gens."""
-    gens = np.asarray(gens, dtype=np.intp)
-    while frontier.size:
-        fresh = np.zeros(len(add), dtype=bool)
-        fresh[frontier] = True
-        fresh &= ~reached
-        reached |= fresh
-        frontier = add[np.ix_(np.flatnonzero(fresh), gens)].ravel()
-
-
 def _close_under(add: np.ndarray, seed) -> np.ndarray:
     """Mask of the subgroup generated by seed (the table must be a group)."""
     reached = np.zeros(len(add), dtype=bool)
-    _grow(add, reached, np.unique(seed), np.zeros(1, dtype=np.intp))
+    _reach(add[:, np.unique(seed)].T, reached, np.zeros(1, dtype=np.intp))
     return reached
 
 
@@ -97,7 +86,7 @@ def generating_indices(add: np.ndarray) -> list[int]:
             continue
         gens.append(x)
         # the old reached set is closed under the old generators
-        _grow(add, reached, gens, add[np.flatnonzero(reached), x])
+        _reach(add[:, gens].T, reached, add[np.flatnonzero(reached), x])
         if reached.all():
             break
     return gens
@@ -177,35 +166,23 @@ class AbelianGroup:
 def make_cyclic_product(moduli) -> AbelianGroup:
     """Z_{m1} x ... x Z_{mr}, elements in mixed-radix order, zero first.
 
-    The int32 table is accumulated one factor at a time, so that building
-    it needs at most one n^2 int32 temporary besides the table.
+    Each Z_m table is an outer sum reduced mod m in place; the product of
+    the factors (ProductGroup.add) writes the finished int32 table at once.
     """
     moduli = tuple(int(m) for m in moduli)
     if not moduli:
         raise EmptyModuli()
     if any(m < 1 for m in moduli):
         raise ValueError("moduli must be positive")
-    n = math.prod(moduli)
-    _check_table_limit(n)
-    return AbelianGroup(*_cyclic_tables(moduli, n), moduli=moduli)
-
-
-def _cyclic_tables(moduli: tuple[int, ...], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Addition table and negation of Z_{m1} x ... x Z_{mr} in int32, one
-    factor at a time; the temporaries are gone when this returns."""
-    index = np.arange(n, dtype=np.int32)
-    add = np.zeros((n, n), dtype=np.int32)
-    neg = np.zeros(n, dtype=np.int32)
-    weight = n
+    _check_table_limit(math.prod(moduli))
+    factors = []
     for m in moduli:
-        weight //= m
-        c = index // weight % m
-        term = np.add.outer(c, c)
-        np.remainder(term, m, out=term)
-        term *= weight
-        add += term
-        neg += (-c) % m * weight
-    return add, neg
+        c = np.arange(m, dtype=np.int32)
+        add = np.add.outer(c, c)
+        np.remainder(add, m, out=add)
+        factors.append(AbelianGroup(add, -c % m))
+    g = reduce(direct_product, factors)
+    return AbelianGroup(g.add, g.neg, moduli=moduli)
 
 
 class ProductGroup(AbelianGroup):

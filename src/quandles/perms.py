@@ -14,10 +14,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Partition, Quandle, RowSet, _as_int32, connectivity_orbits
+from .core import Partition, Quandle, RowSet, _as_int32, _chunks, _partition, connectivity_orbits
 from .errors import DegreeMismatch
 
-# Entries of one chunk of products (closure layers, commutators, D's table).
+# Entries of one chunk of closure's candidates.  The other chunked loops
+# use core._chunks; closure keeps a larger step because each chunk is
+# numbered by a RowSet over every element found so far, re-sorting them
+# (at core's 2^20, S_8's LMlt takes about 20 % longer).
 CHUNK_ENTRIES = 1 << 22
 
 
@@ -100,18 +103,15 @@ def orbits(q: Quandle) -> Partition:
 def cayley_kernel(q: Quandle) -> Partition:
     """Partition identifying elements with equal left translations; block
     k, of the k-th distinct row, is least at q.rows.first[k]: canonical."""
-    return Partition(tuple(
-        tuple(np.flatnonzero(q.rows.which == k).tolist()) for k in range(len(q.rows.first))
-    ))
+    return _partition(q.rows.which)
 
 
 def _commute(gens: np.ndarray) -> bool:
     """Do the permutations ``gens`` commute pairwise?  gens[:, gens][i, j]
-    is g_i o g_j; it is compared with its transpose in row chunks of about
-    CHUNK_ENTRIES."""
-    step = max(1, CHUNK_ENTRIES // max(1, gens.size))
-    for i in range(0, len(gens), step):
-        chunk = gens[i:i + step]
+    is g_i o g_j; it is compared with its transpose in row chunks
+    (core._chunks)."""
+    for lo, hi in _chunks(0, len(gens), gens.size):
+        chunk = gens[lo:hi]
         if not np.array_equal(chunk[:, gens], gens[:, chunk].transpose(1, 0, 2)):
             return False
     return True
@@ -143,7 +143,7 @@ class Translations:
     block of x.  ``table[i, j]`` is the index of d[i] o d[j], looked up as
     the row d[i] o L_x for x the j-th of ``q.rows.first``, ``inverses[i]``
     that of d[i]^{-1}, -1 where the map is not in D; both are built when
-    first read, the table in row chunks of about CHUNK_ENTRIES products.
+    first read, the table in row chunks (core._chunks).
     """
 
     def __init__(self, q: Quandle):
@@ -158,10 +158,9 @@ class Translations:
 
     @cached_property
     def table(self) -> np.ndarray:
-        gens, (m, n) = self.q.array[self.q.rows.first], self.d.shape
-        step = max(1, CHUNK_ENTRIES // (m * n))
-        return np.concatenate([self.q.rows.index_of(self.d[i:i + step][:, gens])
-                               for i in range(0, m, step)])
+        gens = self.q.array[self.q.rows.first]
+        return np.concatenate([self.q.rows.index_of(self.d[lo:hi][:, gens])
+                               for lo, hi in _chunks(0, self.m, self.d.size)])
 
     @cached_property
     def inverses(self) -> np.ndarray:

@@ -54,6 +54,11 @@ def as_tuples(rows) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, np.asarray(rows).tolist()))
 
 
+def left_division(q: Quandle) -> np.ndarray:
+    """ldiv[a, c] = the unique b with a*b = c: each row of the table inverted."""
+    return np.argsort(q.array, axis=1)
+
+
 # -- reference tuple permutations: p[i] is the image of i, maps act on the left
 
 Perm = tuple[int, ...]
@@ -294,7 +299,7 @@ def loop_induced_subquandle(q: Quandle, subset) -> Quandle:
 
 def loop_subquandle_closure(q: Quandle, subset) -> tuple[int, ...]:
     """Smallest superset of the subset closed under * and left division."""
-    table, ldiv = as_tuples(q.array), as_tuples(q.ldiv_table)
+    table, ldiv = as_tuples(q.array), as_tuples(left_division(q))
     elems = set(int(x) for x in subset)
     if not elems:
         raise ValueError("subset must be nonempty")

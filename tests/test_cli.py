@@ -428,6 +428,24 @@ def _fresh_process(*argv, flags=()):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def test_iso_search_deeper_than_the_recursion_limit(tmp_path):
+    # The backtracking keeps its own stack, one level per mapped element, so
+    # the trivial quandle of order 300 needs no Python recursion.
+    n = 300
+    path = tmp_path / "trivial.quandle"
+    row = " ".join(map(str, range(n)))
+    path.write_text(f"{n}\n" + f"{row}\n" * n)
+    script = ("import sys; from quandles.cli import main; "
+              "sys.setrecursionlimit(120); sys.exit(main(sys.argv[1:]))")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "iso", str(path), str(path)],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == f"isomorphic {row}\n"
+
+
 def test_non_distributive_witness_without_asserts(tmp_path):
     # the 4x4 table of test_core.py: idempotent, rows bijective, not left
     # distributive; python -O strips asserts and must not change the error

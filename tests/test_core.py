@@ -39,7 +39,7 @@ from quandles.iofmt import format_quandle, parse_quandle
 from quandles.mesh import coset_criterion, mesh_sum, validate_mesh
 
 from conftest import aff
-from oracles import affine_table_mod, lexicographic_validate, naive_is_quandle
+from oracles import affine_table_mod, left_division, lexicographic_validate, naive_is_quandle
 
 PROJECTION_4 = [[b for b in range(4)] for _ in range(4)]
 
@@ -174,7 +174,7 @@ def test_not_distributive_first_witness():
 
 def test_left_divide_roundtrip():
     q = aff(8, 5).quandle
-    t, ldiv = q.array.tolist(), q.ldiv_table.tolist()
+    t, ldiv = q.array.tolist(), left_division(q).tolist()
     for a in range(q.n):
         for c in range(q.n):
             b = ldiv[a][c]

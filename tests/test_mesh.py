@@ -26,6 +26,7 @@ from quandles.mesh import (
 from quandles.perms import cayley_kernel, displacement_group, is_semiregular, orbits
 
 from conftest import zero_phi_mesh
+from oracles import left_division
 
 
 def test_single_index_mesh_is_affine_table():
@@ -150,7 +151,7 @@ def test_mesh_sum_left_division_closed_form(mesh_three_z2):
     # with zero maps b = c - c[i][j] inside the fiber of c.
     q = mesh_sum(mesh_three_z2)
     m = mesh_three_z2
-    ldiv = q.ldiv_table.tolist()
+    ldiv = left_division(q).tolist()
     for a in range(q.n):
         for target in range(q.n):
             b = ldiv[a][target]

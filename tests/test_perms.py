@@ -4,7 +4,7 @@ predicates, cross-checked against naive set-fixpoint oracles."""
 import numpy as np
 import pytest
 
-from quandles import perms
+from quandles import core, perms
 from quandles.core import validate_quandle
 from quandles.cover import is_homim_of_affine
 from quandles.errors import DegreeMismatch
@@ -262,7 +262,7 @@ def test_closed_non_abelian_translation_set():
 def test_translation_table_chunks_agree(monkeypatch):
     q = transposition_conjugation_quandle()
     whole = Translations(q).table
-    monkeypatch.setattr(perms, "CHUNK_ENTRIES", 1)
+    monkeypatch.setattr(core, "CHUNK_ENTRIES", 1)
     assert np.array_equal(Translations(q).table, whole)
 
 
@@ -272,6 +272,21 @@ def test_dis_and_lmlt_orbits_coincide(small_corpus):
     for q in cases:
         by_dis = naive_orbits(Translations(q).d, q.n)
         assert by_dis == naive_orbits(as_tuples(q.array), q.n) == orbits(q).blocks
+
+
+def _loop_cayley_kernel(q) -> tuple[tuple[int, ...], ...]:
+    """Blocks of equal rows, each gathered by one scan of the table."""
+    rows = as_tuples(q.array)
+    return tuple(
+        tuple(x for x in range(q.n) if rows[x] == rows[a])
+        for a in range(q.n) if rows.index(rows[a]) == a
+    )
+
+
+def test_partitions_match_per_block_oracles(small_corpus):
+    for _, q in small_corpus:
+        assert cayley_kernel(q).blocks == _loop_cayley_kernel(q)
+        assert orbits(q).blocks == naive_orbits(as_tuples(q.array), q.n)
 
 
 def test_closure_matches_fifo_reference(small_corpus):
@@ -301,9 +316,12 @@ def test_closure_and_commutation_chunks_agree(monkeypatch):
     gens = transposition_conjugation_quandle(5).array
     whole = closure(gens).array
     monkeypatch.setattr(perms, "CHUNK_ENTRIES", 1)
+    monkeypatch.setattr(core, "CHUNK_ENTRIES", 1)
     assert np.array_equal(closure(gens).array, whole)
     assert not is_abelian(closure([(1, 0, 2), (1, 2, 0)]))
     assert is_abelian(closure([(1, 2, 3, 0), (2, 3, 0, 1)]))
+    assert not is_medial(transposition_conjugation_quandle())
+    assert is_medial(aff(12, 5).quandle)
 
 
 def test_membership_searches_the_elements():

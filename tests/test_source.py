@@ -212,7 +212,8 @@ def test_test_only_helpers_stay_deleted():
     gone = {"add_el", "neg_el", "sub_el", "element_tuple", "inverse_images",
             "singleton_partition", "fiber_partition", "identity_automorphism",
             "image_of_one_minus_f"}
-    gone_from = {"Quandle": {"elements"}, "PermGroup": {"__contains__", "_rows"},
+    gone_from = {"Quandle": {"elements", "ldiv_table"},
+                 "PermGroup": {"__contains__", "_rows"},
                  "Translations": {"blocks"}, "GroupAutomorphism": {"__call__"}}
     found = []
     for path in sorted(SRC.glob("*.py")):
@@ -222,4 +223,24 @@ def test_test_only_helpers_stay_deleted():
             if isinstance(cls, ast.ClassDef) and cls.name in gone_from:
                 found += [f"{path.name}: {cls.name}.{name}"
                           for name in _names(cls) if name in gone_from[cls.name]]
+    assert found == []
+
+
+def test_each_search_and_builder_exists_once():
+    # core._reach is the one frontier search (subgroup and generating set
+    # of a table, subquandle closure), ProductGroup.add the one product
+    # table builder, and core._partition the one labels-to-Partition step:
+    # Partition.from_blocks checks blocks from outside only.
+    def call_of(name):
+        return lambda node: isinstance(node, ast.Call) and _name(node.func) == name
+
+    assert sorted(_sites(call_of("_reach"))) == [
+        "affine.subquandle_closure", "groups._close_under", "groups.generating_indices"]
+    assert _sites(call_of("from_blocks")) == ["iofmt.parse_partition"]
+    found = [
+        f"{path.name}: {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name in _names(_tree(path))
+        if name in {"_grow", "_cyclic_tables"}
+    ]
     assert found == []

@@ -14,6 +14,7 @@ from quandles.perms import cayley_kernel, orbits
 
 from conftest import aff
 from oracles import loop_induced_subquandle, loop_quotient, loop_subquandle_closure
+from test_perms import transposition_conjugation_quandle
 
 PAIRS = (
     (quotient, loop_quotient),
@@ -93,15 +94,38 @@ def test_quotient_rejects_partition_of_another_size():
             quotient(q, Partition.from_blocks(blocks))
 
 
+# Subsets that name no set of elements, with the refusal's message: out of
+# range, beyond int32, and values that are not integers (a fraction is not
+# truncated, a string not parsed).
+NON_ELEMENTS = (
+    ([0, -4], "outside 0..3"), ([1, 4], "outside 0..3"), ([2**40], "outside 0..3"),
+    ([0.5], "0.5 is not an integer"), ([1, 0.7], "0.7 is not an integer"),
+    (["1"], "1 is not an integer"), ([[0, 1]], "not a list of elements"),
+)
+
+
 def test_induced_subquandle_rejects_non_elements():
     q = aff(4, 3).quandle
-    for subset in ([0, -4], [1, 4]):
-        with pytest.raises(ValueError, match="outside 0..3"):
+    for subset, message in NON_ELEMENTS:
+        with pytest.raises(ValueError, match=message):
             induced_subquandle(q, subset)
+    assert induced_subquandle(q, [1.0]) == induced_subquandle(q, [1])
 
 
 def test_subquandle_closure_rejects_non_elements():
     q = aff(4, 3).quandle
-    for subset in ([-1], [2, 9]):
-        with pytest.raises(ValueError, match="outside 0..3"):
+    for subset, message in NON_ELEMENTS + (([-1], "outside 0..3"), ([2, 9], "outside 0..3")):
+        with pytest.raises(ValueError, match=message):
             subquandle_closure(q, subset)
+    assert subquandle_closure(q, [0, 1.0]) == subquandle_closure(q, [0, 1])
+
+
+def test_closure_matches_the_loop_on_larger_quandles():
+    # The closure is the orbit of S under <L_s : s in S>; the loop closes
+    # under * and left division directly.
+    q = aff(1024, 3).quandle
+    for subset in ([0, 1], [0, 2]):
+        assert subquandle_closure(q, subset) == loop_subquandle_closure(q, subset)
+    s8 = transposition_conjugation_quandle(8)
+    for subset in ([0], [0, 1], [0, 27], [3, 10, 20]):
+        assert subquandle_closure(s8, subset) == loop_subquandle_closure(s8, subset)
