@@ -13,11 +13,11 @@ import functools
 import sys
 from pathlib import Path
 
-from . import affine as affine_mod
 from . import cover as cover_mod
 from . import iofmt, mesh as mesh_mod, perms
 from .core import Quandle, is_isomorphic, quotient
 from .errors import NotHomImage, ParseError, QuandleError
+from .groups import _check_table_limit
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -74,13 +74,13 @@ def _read_quandle(path: str) -> Quandle:
     return iofmt.parse_quandle(_read_text(path))
 
 
-def _write_quandle(q: Quandle, path: str | None) -> None:
-    """Stream the table to the file at path, or to stdout without one."""
+def _write_to(path: str | None, write, *args) -> None:
+    """Stream write(*args, fh) to the file at path, or to stdout without one."""
     if path:
         with Path(path).open("w") as fh:
-            iofmt.write_quandle(q, fh)
+            write(*args, fh)
     else:
-        iofmt.write_quandle(q, sys.stdout)
+        write(*args, sys.stdout)
 
 
 def cmd_analyze(args) -> int:
@@ -91,10 +91,14 @@ def cmd_analyze(args) -> int:
 
 def cmd_cover(args) -> int:
     q = _read_quandle(args.path)
+    d = len(q.rows.first)
+    # |A| = |D| |T| >= |D|^2: refuse an oversized cover before D's table
+    _check_table_limit(d * d, "cover group order of at least", "cover table")
     if args.transversal == "simple":
         t = cover_mod.simple_multitransversal(q)
     else:
         t = cover_mod.optimized_multitransversal(q)
+    _check_table_limit(d * t.size, "cover group order", "cover table")
     result = cover_mod.build_cover(q, t)  # verified inside
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -102,7 +106,7 @@ def cmd_cover(args) -> int:
     table_path = out / f"{stem}.cover.quandle"
     sidecar_path = out / f"{stem}.cover.sidecar"
     with table_path.open("w") as fh:
-        iofmt.write_cover_table(result, fh)
+        iofmt.write_affine(result.group, result.f, fh)
     sidecar_path.write_text(iofmt.format_cover_sidecar(result))
     _emit([
         ("A_order", result.group.order),
@@ -139,7 +143,7 @@ def cmd_mesh(args) -> int:
         ])
     elif args.mesh_cmd == "sum":
         q = mesh_mod.mesh_sum(m)
-        _write_quandle(q, args.out)
+        _write_to(args.out, iofmt.write_quandle, q)
         if args.out:
             _emit([("n", q.n), ("file", args.out)])
     elif args.mesh_cmd == "coset":
@@ -152,7 +156,7 @@ def cmd_mesh(args) -> int:
 def cmd_quotient(args) -> int:
     q = _read_quandle(args.path)
     p = iofmt.parse_partition(_read_text(args.partition), q.n)
-    _write_quandle(quotient(q, p), None)
+    iofmt.write_quandle(quotient(q, p), sys.stdout)
     return EXIT_OK
 
 
@@ -169,10 +173,9 @@ def cmd_iso(args) -> int:
 
 def cmd_affine(args) -> int:
     group, f = iofmt.parse_affine_spec(args.spec)
-    aq = affine_mod.make_affine(group, f)
-    _write_quandle(aq.quandle, args.out)
+    _write_to(args.out, iofmt.write_affine, group, f)
     if args.out:
-        _emit([("n", aq.quandle.n), ("file", args.out)])
+        _emit([("n", group.order), ("file", args.out)])
     return EXIT_OK
 
 

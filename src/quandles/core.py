@@ -185,10 +185,16 @@ def validate_quandle(table) -> Quandle:
     """Check idempotence, row bijectivity and left self-distributivity.
 
     Both row checks depend only on the row L_a, so each distinct row is
-    checked once, at the first index of its row, in ascending order: the
-    first failure is at the least failing a.  "a*(b*c) = (a*b)*(a*c) for
-    all b, c" says that L_a is an endomorphism (_hom_failure, n^2 per
-    distinct row), so the witness is the lexicographically first one.
+    checked at most once, at the first index of its row, in ascending
+    order: the first failure is at the least failing a.  "a*(b*c) =
+    (a*b)*(a*c) for all b, c" says that L_a is an endomorphism, that is
+    L_a L_b = L_{a*b} L_a for every b (Joyce 1982).  Over the d distinct
+    rows this is (i) the row class of a*b depends on the class of b only,
+    and (ii) L_a R = R' L_a for each distinct row R, R' the row of a*b
+    for b behind R: d*n entries a row, d^2*n at most in all.  A row known
+    to be an automorphism needs no check: if L_a and L_b are, so is
+    L_{a*b} = L_a L_b L_a^-1.  The witness of the least failing a is
+    _hom_failure's lexicographically first (b, c).
     The Quandle shares no memory with the caller's array, which stays
     writeable: it is checked through a view and copied after the check,
     the copy keeping the numbering of its rows made for the check.
@@ -202,23 +208,52 @@ def validate_quandle(table) -> Quandle:
     return q
 
 
+def _class_map(arr: np.ndarray, first: np.ndarray, which: np.ndarray,
+               r: np.ndarray) -> np.ndarray | None:
+    """For a bijective row r = L_a of the table arr, whose distinct rows
+    are arr[first] and row numbers which: the map k of row classes, class
+    of b -> class of a*b, if L_a is an endomorphism, else None.  Checks
+    (i) which[a*b] = k[which[b]] for every b, then (ii) r o R_j = R_k[j] o r
+    for each distinct row R_j, in chunks of rows (_chunks)."""
+    k = which[r[first]]
+    if not np.array_equal(which[r], k[which]):
+        return None
+    for lo, hi in _chunks(0, len(first), len(r)):
+        if not np.array_equal(r.take(arr[first[lo:hi]]),
+                              arr[first[k[lo:hi]]].take(r, axis=1)):
+            return None
+    return k
+
+
 def _validated(table) -> Quandle:
     """The checks of validate_quandle, returning the Quandle with its rows
     numbered; an int32 table is taken over uncopied.  It checks tables
     from outside (validate_quandle, iofmt.parse_quandle) only: a table
-    the library builds from checked parts is a quandle by construction."""
+    the library builds from checked parts is a quandle by construction.
+
+    Distributivity runs over the row classes j in ascending order (the
+    order of ``first``).  ``good`` marks the classes whose rows are
+    automorphisms: those checked, and their images under the class maps
+    k of the checked rows (_reach), since a*b has an automorphism row
+    when a and b do.  _hom_failure runs only on the failing row."""
     q = Quandle(_check_table(table))
-    arr, first, n = q.array, q.rows.first, q.n
+    arr, first, which, n = q.array, q.rows.first, q.rows.which, q.n
     for lo, hi in _chunks(0, len(first), n):   # distinct rows sorted per chunk
         rows = arr[first[lo:hi]]
         rows.sort(axis=1)
         wrong = np.flatnonzero((rows != np.arange(n)).any(axis=1))
         if wrong.size:
             raise RowNotBijective(int(first[lo + wrong[0]]))
-    for a in first.tolist():
-        failure = _hom_failure(arr[a], arr, arr)
-        if failure is not None:
-            raise NotLeftDistributive(a, *failure)
+    good = np.zeros(len(first), dtype=bool)
+    maps = []
+    for j, a in enumerate(first.tolist()):
+        if good[j]:
+            continue
+        k = _class_map(arr, first, which, arr[a])
+        if k is None:
+            raise NotLeftDistributive(a, *_hom_failure(arr[a], arr, arr))
+        maps.append(k)
+        _reach(np.array(maps), good, np.append(k[good], j))
     return q
 
 

@@ -165,8 +165,9 @@ class CoverResult:
     def psi_bijective(self) -> bool:
         return len(np.unique(self.psi)) == len(self.psi)
 
-    def pair_of(self, u: int) -> tuple[int, int]:
-        """(index in D, index in T) of the A-element u."""
+    def pair_of(self, u):
+        """(index in D, index in T) of the A-element u, elementwise for an
+        array of elements."""
         return divmod(u, self.transversal.size)
 
 

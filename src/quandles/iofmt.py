@@ -244,12 +244,11 @@ def format_mesh(mesh: AffineMesh) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_cover_table(result, fh) -> None:
-    """Write Aff(A,f) of a cover result to a text file, byte for byte as
-    write_quandle(result.cover.quandle, fh) would, without building the
-    table: row u is w(u) + f(v) over v, with w = (1-f)(u), so there is one
-    distinct row per distinct value of w."""
-    group, f = result.group, result.f
+def write_affine(group: AbelianGroup, f: GroupAutomorphism, fh) -> None:
+    """Write Aff(A,f) to a text file, byte for byte as
+    write_quandle(make_affine(group, f).quandle, fh) would, without building
+    the table: row u is w(u) + f(v) over v, with w = (1-f)(u), so there is
+    one distinct row per distinct value of w."""
     values, which = np.unique(one_minus_f_images(group, f), return_inverse=True)
     rows = (group.plus(x, f.images) for x in values)
     _write_table(fh, group.order, rows, which)
@@ -257,12 +256,12 @@ def write_cover_table(result, fh) -> None:
 
 def format_cover_sidecar(result) -> str:
     """Per A-element: index, (alpha-index, T-index), f image, psi image."""
+    u = np.arange(result.group.order)
+    columns = np.column_stack([u, *result.pair_of(u), result.f.images, result.psi])
     lines = [
         "# columns: element alpha_index t_index f_image psi_image",
         f"# |A|={result.group.order} |T|={result.transversal.size} "
         f"kappa={result.transversal.kappa}",
+        *("%d %d %d %d %d" % tuple(row) for row in columns.tolist()),
     ]
-    for u in range(result.group.order):
-        di, ti = result.pair_of(u)
-        lines.append(f"{u} {di} {ti} {int(result.f.images[u])} {int(result.psi[u])}")
     return "\n".join(lines) + "\n"

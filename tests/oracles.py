@@ -18,6 +18,7 @@ from quandles.core import (
     Quandle,
     _check_table,
     _chunks,
+    _hom_failure,
     connectivity_orbits,
     validate_quandle,
 )
@@ -204,18 +205,23 @@ def naive_is_quandle(table) -> bool:
     )
 
 
-def lexicographic_validate(table) -> Quandle:
-    """validate_quandle as it was before distinct rows were checked once:
-    the quadratic table checks, the bijectivity of every row in order,
-    then a scan of every a in order, raising at the lexicographically
-    first (a, b, c) that breaks distributivity."""
-    arr = _check_table(table)
+def _check_rows_bijective(arr: np.ndarray) -> None:
+    """Raise RowNotBijective at the first row of arr that is not a bijection."""
     n = len(arr)
     for start, stop in _chunks(0, n, n):  # rows sorted per chunk
         block = np.sort(arr[start:stop], axis=1)
         wrong = np.flatnonzero((block != np.arange(n)).any(axis=1))
         if wrong.size:
             raise RowNotBijective(start + int(wrong[0]))
+
+
+def lexicographic_validate(table) -> Quandle:
+    """validate_quandle as it was before distinct rows were checked once:
+    the quadratic table checks, the bijectivity of every row in order,
+    then a scan of every a in order, raising at the lexicographically
+    first (a, b, c) that breaks distributivity."""
+    arr = _check_table(table)
+    _check_rows_bijective(arr)
     for a in range(len(arr)):
         # a*(b*c) == (a*b)*(a*c), vectorized over (b,c)
         lhs = arr[a][arr]
@@ -225,6 +231,20 @@ def lexicographic_validate(table) -> Quandle:
             b, c = map(int, np.argwhere(lhs != rhs)[0])
             raise NotLeftDistributive(a, b, c)
     return Quandle(arr)
+
+
+def distinct_row_validate(table) -> Quandle:
+    """validate_quandle as it was before distributivity ran over row
+    classes: the checks of lexicographic_validate, then _hom_failure (n^2
+    products) on the first row a of each distinct row, ascending, raising
+    at the first failing a with its first (b, c)."""
+    q = Quandle(_check_table(table))
+    _check_rows_bijective(q.array)
+    for a in q.rows.first.tolist():
+        failure = _hom_failure(q.array[a], q.array, q.array)
+        if failure is not None:
+            raise NotLeftDistributive(a, *failure)
+    return q
 
 
 # -- the quandle file parser as it was before distinct lines were converted

@@ -4,6 +4,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -318,7 +319,7 @@ def test_rows_numbered_once_per_command(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(core.RowSet, "__init__", counted_init)
     table = tmp_path / "aff256.quandle"
     code, _, _ = run(capsys, "affine", "256:mul:65", "--out", str(table))
-    assert code == 0 and shapes == [(256, 256)]     # Quandle.rows
+    assert code == 0 and shapes == []               # written from (A, f)
     shapes.clear()
     code, _, _ = run(capsys, "cover", str(table), "--out", str(tmp_path / "o"))
     assert code == 0 and shapes == [(256, 256)]     # Quandle.rows, read by verify_cover too
@@ -416,6 +417,39 @@ def test_oversized_affine_exits_invalid():
     assert proc.returncode == 3
     assert proc.stderr.startswith("error=")
     assert "Traceback" not in proc.stderr
+
+
+def _cap_file_size():
+    limit = 64 << 20
+    resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+
+
+@pytest.mark.parametrize("spec, transversal, order", [
+    ("512:mul:3", "optimized", "of at least 65536"),
+    ("256:mul:3", "simple", "32768"),
+], ids=["D-squared", "D-times-T"])
+def test_oversized_cover_exits_invalid(capsys, tmp_path, spec, transversal, order):
+    # Aff(Z_512, 3) has |D| = 256, so |A| = |D| |T| >= 65,536.  Aff(Z_256, 3)
+    # has |D| = 128, and the simple transversal takes |T| = 256.  Either
+    # cover table is over the limit, so the command is refused before D's
+    # table is built, and writes nothing (the file size cap stops a run
+    # that writes anyway).
+    table = tmp_path / "aff.quandle"
+    code, _, _ = run(capsys, "affine", spec, "--out", str(table))
+    assert code == 0
+    out = tmp_path / "o"
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "quandles.cli", "cover", str(table),
+         "--transversal", transversal, "--out", str(out)],
+        capture_output=True, text=True, timeout=120, preexec_fn=_cap_file_size,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith(f"error=cover group order {order} needs")
+    assert "table limit" in proc.stderr
+    assert not out.exists()
+    assert time.perf_counter() - start < 20
 
 
 def _fresh_process(*argv, flags=()):

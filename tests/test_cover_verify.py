@@ -18,7 +18,7 @@ from quandles.cover import (
 )
 from quandles.errors import TooLarge
 from quandles.groups import GroupAutomorphism
-from quandles.iofmt import format_quandle, write_cover_table
+from quandles.iofmt import format_quandle, write_affine
 from quandles.mesh import generate_max_mesh, mesh_sum
 from quandles.perms import Translations
 
@@ -203,10 +203,14 @@ def test_32_4_cover_table_is_not_copied():
 
 
 def test_written_table_is_the_cover_table(affine_corpus, sum_three_z2):
+    for _, _, aq in affine_corpus:      # the affine command's writer too
+        out = io.StringIO()
+        write_affine(aq.group, aq.f, out)
+        assert out.getvalue() == format_quandle(aq.quandle)
     quandles = [aq.quandle for _, _, aq in affine_corpus[::7]] + [sum_three_z2]
     for q in quandles:
         for make in (simple_multitransversal, optimized_multitransversal):
             r = build_cover(q, make(q))
             out = io.StringIO()
-            write_cover_table(r, out)
+            write_affine(r.group, r.f, out)
             assert out.getvalue() == format_quandle(r.cover.quandle)

@@ -1,5 +1,6 @@
-"""validate_quandle checks each distinct row once; it must agree with the
-per-element scan (tests/oracles.py) in outcome and first witness."""
+"""validate_quandle checks each distinct row at most once, over the row
+classes; it must agree with the per-element scan and with the scan of
+every distinct row (tests/oracles.py) in outcome and first witness."""
 
 import tracemalloc
 
@@ -9,7 +10,7 @@ from quandles import core
 from quandles.core import _row_keys, validate_quandle
 from quandles.errors import NotLeftDistributive, QuandleError
 
-from oracles import affine_table_mod, lexicographic_validate
+from oracles import affine_table_mod, distinct_row_validate, lexicographic_validate
 
 # Idempotent, rows bijective, not left distributive (also in test_core.py).
 BAD_4 = [
@@ -30,6 +31,7 @@ def _outcome(check, table):
 
 def _agree(table):
     expected = _outcome(lexicographic_validate, table)
+    assert _outcome(distinct_row_validate, table) == expected
     assert _outcome(validate_quandle, table) == expected
     return expected
 
@@ -128,6 +130,46 @@ def test_failure_in_a_later_chunk_agrees():
 def test_tiny_table_in_one_chunk_agrees():
     assert _agree(BAD_4)[0] is NotLeftDistributive
     assert _agree([list(range(4))] * 4)[0] == "quandle"
+
+
+def test_small_corpus_and_its_swaps_agree(small_corpus):
+    rng = np.random.default_rng(17)
+    failures = 0
+    for _, q in small_corpus:
+        table = q.array.copy()
+        assert _agree(table) == ("quandle", q.array.tobytes())
+        if q.n > 2:
+            _swap(rng, table, int(rng.integers(q.n)))
+            failures += _agree(table)[0] is NotLeftDistributive
+    assert failures > 1000
+
+
+def test_row_class_failure_agrees():
+    # A swap in row 1 of a quandle of order 4 makes rows 0 and 1 equal.
+    # Row 2 then maps them to 3 and 1, whose rows differ: condition (i)
+    # fails, while L_2 R = R' L_2 holds for both distinct rows R.
+    table = np.array([[0, 1, 3, 2], [0, 1, 3, 2], [3, 1, 2, 0], [2, 1, 0, 3]],
+                     dtype=np.int32)
+    r = table[2]
+    assert not np.array_equal(table[r[0]], table[r[1]])
+    assert all(np.array_equal(r[table[b]], table[r[b]][r]) for b in (0, 2, 3))
+    assert _agree(table) == (NotLeftDistributive, (2, 1, 0))
+
+
+def test_rows_reached_from_checked_rows_are_not_checked(monkeypatch):
+    # Aff(Z_1024, 3) has 512 distinct rows.  Those of 0 and 1 are checked;
+    # every other row is L_x for x a product of 0 and 1, so an automorphism.
+    checked = []
+    real = core._class_map
+
+    def recorded(arr, first, which, r):
+        checked.append(r.tolist())
+        return real(arr, first, which, r)
+
+    monkeypatch.setattr(core, "_class_map", recorded)
+    table = np.asarray(affine_table_mod(1024, 3), dtype=np.int32)
+    assert validate_quandle(table).array.tobytes() == table.tobytes()
+    assert checked == table[:2].tolist()
 
 
 def test_validate_memory_stays_within_one_chunk():

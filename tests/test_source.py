@@ -204,6 +204,32 @@ def test_one_homomorphism_check():
 
     assert sorted(_sites(call_of)) == [
         "core._validated", "core.is_isomorphic", "groups.validate_automorphism"]
+    # _validated decides on the row classes (core._class_map) and calls
+    # _hom_failure only for the witness of a failing row, inside the raise
+    validated = next(top for top in _tree(SRC / "core.py").body
+                     if getattr(top, "name", None) == "_validated")
+    in_raise = {id(node) for top in ast.walk(validated) if isinstance(top, ast.Raise)
+                for node in ast.walk(top)}
+    calls = [node for node in ast.walk(validated) if call_of(node)]
+    assert calls and all(id(node) in in_raise for node in calls)
+
+
+def test_one_writer_of_affine_tables():
+    # Aff(A, f) text is written from (A, f) by iofmt.write_affine, which
+    # builds neither the |A|^2 table nor its row numbering: the affine
+    # command and the cover's table file both use it.
+    def call_of(name):
+        return lambda node: isinstance(node, ast.Call) and _name(node.func) == name
+
+    def read_of(name):
+        return lambda node: _name(node) == name and not isinstance(node, ast.FunctionDef)
+
+    assert sorted(_sites(call_of("_write_table"))) == [
+        "iofmt.write_affine", "iofmt.write_quandle"]
+    assert sorted(_sites(read_of("write_affine"))) == ["cli.cmd_affine", "cli.cmd_cover"]
+    assert _sites(call_of("make_affine")) == ["cover.CoverResult"]   # .cover
+    assert [f"{path.name}: write_cover_table" for path in sorted(SRC.glob("*.py"))
+            if "write_cover_table" in path.read_text()] == []
 
 
 def test_test_only_helpers_stay_deleted():
@@ -228,14 +254,16 @@ def test_test_only_helpers_stay_deleted():
 
 def test_each_search_and_builder_exists_once():
     # core._reach is the one frontier search (subgroup and generating set
-    # of a table, subquandle closure), ProductGroup.add the one product
+    # of a table, subquandle closure, the row classes known to be
+    # automorphisms in validation), ProductGroup.add the one product
     # table builder, and core._partition the one labels-to-Partition step:
     # Partition.from_blocks checks blocks from outside only.
     def call_of(name):
         return lambda node: isinstance(node, ast.Call) and _name(node.func) == name
 
     assert sorted(_sites(call_of("_reach"))) == [
-        "affine.subquandle_closure", "groups._close_under", "groups.generating_indices"]
+        "affine.subquandle_closure", "core._validated", "groups._close_under",
+        "groups.generating_indices"]
     assert _sites(call_of("from_blocks")) == ["iofmt.parse_partition"]
     found = [
         f"{path.name}: {name}"
