@@ -164,7 +164,10 @@ def _check_table(table) -> np.ndarray:
     n = len(rows)
     if n == 0:
         raise ValueError("empty table")
-    bad = next((a for a, row in enumerate(rows) if len(row) != n), None)
+    if isinstance(rows, np.ndarray) and rows.ndim > 1:   # every row has shape[1] entries
+        bad = None if rows.shape[1] == n else 0
+    else:
+        bad = next((a for a, row in enumerate(rows) if len(row) != n), None)
     # an out-of-range entry in a row before the first bad one comes first
     arr = np.asarray(rows[:bad]).reshape(-1, n)
     if (at := _first_non_integer(arr)) is not None:
@@ -225,19 +228,24 @@ def _class_map(arr: np.ndarray, first: np.ndarray, which: np.ndarray,
     return k
 
 
-def _validated(table) -> Quandle:
+def _validated(table, classes=None) -> Quandle:
     """The checks of validate_quandle, returning the Quandle with its rows
     numbered; an int32 table is taken over uncopied.  It checks tables
     from outside (validate_quandle, iofmt.parse_quandle) only: a table
     the library builds from checked parts is a quandle by construction.
+    ``classes`` (first, which) numbers rows known to be equal, such as
+    the rows of one line of a file, so that RowSet sorts one per number.
 
     Distributivity runs over the row classes j in ascending order (the
     order of ``first``).  ``good`` marks the classes whose rows are
     automorphisms: those checked, and their images under the class maps
     k of the checked rows (_reach), since a*b has an automorphism row
     when a and b do.  _hom_failure runs only on the failing row."""
-    q = Quandle(_check_table(table))
-    arr, first, which, n = q.array, q.rows.first, q.rows.which, q.n
+    arr = _check_table(table)
+    q = Quandle(arr)
+    if classes is not None:
+        q.__dict__["rows"] = RowSet(arr, classes)
+    first, which, n = q.rows.first, q.rows.which, q.n
     for lo, hi in _chunks(0, len(first), n):   # distinct rows sorted per chunk
         rows = arr[first[lo:hi]]
         rows.sort(axis=1)
@@ -338,19 +346,35 @@ class RowSet:
     index, ascending, ``which`` the number of every row (both read-only),
     and ``index_of`` numbers rows of any leading shape, -1 for a row not in
     the set.  The rows are argsorted once as byte keys (_row_keys, a view
-    of int32 rows), so beyond them a RowSet keeps O(rows) integers."""
+    of int32 rows), so beyond them a RowSet keeps O(rows) integers.
 
-    def __init__(self, rows: np.ndarray):
+    ``classes``, if given, is a numbering (first, which) of the same form
+    in which equal numbers mean equal rows but equal rows may have
+    different numbers; then only the rows ``first`` are sorted, one key per
+    number, and every row takes its place in the order from its number."""
+
+    def __init__(self, rows: np.ndarray, classes=None):
         self._keys = _row_keys(rows)
-        self._order = np.argsort(self._keys, kind="stable")
-        new = np.ones(len(self._order), dtype=bool)   # starts a run of equal keys
+        if classes is not None and len(classes[0]) == len(self._keys):
+            classes = None   # every row its own number: sort them all
+        keys = self._keys if classes is None else self._keys[classes[0]]
+        order = np.argsort(keys, kind="stable")
+        new = np.ones(len(order), dtype=bool)   # starts a run of equal keys
         for lo, hi in _chunks(1, len(new), rows.shape[-1]):
-            run = self._keys[self._order[lo - 1:hi]]
+            run = keys[order[lo - 1:hi]]
             new[lo:hi] = run[1:] != run[:-1]
-        at = self._order[new]   # the least index of each run, the sort being stable
-        self.first = np.sort(at)
-        self.which = np.empty(len(new), dtype=np.int32)
-        self.which[self._order] = np.searchsorted(self.first, at)[np.cumsum(new) - 1]
+        at = order[new]   # the least index of each run, the sort being stable
+        first = np.sort(at)
+        which = np.empty(len(new), dtype=np.int32)
+        which[order] = np.searchsorted(first, at)[np.cumsum(new) - 1]
+        if classes is None:
+            self._order = order
+        else:   # from the sorted keys to all rows, number by number
+            rank = np.empty(len(order), dtype=np.intp)
+            rank[order] = np.arange(len(order))
+            self._order = np.argsort(rank[classes[1]], kind="stable")
+            first, which = np.asarray(classes[0])[first], which[classes[1]]
+        self.first, self.which = first, which
         self.first.setflags(write=False)
         self.which.setflags(write=False)
 

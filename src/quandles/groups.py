@@ -1,12 +1,12 @@
 """Finite abelian groups with integer-indexed elements.
 
-A group given by its elements (a cyclic product, Dis(Q)) is stored as a
-full int32 addition table; index 0 is always the zero.  A direct product
-is kept as its two factors: element (a, b) is at a*|G2| + b, ``neg`` and
-``plus`` are computed from the factor tables in O(order), and the order^2
-table ``add`` is built only when it is read.  A table whose finished
-int32 form would exceed 1 GiB (order above 16,384) is refused with
-TooLarge before anything is allocated.
+Index 0 is always the zero.  Dis(Q), a group given by its elements, is
+stored as a full int32 addition table.  Z_m is kept as its modulus and a
+direct product as its two factors (element (a, b) at a*|G2| + b):
+``neg``, ``plus`` and ``generators`` are computed in O(order), and the
+order^2 table ``add`` is built only when it is read.
+A table whose finished int32 form would exceed 1 GiB (order above
+16,384) is refused with TooLarge before anything is allocated.
 
 An AbelianGroup is a plain record, like a Quandle: its constructor
 checks nothing.  Every group the package builds is a group by
@@ -163,33 +163,36 @@ class AbelianGroup:
         return f"AbelianGroup({label}, order={self.order})"
 
 
-def make_cyclic_product(moduli) -> AbelianGroup:
-    """Z_{m1} x ... x Z_{mr}, elements in mixed-radix order, zero first.
+class CyclicGroup(AbelianGroup):
+    """Z_m kept as its modulus m: ``neg`` and ``plus``, (x + y) mod m, are
+    computed, and the m^2 table ``add``, an outer sum reduced mod m in
+    place, is built on first read and cached."""
 
-    Each Z_m table is an outer sum reduced mod m in place; the product of
-    the factors (ProductGroup.add) writes the finished int32 table at once.
-    """
-    moduli = tuple(int(m) for m in moduli)
-    if not moduli:
-        raise EmptyModuli()
-    if any(m < 1 for m in moduli):
-        raise ValueError("moduli must be positive")
-    _check_table_limit(math.prod(moduli))
-    factors = []
-    for m in moduli:
-        c = np.arange(m, dtype=np.int32)
+    def __init__(self, m: int):
+        neg = -np.arange(m, dtype=np.int32) % m
+        neg.setflags(write=False)
+        self.__dict__.update(neg=neg, moduli=(m,), name="")
+
+    @cached_property
+    def add(self) -> np.ndarray:
+        c = np.arange(self.order, dtype=np.int32)
         add = np.add.outer(c, c)
-        np.remainder(add, m, out=add)
-        factors.append(AbelianGroup(add, -c % m))
-    g = reduce(direct_product, factors)
-    return AbelianGroup(g.add, g.neg, moduli=moduli)
+        np.remainder(add, self.order, out=add)
+        add.setflags(write=False)
+        return add
+
+    def plus(self, x, y) -> np.ndarray:
+        return np.remainder(np.add(x, y, dtype=np.int32), self.order)
+
+    def generators(self) -> list[int]:
+        return [1] if self.order > 1 else []
 
 
 class ProductGroup(AbelianGroup):
     """G1 x G2 kept as its factors; element (a, b) has index a*|G2| + b.
 
-    ``neg`` and ``plus`` cost O(order), from the factor tables; the
-    order^2 table ``add`` is built on first read and cached, and refused
+    ``neg`` and ``plus`` cost O(order), from the factors; the order^2
+    table ``add`` is built on first read and cached, and refused
     with TooLarge beyond the table limit.  A product of abelian groups is
     one, so nothing is checked.
     """
@@ -230,10 +233,36 @@ class ProductGroup(AbelianGroup):
         return [g * n2 for g in self.g1.generators()] + self.g2.generators()
 
 
+class CyclicProduct(ProductGroup):
+    """The product of r >= 2 cyclic groups, whose generators are its unit
+    coordinates in ascending order, as generating_indices reads them off
+    its table."""
+
+    def generators(self) -> list[int]:
+        return sorted(super().generators())
+
+
 def direct_product(g1: AbelianGroup, g2: AbelianGroup, name: str = "") -> ProductGroup:
     """Direct product; element (a,b) has index a*|G2| + b.  No table is
     built until ``add`` is read."""
     return ProductGroup(g1, g2, name)
+
+
+def make_cyclic_product(moduli) -> AbelianGroup:
+    """Z_{m1} x ... x Z_{mr}, elements in mixed-radix order, zero first:
+    a CyclicGroup, or for r >= 2 the CyclicProduct of the Z_m, with no
+    table built yet.  One whose table would exceed the table limit is
+    refused with TooLarge."""
+    moduli = tuple(int(m) for m in moduli)
+    if not moduli:
+        raise EmptyModuli()
+    if any(m < 1 for m in moduli):
+        raise ValueError("moduli must be positive")
+    _check_table_limit(math.prod(moduli))
+    factors = [CyclicGroup(m) for m in moduli]
+    if len(factors) == 1:
+        return factors[0]
+    return CyclicProduct(reduce(direct_product, factors[:-1]), factors[-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,8 +277,11 @@ class GroupAutomorphism:
 
 
 def validate_automorphism(group: AbelianGroup, images) -> GroupAutomorphism:
-    """Check bijectivity and additivity (first witness each), the latter
-    f(a+b) = f(a)+f(b) by core._hom_failure on the addition table."""
+    """Check bijectivity and additivity (first witness each).  The g with
+    f(a+g) = f(a)+f(g) for every a are closed under +, so f is additive
+    iff each generator is one: |gens| * order sums through ``plus``, no
+    table read.  Only on a failure does core._hom_failure scan the
+    addition table for the first (a, b) with f(a+b) != f(a)+f(b)."""
     try:
         im = _as_int32(images)
     except (OverflowError, TypeError):  # an image that is no int32 integer is no element
@@ -259,9 +291,10 @@ def validate_automorphism(group: AbelianGroup, images) -> GroupAutomorphism:
         raise ValueError(f"map has {im.shape} images, expected {n}")
     if not np.array_equal(np.sort(im), np.arange(n)):
         raise NotBijective()
-    failure = _hom_failure(im, group.add, group.add)
-    if failure is not None:
-        raise NotAdditive(*failure)
+    x = np.arange(n, dtype=np.int32)
+    for g in group.generators():
+        if not np.array_equal(im[group.plus(x, g)], group.plus(im, im[g])):
+            raise NotAdditive(*_hom_failure(im, group.add, group.add))
     return GroupAutomorphism(group, im)
 
 

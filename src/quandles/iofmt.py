@@ -23,12 +23,26 @@ from .groups import (
 from .mesh import AffineMesh, validate_mesh
 
 
-def _data_lines(text: str) -> list[str]:
-    out = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            out.append(line)
+def _data_lines(text: str, plain: set[str] | None = None) -> list[str]:
+    """The lines of text (str.splitlines), stripped, that are neither
+    blank nor '#' comments.  The text is split once on "\n", and each
+    distinct piece is read once: a piece that _PLAIN_ROW matches is one
+    data line (less a closing "\r"), which is added to ``plain`` if
+    given; any other piece is split into lines, stripped and filtered."""
+    out: list[str] = []
+    seen: dict[str, list[str]] = {}   # piece -> its data lines
+    for piece in text.split("\n"):
+        lines = seen.get(piece)
+        if lines is None:
+            if _PLAIN_ROW.fullmatch(piece):
+                lines = [piece.rstrip("\r")]
+                if plain is not None:
+                    plain.add(lines[0])
+            else:
+                lines = [line for raw in piece.splitlines()
+                         if (line := raw.strip()) and not line.startswith("#")]
+            seen[piece] = lines
+        out += lines
     return out
 
 
@@ -40,8 +54,9 @@ def _ints(line: str) -> list[int]:
 
 
 # A table row that one C call converts exactly as _ints would: ASCII
-# decimal tokens of 1 to 9 digits, one space between two of them.
-_PLAIN_ROW = re.compile(r"[0-9]{1,9}(?: [0-9]{1,9})*")
+# decimal tokens of 1 to 9 digits, one space between two of them; as a
+# piece of text, it may end in the "\r" of a "\r\n".
+_PLAIN_ROW = re.compile(r"[0-9]{1,9}(?: [0-9]{1,9})*\r?")
 
 
 def parse_quandle(text: str) -> Quandle:
@@ -49,11 +64,14 @@ def parse_quandle(text: str) -> Quandle:
 
     Rows go into a preallocated int32 table, and each distinct line is
     converted once: a line seen before is copied from the row that first
-    had it.  A plain row of n in-range entries is converted in one numpy
-    call; any other line takes the per-token path, which alone raises the
-    ParseErrors, in file order: a ragged or non-integer row anywhere
-    comes before the first out-of-range entry."""
-    lines = _data_lines(text)
+    had it.  The numbering of the lines goes to the validation, so that
+    numbering the table's rows sorts one row per distinct line.  A plain
+    row of n in-range entries is converted in one numpy call; any other
+    line takes the per-token path, which alone raises the ParseErrors, in
+    file order: a ragged or non-integer row anywhere comes before the
+    first out-of-range entry."""
+    plain: set[str] = set()
+    lines = _data_lines(text, plain)
     if not lines:
         raise ParseError("empty quandle file")
     header = _ints(lines[0])
@@ -63,33 +81,37 @@ def parse_quandle(text: str) -> Quandle:
     if len(lines) != n + 1:
         raise ParseError(f"expected {n} table rows, got {len(lines) - 1}")
     table = np.empty((n, n), dtype=np.int32)
-    first_row: dict[str, int] = {}  # line -> first row that had it
+    number: dict[str, int] = {}   # line -> its number, by first occurrence
+    first: list[int] = []         # the first row of each number
+    which: list[int] = []         # the number of each row
     out_of_range = None
     for a, line in enumerate(lines[1:]):
-        b = first_row.get(line)
-        if b is not None:
-            table[a] = table[b]
+        j = number.get(line)
+        if j is not None:
+            table[a] = table[first[j]]
+            which.append(j)
             continue
-        if _PLAIN_ROW.fullmatch(line):
+        row = None
+        if line in plain or _PLAIN_ROW.fullmatch(line):
             row = np.fromstring(line, dtype=np.int64, sep=" ")
-            if len(row) == n and row.max() < n:
-                table[a] = row
-                first_row[line] = a
+            if len(row) != n or row.max() >= n:
+                row = None
+        if row is None:
+            row = _ints(line)
+            if len(row) != n:
+                raise ParseError(f"row {line!r} has {len(row)} entries, expected {n}")
+            if out_of_range is None and not (0 <= min(row) and max(row) < n):
+                x = next(x for x in row if not 0 <= x < n)
+                out_of_range = f"entry {x} in row {a} out of range 0..{n - 1}"
+            if out_of_range is not None:
                 continue
-        row = _ints(line)
-        if len(row) != n:
-            raise ParseError(f"row {line!r} has {len(row)} entries, expected {n}")
-        if out_of_range is not None:
-            continue
-        if 0 <= min(row) and max(row) < n:
-            table[a] = row
-            first_row[line] = a
-        else:
-            x = next(x for x in row if not 0 <= x < n)
-            out_of_range = f"entry {x} in row {a} out of range 0..{n - 1}"
+        table[a] = row
+        number[line] = len(first)
+        which.append(len(first))
+        first.append(a)
     if out_of_range is not None:
         raise ParseError(out_of_range)
-    return _validated(table)
+    return _validated(table, (np.asarray(first), np.asarray(which)))
 
 
 def _write_table(fh, n: int, rows, which) -> None:

@@ -44,7 +44,7 @@ from quandles.groups import (
     generating_indices,
     make_cyclic_product,
 )
-from quandles.iofmt import _data_lines, _ints
+from quandles.iofmt import _ints
 from quandles.mesh import AffineMesh
 from quandles.perms import Translations, cayley_kernel
 
@@ -249,6 +249,13 @@ def distinct_row_validate(table) -> Quandle:
 
 # -- the quandle file parser as it was before distinct lines were converted
 #    once each: every line through the per-token loop
+
+def _data_lines(text: str) -> list[str]:
+    """The lines of the whole text by one str.splitlines, stripped, less
+    blank lines and '#' comments."""
+    lines = (raw.strip() for raw in text.splitlines())
+    return [line for line in lines if line and not line.startswith("#")]
+
 
 def loop_parse_quandle(text: str) -> Quandle:
     """Line 1: n; then n rows of n entries (row a = a*b for b = 0..n-1).

@@ -5,6 +5,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -312,9 +313,9 @@ def test_rows_numbered_once_per_command(capsys, tmp_path, monkeypatch):
     shapes = []
     real_init = core.RowSet.__init__
 
-    def counted_init(self, rows):
-        shapes.append(rows.shape)
-        real_init(self, rows)
+    def counted_init(self, rows, classes=None):   # the shape of the rows sorted
+        shapes.append(rows.shape if classes is None else (len(classes[0]), rows.shape[1]))
+        real_init(self, rows, classes)
 
     monkeypatch.setattr(core.RowSet, "__init__", counted_init)
     table = tmp_path / "aff256.quandle"
@@ -322,7 +323,22 @@ def test_rows_numbered_once_per_command(capsys, tmp_path, monkeypatch):
     assert code == 0 and shapes == []               # written from (A, f)
     shapes.clear()
     code, _, _ = run(capsys, "cover", str(table), "--out", str(tmp_path / "o"))
-    assert code == 0 and shapes == [(256, 256)]     # Quandle.rows, read by verify_cover too
+    # Quandle.rows, read by verify_cover too, sorts the 4 distinct lines
+    assert code == 0 and shapes == [(4, 256)]
+
+
+def test_affine_command_builds_no_group_table(capsys, tmp_path):
+    # Aff(Z_1024, 257) is written from its 4 distinct rows, summed through
+    # Z_1024's plus: no 1024^2 table of the group or of the quandle
+    table = tmp_path / "aff1024.quandle"
+    tracemalloc.start()
+    try:
+        code, _, _ = run(capsys, "affine", "1024:mul:257", "--out", str(table))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and peak < 4 * 1024 ** 2
+    assert parse_quandle(table.read_text()) == aff(1024, 257).quandle
 
 
 def test_group_axioms_checked_once_per_cover_factor(capsys, tmp_path, q1_file,

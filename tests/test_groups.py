@@ -154,6 +154,37 @@ def test_cyclic_product_is_a_group_for_any_moduli(moduli):
     assert check_abelian_table(g.add, g.neg) is None
 
 
+@pytest.mark.parametrize("moduli", [(4096,), (64, 64)])
+def test_cyclic_product_builds_its_table_only_when_read(moduli):
+    # neg, plus and the generators need no table; add is the int64 formula
+    tracemalloc.start()
+    try:
+        g = make_cyclic_product(moduli)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20 and "add" not in vars(g)
+    add, neg = int64_cyclic_product(moduli)
+    x = np.arange(g.order)
+    rng = np.random.default_rng(20261020)
+    a, b = rng.integers(0, g.order, (2, 1000))
+    assert np.array_equal(g.neg, neg)
+    assert np.array_equal(g.plus(a, b), add[a, b])
+    assert np.array_equal(g.plus(x[:, None], x[:64][None, :]), add[:, :64])
+    assert g.generators() == generating_indices(add)
+    assert "add" not in vars(g)
+    assert g.add.dtype == np.int32 and not g.add.flags.writeable
+    assert np.array_equal(g.add, add)
+
+
+@pytest.mark.parametrize("moduli", LISTED_MODULI)
+def test_cyclic_product_generators_are_read_off_the_table(moduli):
+    # [1] for Z_m, m >= 2, [] for Z_1, the ascending unit coordinates of a
+    # product: what the greedy search gives on the table
+    g = make_cyclic_product(moduli)
+    assert g.generators() == generating_indices(int64_cyclic_product(moduli)[0])
+
+
 def test_cyclic_product_builds_in_about_its_table_size():
     # a 67 MB int32 table each: Z_4096 is reduced mod 4096 in place, and
     # Z_64 x Z_64 is written at once from its 64 x 64 factor tables

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quandles.affine import make_affine
+from quandles.core import RowSet
 from quandles.errors import ParseError, QuandleError
 from quandles.groups import make_cyclic_product, multiplication_automorphism
 from quandles.iofmt import (
@@ -76,19 +77,25 @@ def test_quandle_parse_memory():
     assert q.n == 1024 and peak < 32 << 20
 
 
+def _affine_text(m: int, u: int) -> str:
+    g = make_cyclic_product((m,))
+    return format_quandle(make_affine(g, multiplication_automorphism(g, u)).quandle)
+
+
 def test_numbered_rows_keep_no_second_table():
-    # Aff(Z_1023, 2) has 1,023 distinct rows; numbering them keeps O(n)
-    # integers beside the 4 MB table, not a sorted copy of its rows
-    g = make_cyclic_product((1023,))
-    text = format_quandle(make_affine(g, multiplication_automorphism(g, 2)).quandle)
-    tracemalloc.start()
-    try:
-        q = parse_quandle(text)
-        assert len(q.rows.first) == q.n == 1023
-        kept = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert kept - q.array.nbytes < 1 << 20
+    # Aff(Z_1023, 2) has 1,023 distinct rows and Aff(Z_1024, 3) 512 of
+    # 1,024; numbering them keeps O(n) integers beside the 4 MB table, not
+    # a sorted copy of its rows or of its distinct lines
+    for m, u, distinct in [(1023, 2, 1023), (1024, 3, 512)]:
+        text = _affine_text(m, u)
+        tracemalloc.start()
+        try:
+            q = parse_quandle(text)
+            assert len(q.rows.first) == distinct and q.n == m
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept - q.array.nbytes < 1 << 20, (m, u)
 
 
 def _outcome(parse, text):
@@ -129,6 +136,69 @@ def test_parse_quandle_matches_the_per_token_loop_on_the_corpus(small_corpus):
         expected = q.array.tolist()
         assert _outcome(loop_parse_quandle, text) == expected
         assert _outcome(parse_quandle, text) == expected
+
+
+def _assert_rows_as_sorted_afresh(q):
+    """q.rows, numbered from the lines of a file, equals a RowSet sorted
+    afresh from the table: first, which, and index_of of every row and of
+    rows that are not in the table."""
+    fresh = RowSet(q.array)
+    assert q.rows.first.tolist() == fresh.first.tolist()
+    assert q.rows.which.tolist() == fresh.which.tolist()
+    probe = np.concatenate([q.array, q.array[:, ::-1], q.array[::-1] + 1,
+                            np.full((1, q.n), -1, dtype=np.int32)])
+    assert q.rows.index_of(probe).tolist() == fresh.index_of(probe).tolist()
+
+
+@given(st.one_of(
+    mutated(QUANDLES),
+    raw_bytes(QUANDLES).map(lambda data: data.decode("utf-8", "replace")),
+))
+@settings(max_examples=300, deadline=None)
+def test_rows_numbered_from_lines_match_a_fresh_sort(text):
+    try:
+        q = parse_quandle(text)
+    except QuandleError:
+        return
+    _assert_rows_as_sorted_afresh(q)
+
+
+def _respelled(text: str, spell) -> str:
+    """text with row a (a data line after the header) written as
+    spell(a, tokens)."""
+    head, *rows = text.splitlines()
+    return "\n".join([head] + [spell(a, row.split()) for a, row in enumerate(rows)]) + "\n"
+
+
+# Aff(Z_8, 5): rows 0, 2, 4, 6 are equal, and so are rows 1, 3, 5, 7.
+AFF_8_5 = _affine_text(8, 5)
+LINE_ENDS = ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+             "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("text", [
+    # different lines that give one row
+    _respelled(AFF_8_5, lambda a, t: " ".join(t) if a < 2 else " ".join("00" + x for x in t)),
+    _respelled(AFF_8_5, lambda a, t: " ".join(t) if a % 4 else "  ".join(t)),
+    _respelled(AFF_8_5, lambda a, t: "\t".join(t) if a % 3 else " ".join(t)),
+    _respelled(AFF_8_5, lambda a, t: " ".join(t) + " " * (a % 3)),
+    # every line distinct, and half the lines distinct
+    _affine_text(1023, 2),
+    _affine_text(1024, 3),
+    # a line end other than "\n" between rows, and inside a row
+    *(AFF_8_5.replace("\n", end) for end in LINE_ENDS),
+    *(AFF_8_5.replace("\n", end + "\n") for end in LINE_ENDS),
+    *(AFF_8_5.replace(" 6 ", end, 1) for end in LINE_ENDS),
+    *(AFF_8_5.replace(" 6 ", " 6" + end + " ", 1) for end in LINE_ENDS),
+    "# comment\r\n2\r\n0 1\r\n\r\n0 1\r\n",
+])
+def test_rows_numbered_from_respelled_lines(text):
+    assert _outcome(parse_quandle, text) == _outcome(loop_parse_quandle, text)
+    try:
+        q = parse_quandle(text)
+    except QuandleError:
+        return
+    _assert_rows_as_sorted_afresh(q)
 
 
 def test_partition_round_trip():

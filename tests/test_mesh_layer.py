@@ -265,6 +265,7 @@ def _peak(fn):
 
 def _one_index_2048():
     g = make_cyclic_product((2048,))
+    g.add   # built on first read: here, before validate_mesh reads it in place
     return [g], [[(1024 * np.arange(2048, dtype=np.int32)) % 2048]], [[0]]
 
 
