@@ -74,7 +74,7 @@ def _read_quandle(path: str) -> Quandle:
     return iofmt.parse_quandle(_read_text(path))
 
 
-def _write_to(path: str | None, write, *args) -> None:
+def _write_to(path: str | Path | None, write, *args) -> None:
     """Stream write(*args, fh) to the file at path, or to stdout without one."""
     if path:
         with Path(path).open("w") as fh:
@@ -105,9 +105,8 @@ def cmd_cover(args) -> int:
     stem = Path(args.path).stem
     table_path = out / f"{stem}.cover.quandle"
     sidecar_path = out / f"{stem}.cover.sidecar"
-    with table_path.open("w") as fh:
-        iofmt.write_affine(result.group, result.f, fh)
-    sidecar_path.write_text(iofmt.format_cover_sidecar(result))
+    _write_to(table_path, iofmt.write_affine, result.group, result.f)
+    _write_to(sidecar_path, iofmt.write_cover_sidecar, result)
     _emit([
         ("A_order", result.group.order),
         ("T_size", result.transversal.size),

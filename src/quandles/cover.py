@@ -271,11 +271,14 @@ def verify_cover(result: CoverResult, q: Quandle) -> VerifyReport:
     f_in_range = im.shape == (n,) and im.min() >= 0 and im.max() < n
     if not (f_in_range and np.array_equal(np.sort(im), rng)):
         failures.append("f is not bijective")
-    else:
-        for g in a.generators():
-            bad = np.flatnonzero(im[a.plus(rng, g)] != a.plus(im, im[g]))
-            if bad.size:
-                failures.append(f"f is not additive at ({int(bad[0])},{g})")
+    else:   # generators in chunks, all at once in one: row i is gens[lo + i]
+        gens = np.array(a.generators(), dtype=np.int32)
+        for lo, hi in _chunks(0, len(gens), n):
+            g = gens[lo:hi, None]
+            bad = im[a.plus(rng[None, :], g)] != a.plus(im[None, :], im[g])
+            if bad.any():
+                i, u = np.argwhere(bad)[0].tolist()
+                failures.append(f"f is not additive at ({u},{int(gens[lo + i])})")
                 break
     if psi.shape != (n,) or psi.min() < 0 or psi.max() >= q.n:
         failures.append("psi is not a map into Q")

@@ -7,11 +7,12 @@ from __future__ import annotations
 
 import io
 import re
+from itertools import chain
 
 import numpy as np
 
 from .affine import one_minus_f_images
-from .core import Partition, Quandle, _validated
+from .core import LINE_CACHE_BYTES, WRITE_BLOCK_BYTES, Partition, Quandle, _validated
 from .errors import ParseError
 from .groups import (
     AbelianGroup,
@@ -23,27 +24,69 @@ from .groups import (
 from .mesh import AffineMesh, validate_mesh
 
 
-def _data_lines(text: str, plain: set[str] | None = None) -> list[str]:
-    """The lines of text (str.splitlines), stripped, that are neither
-    blank nor '#' comments.  The text is split once on "\n", and each
-    distinct piece is read once: a piece that _PLAIN_ROW matches is one
-    data line (less a closing "\r"), which is added to ``plain`` if
-    given; any other piece is split into lines, stripped and filtered."""
-    out: list[str] = []
-    seen: dict[str, list[str]] = {}   # piece -> its data lines
-    for piece in text.split("\n"):
-        lines = seen.get(piece)
-        if lines is None:
-            if _PLAIN_ROW.fullmatch(piece):
-                lines = [piece.rstrip("\r")]
-                if plain is not None:
-                    plain.add(lines[0])
-            else:
-                lines = [line for raw in piece.splitlines()
-                         if (line := raw.strip()) and not line.startswith("#")]
-            seen[piece] = lines
-        out += lines
-    return out
+# A piece of text is looked up by its length and its first FINGERPRINT
+# characters before it is compared in full.
+FINGERPRINT = 48
+
+
+def _numbered_pieces(text: str) -> tuple[list[str], list[int]]:
+    """The distinct pieces of text.split("\n"), by first occurrence, and
+    the number of every piece in order.  The pieces are numbered in place:
+    a piece is looked up by its length and first FINGERPRINT characters,
+    and the match, the last piece seen with them, is confirmed with
+    startswith; only a piece not confirmed is sliced and hashed."""
+    pieces: list[str] = []
+    which: list[int] = []
+    by_print: dict[tuple[int, str], int] = {}   # (length, start) -> number
+    by_piece: dict[str, int] = {}
+    pos, stop = 0, len(text)
+    while True:
+        end = text.find("\n", pos)
+        if end < 0:
+            end = stop
+        key = (end - pos, text[pos:min(end, pos + FINGERPRINT)])
+        j = by_print.get(key)
+        if j is None or not text.startswith(pieces[j], pos):
+            piece = text[pos:end]
+            j = by_piece.setdefault(piece, len(pieces))
+            if j == len(pieces):
+                pieces.append(piece)
+            by_print[key] = j
+        which.append(j)
+        if end == stop:
+            return pieces, which
+        pos = end + 1
+
+
+def _numbered_lines(text: str) -> tuple[list[str], set[int], list[int]]:
+    """The distinct data lines of text, by first occurrence, the numbers of
+    those that _PLAIN_ROW matched as a whole piece, and the number of every
+    data line in order.  The data lines are those of str.splitlines,
+    stripped, that are neither blank nor '#' comments, and each distinct
+    piece of _numbered_pieces is read once: a piece that _PLAIN_ROW matches
+    is one data line (less a closing "\r"); any other piece is split into
+    lines, stripped and filtered."""
+    pieces, which = _numbered_pieces(text)
+    number: dict[str, int] = {}
+    plain: set[int] = set()
+    ids_of: list[list[int]] = []   # the line numbers of each piece
+    for piece in pieces:
+        if _PLAIN_ROW.fullmatch(piece):
+            j = number.setdefault(piece.rstrip("\r"), len(number))
+            plain.add(j)
+            ids_of.append([j])
+        else:
+            ids_of.append([number.setdefault(line, len(number))
+                           for raw in piece.splitlines()
+                           if (line := raw.strip()) and not line.startswith("#")])
+    ids = list(chain.from_iterable(map(ids_of.__getitem__, which)))
+    return list(number), plain, ids
+
+
+def _data_lines(text: str) -> list[str]:
+    """The data lines of text, in order (see _numbered_lines)."""
+    lines, _, ids = _numbered_lines(text)
+    return [lines[j] for j in ids]
 
 
 def _ints(line: str) -> list[int]:
@@ -62,37 +105,34 @@ _PLAIN_ROW = re.compile(r"[0-9]{1,9}(?: [0-9]{1,9})*\r?")
 def parse_quandle(text: str) -> Quandle:
     """Line 1: n; then n rows of n entries (row a = a*b for b = 0..n-1).
 
-    Rows go into a preallocated int32 table, and each distinct line is
-    converted once: a line seen before is copied from the row that first
-    had it.  The numbering of the lines goes to the validation, so that
-    numbering the table's rows sorts one row per distinct line.  A plain
-    row of n in-range entries is converted in one numpy call; any other
-    line takes the per-token path, which alone raises the ParseErrors, in
-    file order: a ragged or non-integer row anywhere comes before the
-    first out-of-range entry."""
-    plain: set[str] = set()
-    lines = _data_lines(text, plain)
-    if not lines:
+    Each distinct table line is converted once.  When at least half the
+    lines repeat, the distinct rows go into a table of their own, which
+    one gather expands; otherwise each goes to its first row of the table,
+    and one gather copies the repeated rows.  The numbering of the lines
+    goes to the validation, so that numbering the table's rows sorts one
+    row per distinct line.  A plain row of n in-range entries is converted
+    in one numpy call; any other line takes the per-token path, which alone
+    raises the ParseErrors, in file order: a ragged or non-integer row
+    anywhere comes before the first out-of-range entry."""
+    lines, plain, ids = _numbered_lines(text)
+    if not ids:
         raise ParseError("empty quandle file")
-    header = _ints(lines[0])
+    header = _ints(lines[ids[0]])
     if len(header) != 1 or header[0] < 1:
-        raise ParseError(f"bad size line {lines[0]!r}")
+        raise ParseError(f"bad size line {lines[ids[0]]!r}")
     n = header[0]
-    if len(lines) != n + 1:
-        raise ParseError(f"expected {n} table rows, got {len(lines) - 1}")
-    table = np.empty((n, n), dtype=np.int32)
-    number: dict[str, int] = {}   # line -> its number, by first occurrence
-    first: list[int] = []         # the first row of each number
-    which: list[int] = []         # the number of each row
+    if len(ids) != n + 1:
+        raise ParseError(f"expected {n} table rows, got {len(ids) - 1}")
+    number: dict[int, int] = {}   # line -> its number among the rows
+    which = np.array([number.setdefault(j, len(number)) for j in ids[1:]])
+    first = np.unique(which, return_index=True)[1]   # the first row of each number
+    compact = 2 * len(number) <= n   # at least half the lines repeat
+    table = np.empty((len(number) if compact else n, n), dtype=np.int32)
     out_of_range = None
-    for a, line in enumerate(lines[1:]):
-        j = number.get(line)
-        if j is not None:
-            table[a] = table[first[j]]
-            which.append(j)
-            continue
+    for k, (j, a) in enumerate(zip(number, first.tolist())):
+        line = lines[j]
         row = None
-        if line in plain or _PLAIN_ROW.fullmatch(line):
+        if j in plain or _PLAIN_ROW.fullmatch(line):
             row = np.fromstring(line, dtype=np.int64, sep=" ")
             if len(row) != n or row.max() >= n:
                 row = None
@@ -105,29 +145,55 @@ def parse_quandle(text: str) -> Quandle:
                 out_of_range = f"entry {x} in row {a} out of range 0..{n - 1}"
             if out_of_range is not None:
                 continue
-        table[a] = row
-        number[line] = len(first)
-        which.append(len(first))
-        first.append(a)
+        table[k if compact else a] = row
     if out_of_range is not None:
         raise ParseError(out_of_range)
-    return _validated(table, (np.asarray(first), np.asarray(which)))
+    if compact:
+        table = table[which]
+    else:
+        src = first[which]   # the first row with each row's line
+        copy = np.flatnonzero(src != np.arange(n))
+        table[copy] = table[src[copy]]
+    return _validated(table, (first, which))
 
 
-def _write_table(fh, n: int, rows, which) -> None:
-    """Write the size line n, then rows[i] for each i in which: each of the
-    distinct rows (int arrays over 0..n-1) is formatted once, by looking
-    its entries up in a list of the n decimal strings."""
-    tok = [str(i) for i in range(n)]
-    lines = [" ".join(map(tok.__getitem__, row.tolist())) + "\n" for row in rows]
+def _tokens(n: int) -> np.ndarray:
+    """The decimal strings of 0..n-1, as an object array: a gather from it
+    makes no integer objects."""
+    return np.array([str(i) for i in range(n)], dtype=object)
+
+
+def _write_table(fh, n: int, row, which) -> None:
+    """Write the size line n, then row(k), a permutation of 0..n-1, for
+    each k in which.  Every line then has the same length, so the rows go
+    in blocks of one count, at least WRITE_BLOCK_BYTES characters, one
+    write each.  A distinct row is formatted by gathering its entries from
+    the n decimal strings (_tokens), and kept while the kept lines fit
+    LINE_CACHE_BYTES; one past that is formatted once per block that has
+    it."""
+    tok = _tokens(n)
+    size = len(" ".join(tok.tolist())) + 1
+    step, keep = -(-WRITE_BLOCK_BYTES // size), LINE_CACHE_BYTES // size
+    lines: dict[int, str] = {}   # the kept lines, and the block's others
+    kept = 0
     fh.write(f"{n}\n")
-    fh.writelines(lines[i] for i in which.tolist())
+    for lo in range(0, len(which), step):
+        block = which[lo:lo + step].tolist()
+        fresh = [k for k in dict.fromkeys(block) if k not in lines]
+        for k in fresh:
+            lines[k] = " ".join(tok[row(k)].tolist()) + "\n"
+        fh.write("".join(map(lines.__getitem__, block)))
+        stay = min(len(fresh), keep - kept)
+        kept += stay
+        for k in fresh[stay:]:
+            del lines[k]
 
 
 def write_quandle(q: Quandle, fh) -> None:
     """Write a quandle table to a text file: its size, then one line per
     row.  Equal rows share one formatted line."""
-    _write_table(fh, q.n, q.array[q.rows.first], q.rows.which)
+    first = q.rows.first
+    _write_table(fh, q.n, lambda k: q.array[first[k]], q.rows.which)
 
 
 def format_quandle(q: Quandle) -> str:
@@ -272,18 +338,18 @@ def write_affine(group: AbelianGroup, f: GroupAutomorphism, fh) -> None:
     the table: row u is w(u) + f(v) over v, with w = (1-f)(u), so there is
     one distinct row per distinct value of w."""
     values, which = np.unique(one_minus_f_images(group, f), return_inverse=True)
-    rows = (group.plus(x, f.images) for x in values)
-    _write_table(fh, group.order, rows, which)
+    _write_table(fh, group.order, lambda k: group.plus(values[k], f.images), which)
 
 
-def format_cover_sidecar(result) -> str:
-    """Per A-element: index, (alpha-index, T-index), f image, psi image."""
+def write_cover_sidecar(result, fh) -> None:
+    """Per A-element: index, (alpha-index, T-index), f image, psi image,
+    each entry gathered from the decimal strings (_tokens)."""
     u = np.arange(result.group.order)
     columns = np.column_stack([u, *result.pair_of(u), result.f.images, result.psi])
-    lines = [
-        "# columns: element alpha_index t_index f_image psi_image",
+    rows = _tokens(int(columns.max()) + 1)[columns].tolist()
+    fh.write(
+        "# columns: element alpha_index t_index f_image psi_image\n"
         f"# |A|={result.group.order} |T|={result.transversal.size} "
-        f"kappa={result.transversal.kappa}",
-        *("%d %d %d %d %d" % tuple(row) for row in columns.tolist()),
-    ]
-    return "\n".join(lines) + "\n"
+        f"kappa={result.transversal.kappa}\n"
+        + "".join([" ".join(row) + "\n" for row in rows])
+    )

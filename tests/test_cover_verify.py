@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from quandles import cover, groups
+from quandles import core, cover, groups
 from quandles.cover import (
     build_cover,
     is_homim_of_affine,
@@ -114,6 +114,28 @@ def test_f_additive_on_one_generator_only(sum_three_z2):
     images = r.f.images[sigma]
     fast = _both(dataclasses.replace(r, f=GroupAutomorphism(r.group, images)), q)
     assert _name(fast[0]) == "f is not additive"
+
+
+@pytest.mark.parametrize("chunk", [core.CHUNK_ENTRIES, 2 * 576, 1])
+def test_f_additive_witness_names_the_first_failing_generator(chunk, monkeypatch):
+    # f o sigma, where sigma swaps 1 and 2 in the last coordinate (u mod 9)
+    # and in the middle one ((u // 9) mod 8) of A, fails additivity at four
+    # of the seven lifted generators; the report names the first of them
+    # in order, with its first u, as a loop over the generators finds them,
+    # whether the generators are checked all at once, two or one at a time
+    monkeypatch.setattr(core, "CHUNK_ENTRIES", chunk)
+    q = mesh_sum(generate_max_mesh(16, 3))
+    r = build_cover(q, optimized_multitransversal(q))
+    a = r.group
+    assert a.generators() == [72, 144, 216, 9, 18, 27, 1]
+    u = np.arange(a.order)
+    swap = np.array([0, 2, 1, 3, 4, 5, 6, 7, 8])
+    images = r.f.images[u // 72 * 72 + swap[u // 9 % 8] * 9 + swap[u % 9]]
+    loop = [(g, int(bad[0])) for g in a.generators()
+            if (bad := np.flatnonzero(images[a.plus(u, g)] != a.plus(images, images[g]))).size]
+    assert loop == [(9, 27), (18, 27), (27, 9), (1, 1)]
+    fast = _both(dataclasses.replace(r, f=GroupAutomorphism(a, images)), q)
+    assert fast[0] == "f is not additive at (27,9)"
 
 
 def test_psi_values_replaced_within_a_row_class(sum_three_z2, sum_z2_z1):

@@ -1,13 +1,18 @@
 """Text format round trips and parse errors."""
 
+import hashlib
+import io
+import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from quandles import iofmt
 from quandles.affine import make_affine
 from quandles.core import RowSet
 from quandles.errors import ParseError, QuandleError
@@ -20,6 +25,8 @@ from quandles.iofmt import (
     parse_moduli,
     parse_partition,
     parse_quandle,
+    write_affine,
+    write_quandle,
 )
 from quandles.mesh import mesh_sum
 
@@ -201,6 +208,89 @@ def test_rows_numbered_from_respelled_lines(text):
     _assert_rows_as_sorted_afresh(q)
 
 
+def _split_numbering(text: str) -> tuple[list[str], list[int]]:
+    """text.split("\n") numbered by first occurrence, through a dict."""
+    number: dict[str, int] = {}
+    which = [number.setdefault(piece, len(number)) for piece in text.split("\n")]
+    return list(number), which
+
+
+A48, B48 = "7" * 48 + " 1", "7" * 48 + " 2"   # one length, one fingerprint
+
+
+@pytest.mark.parametrize("fingerprint", [1, 3, iofmt.FINGERPRINT])
+@given(st.one_of(
+    mutated(QUANDLES),
+    raw_bytes(QUANDLES).map(lambda data: data.decode("utf-8", "replace")),
+))
+@settings(max_examples=200, deadline=None)
+@example("0 1\n0 1")                      # no trailing "\n"
+@example("2\r\n0 1\r\n0 1\r\n")
+@example("")
+@example("\n")
+@example("a\nb\na\n\nb")                # pieces shorter than the fingerprint
+@example(f"{A48}\n{B48}\n{A48}\n{B48}\n")  # alternating, one fingerprint
+@example("0 1 2\n0 1 2 3\n0 1 2\n0 1 2 3")  # a piece a prefix of another
+@example(f"{A48}\n{A48} 3\n{A48}\n")
+def test_pieces_numbered_in_place_match_split(fingerprint, text):
+    with mock.patch.object(iofmt, "FINGERPRINT", fingerprint):
+        assert iofmt._numbered_pieces(text) == _split_numbering(text)
+
+
+class _CountingFile(io.FileIO):
+    """A raw file that counts its write calls."""
+
+    writes = 0
+
+    def write(self, data):
+        self.writes += 1
+        return super().write(data)
+
+
+def test_table_written_in_blocks(tmp_path):
+    # Aff(Z_1024, 257): about 4 MB of text, in 1 MiB blocks, not in the
+    # 8 KiB pieces of TextIOWrapper's own chunking
+    g = make_cyclic_product((1024,))
+    f = multiplication_automorphism(g, 257)
+    raw = _CountingFile(tmp_path / "aff.quandle", "w")
+    with io.TextIOWrapper(io.BufferedWriter(raw), encoding="utf-8") as fh:
+        write_affine(g, f, fh)
+    data = (tmp_path / "aff.quandle").read_text()
+    assert data == format_quandle(make_affine(g, f).quandle)
+    assert raw.writes <= math.ceil(len(data) / (1 << 20)) + 2
+
+
+class _HashingSink:
+    """A text sink that keeps only a running hash of what it is given."""
+
+    def __init__(self):
+        self.hash = hashlib.sha256()
+
+    def write(self, text):
+        self.hash.update(text.encode())
+
+
+def test_writer_keeps_lines_within_its_budget(monkeypatch):
+    # Aff(Z_4096, 3): 2,048 distinct lines of about 20 KB (40 MB), each
+    # written twice; with the budget lowered to 2 MiB, the lines past it
+    # are formatted again per block, and the bytes are format_quandle's
+    # (write_quandle's at the full budget, here into a hash)
+    g = make_cyclic_product((4096,))
+    f = multiplication_automorphism(g, 3)
+    expected = _HashingSink()
+    write_quandle(make_affine(g, f).quandle, expected)
+    monkeypatch.setattr(iofmt, "LINE_CACHE_BYTES", 2 << 20)
+    bounded = _HashingSink()
+    tracemalloc.start()
+    try:
+        write_affine(g, f, bounded)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+    assert bounded.hash.digest() == expected.hash.digest()
+
+
 def test_partition_round_trip():
     p = parse_partition("0 2\n1 3\n", 4)
     assert p.blocks == ((0, 2), (1, 3))
@@ -294,10 +384,12 @@ def test_mesh_parse_errors(text):
 
 def test_cover_sidecar_lists_every_element(sum_z2_z1):
     from quandles.cover import build_cover, optimized_multitransversal
-    from quandles.iofmt import format_cover_sidecar
+    from quandles.iofmt import write_cover_sidecar
 
     r = build_cover(sum_z2_z1, optimized_multitransversal(sum_z2_z1))
-    text = format_cover_sidecar(r)
+    out = io.StringIO()
+    write_cover_sidecar(r, out)
+    text = out.getvalue()
     rows = [line.split() for line in text.splitlines() if not line.startswith("#")]
     assert len(rows) == r.group.order
     assert [int(row[4]) for row in rows] == [int(v) for v in r.psi]
