@@ -106,7 +106,7 @@ def cmd_cover(args) -> int:
     table_path = out / f"{stem}.cover.quandle"
     sidecar_path = out / f"{stem}.cover.sidecar"
     _write_to(table_path, iofmt.write_affine, result.group, result.f)
-    _write_to(sidecar_path, iofmt.write_cover_sidecar, result)
+    sidecar_path.write_text(iofmt.format_cover_sidecar(result))
     _emit([
         ("A_order", result.group.order),
         ("T_size", result.transversal.size),

@@ -12,7 +12,13 @@ from itertools import chain
 import numpy as np
 
 from .affine import one_minus_f_images
-from .core import LINE_CACHE_BYTES, WRITE_BLOCK_BYTES, Partition, Quandle, _validated
+from .core import (
+    LINE_CACHE_BYTES,
+    WRITE_BLOCK_BYTES,
+    Partition,
+    Quandle,
+    _validated,
+)
 from .errors import ParseError
 from .groups import (
     AbelianGroup,
@@ -105,13 +111,12 @@ _PLAIN_ROW = re.compile(r"[0-9]{1,9}(?: [0-9]{1,9})*\r?")
 def parse_quandle(text: str) -> Quandle:
     """Line 1: n; then n rows of n entries (row a = a*b for b = 0..n-1).
 
-    Each distinct table line is converted once.  When at least half the
-    lines repeat, the distinct rows go into a table of their own, which
-    one gather expands; otherwise each goes to its first row of the table,
-    and one gather copies the repeated rows.  The numbering of the lines
-    goes to the validation, so that numbering the table's rows sorts one
-    row per distinct line.  A plain row of n in-range entries is converted
-    in one numpy call; any other line takes the per-token path, which alone
+    Each distinct table line is converted once, into its first row of a
+    preallocated int32 table and, in one more call, into its other rows,
+    so the parse holds one table and no copy of it.  The numbering of the lines goes to the
+    validation, so that numbering the table's rows sorts one row per
+    distinct line.  A plain row of n in-range entries is converted in one
+    numpy call; any other line takes the per-token path, which alone
     raises the ParseErrors, in file order: a ragged or non-integer row
     anywhere comes before the first out-of-range entry."""
     lines, plain, ids = _numbered_lines(text)
@@ -125,11 +130,13 @@ def parse_quandle(text: str) -> Quandle:
         raise ParseError(f"expected {n} table rows, got {len(ids) - 1}")
     number: dict[int, int] = {}   # line -> its number among the rows
     which = np.array([number.setdefault(j, len(number)) for j in ids[1:]])
-    first = np.unique(which, return_index=True)[1]   # the first row of each number
-    compact = 2 * len(number) <= n   # at least half the lines repeat
-    table = np.empty((len(number) if compact else n, n), dtype=np.int32)
+    count = np.bincount(which)
+    order = np.argsort(which, kind="stable")   # the rows of each number in turn
+    start = np.cumsum(count) - count
+    first = order[start]   # the first row of each number
+    table = np.empty((n, n), dtype=np.int32)
     out_of_range = None
-    for k, (j, a) in enumerate(zip(number, first.tolist())):
+    for j, a, lo, c in zip(number, first.tolist(), start.tolist(), count.tolist()):
         line = lines[j]
         row = None
         if j in plain or _PLAIN_ROW.fullmatch(line):
@@ -145,15 +152,11 @@ def parse_quandle(text: str) -> Quandle:
                 out_of_range = f"entry {x} in row {a} out of range 0..{n - 1}"
             if out_of_range is not None:
                 continue
-        table[k if compact else a] = row
+        table[a] = row
+        if c > 1:
+            table[order[lo + 1:lo + c]] = row
     if out_of_range is not None:
         raise ParseError(out_of_range)
-    if compact:
-        table = table[which]
-    else:
-        src = first[which]   # the first row with each row's line
-        copy = np.flatnonzero(src != np.arange(n))
-        table[copy] = table[src[copy]]
     return _validated(table, (first, which))
 
 
@@ -341,15 +344,14 @@ def write_affine(group: AbelianGroup, f: GroupAutomorphism, fh) -> None:
     _write_table(fh, group.order, lambda k: group.plus(values[k], f.images), which)
 
 
-def write_cover_sidecar(result, fh) -> None:
-    """Per A-element: index, (alpha-index, T-index), f image, psi image,
-    each entry gathered from the decimal strings (_tokens)."""
+def format_cover_sidecar(result) -> str:
+    """Per A-element: index, (alpha-index, T-index), f image, psi image."""
     u = np.arange(result.group.order)
     columns = np.column_stack([u, *result.pair_of(u), result.f.images, result.psi])
-    rows = _tokens(int(columns.max()) + 1)[columns].tolist()
-    fh.write(
-        "# columns: element alpha_index t_index f_image psi_image\n"
+    lines = [
+        "# columns: element alpha_index t_index f_image psi_image",
         f"# |A|={result.group.order} |T|={result.transversal.size} "
-        f"kappa={result.transversal.kappa}\n"
-        + "".join([" ".join(row) + "\n" for row in rows])
-    )
+        f"kappa={result.transversal.kappa}",
+        *("%d %d %d %d %d" % tuple(row) for row in columns.tolist()),
+    ]
+    return "\n".join(lines) + "\n"

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quandles import iofmt
+from quandles import core, iofmt
 from quandles.affine import make_affine
 from quandles.core import RowSet
 from quandles.errors import ParseError, QuandleError
@@ -89,10 +89,22 @@ def _affine_text(m: int, u: int) -> str:
     return format_quandle(make_affine(g, multiplication_automorphism(g, u)).quandle)
 
 
-def test_numbered_rows_keep_no_second_table():
+def test_numbered_rows_keep_no_second_table(monkeypatch):
     # Aff(Z_1023, 2) has 1,023 distinct rows and Aff(Z_1024, 3) 512 of
     # 1,024; numbering them keeps O(n) integers beside the 4 MB table, not
-    # a sorted copy of its rows or of its distinct lines
+    # a sorted copy of its rows or of its distinct lines.  Up to the
+    # validation, the parse of Aff(Z_1024, 3) holds the table, its distinct
+    # lines (half the text) and one chunk of copied rows, not a second
+    # table of the distinct rows
+    monkeypatch.setattr(core, "CHUNK_ENTRIES", 1 << 16)
+    validated = iofmt._validated
+    parse_peak = []
+
+    def spy(*args):
+        parse_peak.append(tracemalloc.get_traced_memory()[1])
+        return validated(*args)
+
+    monkeypatch.setattr(iofmt, "_validated", spy)
     for m, u, distinct in [(1023, 2, 1023), (1024, 3, 512)]:
         text = _affine_text(m, u)
         tracemalloc.start()
@@ -103,6 +115,7 @@ def test_numbered_rows_keep_no_second_table():
         finally:
             tracemalloc.stop()
         assert kept - q.array.nbytes < 1 << 20, (m, u)
+    assert parse_peak[-1] - q.array.nbytes < len(text) // 2 + (1 << 20)
 
 
 def _outcome(parse, text):
@@ -384,12 +397,10 @@ def test_mesh_parse_errors(text):
 
 def test_cover_sidecar_lists_every_element(sum_z2_z1):
     from quandles.cover import build_cover, optimized_multitransversal
-    from quandles.iofmt import write_cover_sidecar
+    from quandles.iofmt import format_cover_sidecar
 
     r = build_cover(sum_z2_z1, optimized_multitransversal(sum_z2_z1))
-    out = io.StringIO()
-    write_cover_sidecar(r, out)
-    text = out.getvalue()
+    text = format_cover_sidecar(r)
     rows = [line.split() for line in text.splitlines() if not line.startswith("#")]
     assert len(rows) == r.group.order
     assert [int(row[4]) for row in rows] == [int(v) for v in r.psi]
