@@ -6,7 +6,6 @@ L_a : b -> a*b is an automorphism.  Everything here is immutable and pure.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -165,15 +164,20 @@ def _check_table(table) -> np.ndarray:
     Returns the table as an int32 array.
     """
     rows = table if isinstance(table, np.ndarray) else list(table)
+    if isinstance(rows, np.ndarray) and rows.ndim != 2:
+        raise ValueError(f"table of shape {rows.shape} is not two-dimensional")
     n = len(rows)
     if n == 0:
         raise ValueError("empty table")
-    if isinstance(rows, np.ndarray) and rows.ndim > 1:   # every row has shape[1] entries
+    if isinstance(rows, np.ndarray):   # every row has shape[1] entries
         bad = None if rows.shape[1] == n else 0
     else:
         bad = next((a for a, row in enumerate(rows) if len(row) != n), None)
     # an out-of-range entry in a row before the first bad one comes first
-    arr = np.asarray(rows[:bad]).reshape(-1, n)
+    arr = np.asarray(rows[:bad])
+    if arr.ndim > 2:   # rows of lists
+        raise ValueError(f"table of shape {arr.shape} is not two-dimensional")
+    arr = arr.reshape(-1, n)
     if (at := _first_non_integer(arr)) is not None:
         raise ValueError(f"entry {arr[at]} in row {at[0]} is not an integer")
     if arr.size and (arr.min() < 0 or arr.max() >= n):
@@ -203,16 +207,12 @@ def validate_quandle(table) -> Quandle:
     L_{a*b} = L_a L_b L_a^-1.  The witness of the least failing a is
     _hom_failure's lexicographically first (b, c).
     The Quandle shares no memory with the caller's array, which stays
-    writeable: it is checked through a view and copied after the check,
-    the copy keeping the numbering of its rows made for the check.
+    writeable: an int32 array, which the check would take over, is
+    copied first; any other is converted.
     """
-    q = _validated(table.view() if isinstance(table, np.ndarray) else table)
-    if isinstance(table, np.ndarray) and np.shares_memory(q.array, table):
-        rows = copy.copy(q.rows)
-        q = Quandle(q.array.copy())
-        rows._keys = _row_keys(q.array)
-        q.__dict__["rows"] = rows
-    return q
+    if isinstance(table, np.ndarray) and table.dtype == np.int32:
+        table = table.copy()
+    return _validated(table)
 
 
 def _class_map(arr: np.ndarray, first: np.ndarray, which: np.ndarray,

@@ -25,7 +25,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .core import _as_int32, _hom_failure, _reach
+from .core import _as_int32, _first_non_integer, _hom_failure, _reach
 from .errors import EmptyModuli, NotAdditive, NotBijective, TooLarge
 
 
@@ -252,7 +252,12 @@ def make_cyclic_product(moduli) -> AbelianGroup:
     """Z_{m1} x ... x Z_{mr}, elements in mixed-radix order, zero first:
     a CyclicGroup, or for r >= 2 the CyclicProduct of the Z_m, with no
     table built yet.  One whose table would exceed the table limit is
-    refused with TooLarge."""
+    refused with TooLarge, and a modulus that is not an integer with
+    ValueError, not truncated or parsed (a float with an integer value is
+    taken, as core._as_int32 takes one)."""
+    moduli = tuple(moduli)
+    if (at := _first_non_integer(np.asarray(moduli))) is not None:
+        raise ValueError(f"modulus {moduli[at[0]]!r} is not an integer")
     moduli = tuple(int(m) for m in moduli)
     if not moduli:
         raise EmptyModuli()

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Quandle, RowSet, _as_int32, _chunks
+from .core import Quandle, RowSet, _as_int32, _chunks, _hom_failure
 from .errors import (
     InvalidParams,
     M1Violation,
@@ -138,63 +138,52 @@ def _param_error(groups, phi, c) -> InvalidParams | None:
     return None
 
 
-def _hom_mismatch(mesh: AffineMesh, x0: int, x1: int) -> np.ndarray:
-    """(x1 - x0, m, k), m the largest order: at row x = o_i + a, column b
-    and target j, is phi[i][j](a + b) != phi[i][j](a) + phi[i][j](b)?
-
-    A column b past the end of A_i repeats b = |A_i| - 1, so the first
-    failing column of a row is a real one.
-    """
-    f = mesh.fiber[x0:x1, None]
-    o, n = mesh.offsets[f], mesh.sizes[f]
-    a = np.arange(x0, x1)[:, None] - o
-    b = np.minimum(np.arange(mesh.sizes.max()), n - 1)
-    cols = np.arange(mesh.k)
-    P = mesh.P
-    return P[o + mesh.add(f, a, b)] != mesh.add(cols, P[x0:x1, None, :], P[o + b])
+def _first_failing_fiber(mesh: AffineMesh, mismatch, width: int) -> tuple[int, np.ndarray] | None:
+    """(i, flags) or None: the layout is scanned in core._chunks of width
+    entries a row for mismatch(lo, hi), a (hi - lo, ...) mask per row;
+    i is the fiber of the first failing row, flags its OR over A_i's rows."""
+    for lo, hi in _chunks(0, mesh.total_size, width):
+        bad = mismatch(lo, hi)
+        if bad.any():
+            i = int(mesh.fiber[lo + np.argwhere(bad)[0, 0]])
+            flags = np.zeros(bad.shape[1:], dtype=bool)
+            for start, stop in _chunks(int(mesh.offsets[i]), int(mesh.offsets[i + 1]), width):
+                flags |= mismatch(start, stop).any(axis=0)
+            return i, flags
+    return None
 
 
 def _check_homomorphisms(mesh: AffineMesh) -> None:
-    """Every phi[i][j] at once; the witness is the first (i, j), then the
-    first (a, b)."""
-    for lo, hi in _chunks(0, mesh.total_size, int(mesh.sizes.max()) * mesh.k):
-        bad = _hom_mismatch(mesh, lo, hi)
-        if bad.any():
-            raise _hom_witness(mesh, int(mesh.fiber[lo + int(bad.any(axis=(1, 2)).argmax())]))
+    """phi[i][j] is additive iff phi(a + s) = phi(a) + phi(s) for every a
+    and each generator s of A_i, as the s that pass are closed under +;
+    s = 0 for a trivial group, and a fiber is padded by its last s.  The
+    witness is the first failing (i, j), then core._hom_failure's (a, b)."""
+    gens = [g.generators() or [0] for g in mesh.groups]
+    width = max(map(len, gens))
+    S = np.array([s + s[-1:] * (width - len(s)) for s in gens])  # [i, t]
+    cols, o, P = np.arange(mesh.k), mesh.offsets, mesh.P
 
+    def mismatch(lo, hi):  # [x, j]: phi[i][j](a + s) != phi[i][j](a) + phi[i][j](s), some s
+        f = mesh.fiber[lo:hi, None]
+        of, s = o[f], S[f[:, 0]]
+        lhs = P[of + mesh.add(f, np.arange(lo, hi)[:, None] - of, s)]
+        return (lhs != mesh.add(cols, P[lo:hi, None, :], P[of + s])).any(axis=1)
 
-def _hom_witness(mesh: AffineMesh, i: int) -> NotAHomomorphism:
-    """The first failing target j of source i, then its first (a, b)."""
-    k, m, o = mesh.k, int(mesh.sizes.max()), int(mesh.offsets[i])
-    first = np.full(k, -1)  # first failing a*m + b, per j
-    for lo, hi in _chunks(o, o + int(mesh.sizes[i]), m * k):
-        bad = _hom_mismatch(mesh, lo, hi).reshape(-1, k)
-        hit = bad.any(axis=0) & (first < 0)
-        first[hit] = (lo - o) * m + bad.argmax(axis=0)[hit]
-    j = int(np.flatnonzero(first >= 0)[0])
-    return NotAHomomorphism(i, j, *divmod(int(first[j]), m))
-
-
-def _m3_mismatch(mesh: AffineMesh, lo: int, hi: int) -> np.ndarray:
-    """(hi - lo, k, k): at element x = o_i + a, is
-    phi[j][kk](phi[i][j](a)) != phi[0][kk](phi[i][0](a))?"""
-    g = mesh.P[mesh.offsets[:-1] + mesh.P[lo:hi]]
-    return g != g[:, :1, :]
+    if found := _first_failing_fiber(mesh, mismatch, width * mesh.k):
+        i, j, g = found[0], int(found[1].argmax()), mesh.groups
+        raise NotAHomomorphism(i, j, *_hom_failure(mesh.phi[i][j], g[i].add, g[j].add))
 
 
 def _check_m3(mesh: AffineMesh) -> None:
-    """The witness is the first (i, kk), then the least j."""
-    k = mesh.k
-    for lo, hi in _chunks(0, mesh.total_size, k * k):
-        bad = _m3_mismatch(mesh, lo, hi)
-        if not bad.any():
-            continue
-        i = int(mesh.fiber[lo + int(bad.any(axis=(1, 2)).argmax())])
-        failing = np.zeros((k, k), dtype=bool)  # [j, kk] over all of A_i
-        for start, stop in _chunks(int(mesh.offsets[i]), int(mesh.offsets[i + 1]), k * k):
-            failing |= _m3_mismatch(mesh, start, stop).any(axis=0)
-        kk, j = map(int, np.argwhere(failing.T)[0])
-        raise M3Violation(i, 0, j, kk)
+    """phi[j][kk] . phi[i][j] = phi[0][kk] . phi[i][0] for every
+    (i, j, kk); the witness is the first (i, kk), then the least j."""
+    def mismatch(lo, hi):  # [x, j, kk]
+        g = mesh.P[mesh.offsets[:-1] + mesh.P[lo:hi]]
+        return g != g[:, :1, :]
+
+    if found := _first_failing_fiber(mesh, mismatch, mesh.k * mesh.k):
+        kk, j = map(int, np.argwhere(found[1].T)[0])
+        raise M3Violation(found[0], 0, j, kk)
 
 
 def _check_m4(mesh: AffineMesh) -> None:
@@ -214,13 +203,17 @@ def _check_m4(mesh: AffineMesh) -> None:
 
 
 def validate_mesh(groups, phi, c) -> AffineMesh:
-    """Verify homomorphisms and (M1)-(M4) exhaustively, first witness each.
+    """Verify homomorphisms and (M1)-(M4), first witness each.
 
     Each check runs over the whole layout at once, in chunks of at most
     core.CHUNK_ENTRIES entries; only a failing check goes back for its witness,
     the first failure in the order of the per-cell loops: parameters per
     (i, j), homomorphisms per (i, j) then (a, b), (M1) and (M2) per i,
-    (M3) per (i, kk) then j, (M4) per (i, j, kk).
+    (M3) per (i, kk) then j, (M4) per (i, j, kk).  phi[i][j] is checked
+    at the generators s of A_i only: it is additive iff
+    phi(a + s) = phi(a) + phi(s) for every a and each s, since the s that
+    pass are closed under +.  The witness (a, b) of a failing phi[i][j]
+    comes from core._hom_failure.
     """
     groups = tuple(groups)
     k = len(groups)

@@ -1,6 +1,7 @@
 """Tables, validation witnesses, quotients, subquandles, isomorphism,
 distinct rows."""
 
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -85,6 +86,20 @@ def test_no_input_array_is_shared_with_the_quandle(make):
     assert not np.shares_memory(q.array, arr)
     assert arr.flags.writeable
     assert q.array.tolist() == AFF_Z4_NEG
+    assert q.rows.index_of(q.array).tolist() == q.rows.which.tolist()
+
+
+@pytest.mark.parametrize("table, shape", [
+    ([[[0]]], (1, 1, 1)),
+    (np.zeros((1, 1, 1), int), (1, 1, 1)),
+    (np.zeros((2, 2, 2), int), (2, 2, 2)),
+    (np.array([0]), (1,)),
+    (np.array(0), ()),
+])
+def test_table_that_is_not_two_dimensional_is_refused(table, shape):
+    message = f"table of shape {shape} is not two-dimensional"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        validate_quandle(table)
 
 
 def _mesh_sum_2048():
@@ -407,9 +422,9 @@ def test_partition_with_a_fraction_is_refused():
 
 
 def test_validated_copy_keeps_the_rows_numbered_for_the_check(monkeypatch):
-    # validate_quandle copies a caller's int32 array after the check; the
-    # copy takes over the check's numbering instead of sorting again, and
-    # keeps nothing of the caller's array.
+    # validate_quandle copies a caller's int32 array before the check; the
+    # copy is numbered once, by the check, and keeps nothing of the
+    # caller's array.
     inits = []
     real_init = RowSet.__init__
 

@@ -54,6 +54,14 @@ def test_empty_moduli_rejected():
         make_cyclic_product(())
 
 
+@pytest.mark.parametrize("moduli", [(2.5,), ("3",)])
+def test_non_integer_modulus_is_refused(moduli):
+    # refused, not truncated to Z_2 or parsed as Z_3
+    with pytest.raises(ValueError, match="is not an integer"):
+        make_cyclic_product(moduli)
+    assert make_cyclic_product((3.0,)).moduli == (3,)
+
+
 def test_group_table_validation_rejects_nonassociative():
     # Swap two entries of Z3's table: breaks the axioms.
     g = make_cyclic_product((3,))

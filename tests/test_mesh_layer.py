@@ -2,6 +2,7 @@
 agree with the per-cell loops (tests/oracles.py) in result, or in the
 exception type, witness and message of the first failure."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -181,6 +182,26 @@ def test_homomorphism_witness_takes_the_first_target():
     assert exc.value.witness == (0, 0, 1, 2)
 
 
+@pytest.mark.parametrize("chunk", [None, 1])
+@pytest.mark.parametrize("cell", ["Z4 to Z4", "Z2xZ2 to Z2xZ2", "Z2xZ2 to Z4"])
+def test_every_map_of_a_small_cell_agrees(monkeypatch, chunk, cell):
+    # all 256 maps: Z_4 has one generator, Z2xZ2 two (a fiber padded by
+    # its last generator when another has more); as phi[0][0] of a
+    # one-index mesh, or phi[0][1] of a two-index mesh, zero elsewhere
+    if chunk is not None:
+        monkeypatch.setattr(core, "CHUNK_ENTRIES", chunk)
+    z4, v4 = make_cyclic_product((4,)), make_cyclic_product((2, 2))
+    zero = np.zeros(4, dtype=np.int32)
+    seen = set()
+    for images in itertools.product(range(4), repeat=4):
+        f = np.array(images, dtype=np.int32)
+        if cell == "Z2xZ2 to Z4":
+            seen.add(_agree([v4, z4], [[zero, f], [zero, zero]], [[0, 0], [0, 0]]))
+        else:
+            seen.add(_agree([z4 if cell == "Z4 to Z4" else v4], [[f]], [[0]]))
+    assert NotAHomomorphism in seen and "mesh" in seen
+
+
 @pytest.mark.parametrize("image", [2**32, -2**32 + 1, 2**31])
 def test_images_int32_cannot_hold_are_refused(image):
     # np.array([0, 2**32]) would wrap to the zero map of Z_2
@@ -215,8 +236,10 @@ def test_worst_case_mutants_agree(monkeypatch, chunk):
 
 
 def test_large_group_checks_run_in_chunks():
-    # 2048^2 pairs: the homomorphism check spans four chunks; x -> 1024x
-    # has two images, so the sum has two distinct rows to check
+    # Z_2048 has one generator, so the homomorphism check is 2048 sums in
+    # one chunk, and the witness scan of the broken map, core._hom_failure
+    # over 2048^2 pairs, spans four; x -> 1024x has two images, so the sum
+    # has two distinct rows to check
     g = make_cyclic_product((2048,))
     phi = (1024 * np.arange(2048, dtype=np.int32)) % 2048
     assert _agree([g], [[phi]], [[0]]) == "mesh"

@@ -197,13 +197,14 @@ def test_only_outside_input_is_checked_and_only_the_cover_certified():
 
 def test_one_homomorphism_check():
     # core._hom_failure is the one check that a map is a homomorphism
-    # between tables: L_a of Q's table, f of A's addition table, and an
-    # isomorphism candidate.
+    # between tables: L_a of Q's table, f of A's addition table, a mesh's
+    # phi[i][j] between A_i's and A_j's, and an isomorphism candidate.
     def call_of(node):
         return isinstance(node, ast.Call) and _name(node.func) == "_hom_failure"
 
     assert sorted(_sites(call_of)) == [
-        "core._validated", "core.is_isomorphic", "groups.validate_automorphism"]
+        "core._validated", "core.is_isomorphic", "groups.validate_automorphism",
+        "mesh._check_homomorphisms"]
     # _validated decides on the row classes (core._class_map) and calls
     # _hom_failure only for the witness of a failing row, inside the raise
     validated = next(top for top in _tree(SRC / "core.py").body
@@ -257,7 +258,11 @@ def test_each_search_and_builder_exists_once():
     # of a table, subquandle closure, the row classes known to be
     # automorphisms in validation), ProductGroup.add the one product
     # table builder, and core._partition the one labels-to-Partition step:
-    # Partition.from_blocks checks blocks from outside only.
+    # Partition.from_blocks checks blocks from outside only.  A mesh's
+    # maps are checked at generators, their witness taken from
+    # core._hom_failure, and (M3) shares its fiber rescan
+    # (mesh._first_failing_fiber): no all-pairs scan or witness search of
+    # the mesh's own.
     def call_of(name):
         return lambda node: isinstance(node, ast.Call) and _name(node.func) == name
 
@@ -269,6 +274,6 @@ def test_each_search_and_builder_exists_once():
         f"{path.name}: {name}"
         for path in sorted(SRC.glob("*.py"))
         for name in _names(_tree(path))
-        if name in {"_grow", "_cyclic_tables"}
+        if name in {"_grow", "_cyclic_tables", "_hom_mismatch", "_hom_witness"}
     ]
     assert found == []
