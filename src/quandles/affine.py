@@ -19,7 +19,7 @@ class AffineQuandle:
 
 def one_minus_f_images(group: AbelianGroup, f: GroupAutomorphism) -> np.ndarray:
     """Image array of g = 1 - f, i.e. g(a) = a - f(a)."""
-    return group.plus(np.arange(group.order), group.neg[f.images])
+    return group.plus(np.arange(group.order), group.neg.take(f.images))
 
 
 def _same_group(g: AbelianGroup, h: AbelianGroup) -> bool:

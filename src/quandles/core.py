@@ -172,7 +172,8 @@ def _check_table(table) -> np.ndarray:
     if isinstance(rows, np.ndarray):   # every row has shape[1] entries
         bad = None if rows.shape[1] == n else 0
     else:
-        bad = next((a for a, row in enumerate(rows) if len(row) != n), None)
+        bad = next((a for a, row in enumerate(rows)
+                    if not hasattr(row, "__len__") or len(row) != n), None)
     # an out-of-range entry in a row before the first bad one comes first
     arr = np.asarray(rows[:bad])
     if arr.ndim > 2:   # rows of lists
@@ -184,6 +185,8 @@ def _check_table(table) -> np.ndarray:
         a, b = map(int, np.argwhere((arr < 0) | (arr >= n))[0])
         raise ValueError(f"entry {arr[a, b]} in row {a} out of range 0..{n - 1}")
     if bad is not None:
+        if not hasattr(rows[bad], "__len__"):
+            raise ValueError(f"row {bad} is not a sequence")
         raise ValueError(f"row {bad} has length {len(rows[bad])}, expected {n}")
     arr = arr.astype(np.int32, copy=False)
     wrong = np.flatnonzero(np.diagonal(arr) != np.arange(n))

@@ -88,16 +88,23 @@ def optimized_multitransversal(q: Quandle) -> Multitransversal:
     each orbit takes the smallest of its elements in its least-loaded
     candidate block.  The orbit of 0 thus takes 0 into block 0, as the
     first and least entry.  Blocks are then padded to the maximum load.
+    An orbit is ascending, so one pass over it finds the first element
+    of each of its blocks.
     """
     tr = _homim_translations(q)
     block_of = tr.block_of.tolist()
     loads = [0] * tr.m
     chosen: list[list[int]] = [[] for _ in range(tr.m)]
-    orbits = [(orbit, {block_of[x] for x in orbit}) for orbit in perms.orbits(q).blocks]
-    orbits.sort(key=lambda ob: (0 not in ob[0], len(ob[1]), min(ob[0])))
-    for orbit, cands in orbits:
-        b = min(cands, key=lambda i: (loads[i], i))
-        chosen[b].append(min(x for x in orbit if block_of[x] == b))
+    orbits = []
+    for orbit in perms.orbits(q).blocks:
+        first: dict[int, int] = {}
+        for x in orbit:
+            first.setdefault(block_of[x], x)
+        orbits.append((orbit[0] != 0, len(first), orbit[0], first))
+    orbits.sort(key=lambda ob: ob[:3])
+    for *_, first in orbits:
+        b = min(first, key=lambda i: (loads[i], i))
+        chosen[b].append(first[b])
         loads[b] += 1
     return _padded(tr, chosen, max(loads))
 
@@ -243,7 +250,9 @@ def verify_cover(result: CoverResult, q: Quandle) -> VerifyReport:
        f(u)+f(g+h), so S is closed under +, and in a finite group a
        nonempty subset closed under + is a subgroup.  The lifted
        generators of the factors generate A, so checking f(u+g) = f(u)+f(g)
-       for every u and each of them (|A| * |gens|) shows S = A.
+       for every u and each of them (|A| * |gens|) shows S = A.  A
+       table-backed factor reads its generating set off its table once
+       and keeps it, so D's is read once although D is a factor twice.
     4. psi maps into Q: shape |A| and values in 0..|Q|-1.
     5. psi is a homomorphism.  In Aff(A,f), u*v = w(u) + f(v) with
        w = (1-f)(u) = u + neg(f(u)), so u*v depends on u only through w(u).
@@ -259,7 +268,8 @@ def verify_cover(result: CoverResult, q: Quandle) -> VerifyReport:
     6. psi is surjective: its values cover 0..|Q|-1.
 
     Claims 2-6 are stated over A, so they are checked only when claim 1
-    holds; claim 5 needs f's images in range to form u*v.
+    holds; claims 3 and 5 sum f's images with ``plus``, which is defined
+    on elements only, so they run after claim 2's range check.
     """
     failures: list[str] = []
     a, im, psi = result.group, result.f.images, result.psi
@@ -275,7 +285,7 @@ def verify_cover(result: CoverResult, q: Quandle) -> VerifyReport:
         gens = np.array(a.generators(), dtype=np.int32)
         for lo, hi in _chunks(0, len(gens), n):
             g = gens[lo:hi, None]
-            bad = im[a.plus(rng[None, :], g)] != a.plus(im[None, :], im[g])
+            bad = im.take(a.plus(rng[None, :], g)) != a.plus(im[None, :], im.take(g))
             if bad.any():
                 i, u = np.argwhere(bad)[0].tolist()
                 failures.append(f"f is not additive at ({u},{int(gens[lo + i])})")
@@ -318,14 +328,14 @@ def _psi_witness(a: AbelianGroup, f: GroupAutomorphism, psi: np.ndarray,
     bad_rep = np.zeros(len(reps), dtype=bool)
     for start, stop in _chunks(0, len(reps), n):
         r = reps[start:stop]
-        lhs = psi[a.plus(w[r][:, None], im[None, :])]
-        rhs = qt[psi[r][:, None], psi[None, :]]
+        lhs = psi.take(a.plus(w.take(r)[:, None], im[None, :]))
+        rhs = qt.take(psi.take(r), axis=0).take(psi, axis=1)
         bad_rep[start:stop] = (lhs != rhs).any(axis=1)
     row_id = q.rows.which
-    suspect = bad_rep[cls] | (row_id[psi] != row_id[psi[reps[cls]]])
+    suspect = bad_rep.take(cls) | (row_id.take(psi) != row_id.take(psi.take(reps.take(cls))))
     for u in np.flatnonzero(suspect).tolist():
-        lhs = psi[a.plus(w[u], im)]
-        rhs = qt[psi[u], psi]
+        lhs = psi.take(a.plus(w[u], im))
+        rhs = qt[psi[u]].take(psi)
         bad = np.flatnonzero(lhs != rhs)
         if bad.size:
             v = int(bad[0])

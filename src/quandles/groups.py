@@ -8,6 +8,19 @@ order^2 table ``add`` is built only when it is read.
 A table whose finished int32 form would exceed 1 GiB (order above
 16,384) is refused with TooLarge before anything is allocated.
 
+``plus`` is defined on elements 0..order-1 only: it is a flat gather
+from the table or floor arithmetic on the indices, and it checks
+nothing.  Its callers pass elements:
+
+- validate_automorphism and affine._same_group: index ranges,
+  generators, and images after the bijectivity check;
+- affine.one_minus_f_images, make_affine and iofmt.write_affine: the
+  images of a GroupAutomorphism (validated, or the certified cover's f)
+  and ``neg`` of a group the package built;
+- verify_cover: claim 1 sums ``neg`` only after check_abelian_table has
+  range-checked each factor's ``neg``, and claims 3 and 5 sum f's
+  images only after claim 2's range check.
+
 An AbelianGroup is a plain record, like a Quandle: its constructor
 checks nothing.  Every group the package builds is a group by
 construction (a cyclic product from its moduli, Dis(Q) from a D that is
@@ -25,7 +38,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .core import _as_int32, _first_non_integer, _hom_failure, _reach
+from .core import _as_int32, _chunks, _first_non_integer, _hom_failure, _reach
 from .errors import EmptyModuli, NotAdditive, NotBijective, TooLarge
 
 
@@ -99,8 +112,11 @@ def check_abelian_table(add: np.ndarray, neg: np.ndarray) -> str | None:
     a, c are closed under +, so a generating set suffices.  Once
     commutativity has passed, (a+g)+c = B[a,c] and a+(g+c) = B[c,a] for
     B = add[add[g], :], so the test for g is "B is symmetric", with the
-    same first witness (a, g, c).
+    same first witness (a, g, c).  The generators are tested in chunks
+    (core._chunks), one gather add[add[gens]] per chunk; only a failing
+    chunk is rescanned generator by generator for its witness.
     """
+    add, neg = np.asarray(add), np.asarray(neg)
     n = len(add)
     rng = np.arange(n, dtype=add.dtype)
     if add.shape != (n, n) or neg.shape != (n,):
@@ -112,14 +128,23 @@ def check_abelian_table(add: np.ndarray, neg: np.ndarray) -> str | None:
         return "not commutative at ({},{})".format(*witness)
     if not np.array_equal(add[0], rng):
         return "index 0 is not a neutral element"
+    outside = np.flatnonzero((neg < 0) | (neg >= n))
+    if outside.size:
+        a = int(outside[0])
+        return f"neg({a}) = {neg[a]} is not in 0..{n - 1}"
     if not np.array_equal(add[rng, neg], np.zeros(n, dtype=add.dtype)):
         a = int(np.argwhere(add[rng, neg] != 0)[0][0])
         return f"neg({a}) is not an inverse"
-    for g in generating_indices(add):
-        witness = _first_asymmetry(add[add[g], :])
-        if witness is not None:
-            a, c = witness
-            return f"not associative at ({a},{g},{c})"
+    gens = np.array(generating_indices(add), dtype=np.intp)
+    for lo, hi in _chunks(0, len(gens), n * n):
+        b = add[add[gens[lo:hi]]]           # b[i, a, c] = (a + g_i) + c
+        if np.array_equal(b, b.transpose(0, 2, 1)):
+            continue
+        for g in gens[lo:hi].tolist():
+            witness = _first_asymmetry(add[add[g], :])
+            if witness is not None:
+                a, c = witness
+                return f"not associative at ({a},{g},{c})"
     return None
 
 
@@ -145,16 +170,22 @@ class AbelianGroup:
         return len(self.neg)
 
     def plus(self, x, y) -> np.ndarray:
-        """Elementwise sum of index arrays (broadcast)."""
-        return self.add[x, y]
+        """Elementwise sum of elements 0..order-1 (broadcast), one flat
+        gather from the table; outside 0..order-1 it is undefined (see
+        the module docstring for the callers that keep to it)."""
+        return self.add.reshape(-1).take(x * self.order + y)
 
     def factors(self) -> list[AbelianGroup]:
         """The table-backed factors, left to right: here the group itself."""
         return [self]
 
+    @cached_property
+    def _generators(self) -> tuple[int, ...]:
+        return tuple(generating_indices(self.add))
+
     def generators(self) -> list[int]:
-        """A generating set, read off the table."""
-        return generating_indices(self.add)
+        """A generating set, read off the table once per group."""
+        return list(self._generators)
 
     def __repr__(self) -> str:
         label = self.name or (
@@ -182,7 +213,11 @@ class CyclicGroup(AbelianGroup):
         return add
 
     def plus(self, x, y) -> np.ndarray:
-        return np.remainder(np.add(x, y, dtype=np.int32), self.order)
+        """(x + y) mod m for elements 0..m-1 (the domain of every
+        ``plus``), as s - (s // m) * m, the floor remainder of any
+        integer s."""
+        s = np.add(x, y, dtype=np.int32)
+        return s - (s // self.order) * self.order
 
     def generators(self) -> list[int]:
         return [1] if self.order > 1 else []
@@ -218,10 +253,12 @@ class ProductGroup(AbelianGroup):
         return add
 
     def plus(self, x, y) -> np.ndarray:
+        """Sum of elements 0..order-1 (the domain of every ``plus``) by
+        coordinates: u = u1*|G2| + u2 is split as u1 = u // |G2| and
+        u2 = u - u1*|G2|, and each factor adds its own."""
         n2 = self.g2.order
-        x1, x2 = np.divmod(x, n2)
-        y1, y2 = np.divmod(y, n2)
-        return self.g1.plus(x1, y1) * n2 + self.g2.plus(x2, y2)
+        x1, y1 = x // n2, y // n2
+        return self.g1.plus(x1, y1) * n2 + self.g2.plus(x - x1 * n2, y - y1 * n2)
 
     def factors(self) -> list[AbelianGroup]:
         return self.g1.factors() + self.g2.factors()

@@ -102,6 +102,12 @@ def test_table_that_is_not_two_dimensional_is_refused(table, shape):
         validate_quandle(table)
 
 
+@pytest.mark.parametrize("table, row", [([0], 0), ([None], 0), ([[1, 1], None], 1)])
+def test_row_that_is_not_a_sequence_is_refused(table, row):
+    with pytest.raises(ValueError, match=f"row {row} is not a sequence"):
+        validate_quandle(table)
+
+
 def _mesh_sum_2048():
     g = make_cyclic_product((2048,))
     m = validate_mesh([g], [[(1024 * np.arange(2048, dtype=np.int32)) % 2048]], [[0]])

@@ -23,7 +23,11 @@ from quandles.perms import Translations, cayley_kernel, displacement_group
 
 import corpus
 from conftest import aff
-from oracles import identity_perm, loop_optimized_multitransversal
+from oracles import (
+    identity_perm,
+    loop_optimized_multitransversal,
+    scan_optimized_multitransversal,
+)
 
 
 def proj(n: int):
@@ -289,6 +293,29 @@ def test_optimized_multitransversal_matches_the_forced_base_point_loop(small_cor
     for q in cases:
         t, ref = optimized_multitransversal(q), loop_optimized_multitransversal(q)
         assert (t.elements, t.kappa) == (ref.elements, ref.kappa)
+
+
+def test_optimized_multitransversal_matches_the_per_orbit_scan(small_corpus):
+    cases = [q for _, q in small_corpus if is_homim_of_affine(q)]
+    cases += [aff(m, u).quandle for m, u in corpus.affine_family(16)]
+    cases += [mesh_sum(generate_max_mesh(n, k)) for n, k in ((8, 2), (16, 3), (32, 4))]
+    for q in cases:
+        t, ref = optimized_multitransversal(q), scan_optimized_multitransversal(q)
+        assert (t.elements, t.kappa) == (ref.elements, ref.kappa)
+
+
+def test_build_cover_reads_each_generating_set_once(monkeypatch):
+    # claim 1 reads the generating sets of D's and Z_kappa's tables, and
+    # claim 3 D's set once more, though D is a factor of A twice
+    q = mesh_sum(generate_max_mesh(16, 3))
+    t = optimized_multitransversal(q)
+    tables = []
+    real = groups.generating_indices
+    monkeypatch.setattr(groups, "generating_indices",
+                        lambda add: tables.append(len(add)) or real(add))
+    r = build_cover(q, t)
+    assert len(r.dis) == 8 and t.kappa == 9
+    assert sorted(tables) == [8, 8, 9]
 
 
 def test_build_oplus_matches_the_tagged_addition():

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quandles import core
+from quandles import core, groups
+from quandles.cover import build_cover, optimized_multitransversal
 from quandles.errors import EmptyModuli, NotAdditive, NotBijective, TooLarge
 from quandles.groups import (
+    AbelianGroup,
     _check_table_limit,
     check_abelian_table,
     direct_product,
@@ -18,6 +20,7 @@ from quandles.groups import (
     multiplication_automorphism,
     validate_automorphism,
 )
+from quandles.mesh import generate_max_mesh, mesh_sum
 
 from oracles import (
     enumerate_homomorphism_images,
@@ -354,24 +357,109 @@ def test_generating_indices_match_pairwise_closure(moduli):
         assert generating_indices(add) == _pairwise_generating_indices(add)
 
 
-def test_light_symmetry_witness_matches_two_sided_test():
-    # Z6 with 1+2 and 1+3 exchanged on both sides: commutative, 0 neutral,
-    # inverses intact, not associative.
-    g = make_cyclic_product((6,))
-    add = np.array(g.add, dtype=np.int32)
-    add[1, 2] = add[2, 1] = 4
-    add[1, 3] = add[3, 1] = 3
-    neg = np.array(g.neg, dtype=np.int32)
-    expected = None
+def _two_sided_light_witness(add: np.ndarray) -> str | None:
+    """Reference: Light's test as (a+g)+c == a+(g+c) per generator g."""
     for x in generating_indices(add):
         left = add[add[:, x], :]       # (a+g)+c
         right = add[:, add[x, :]]      # a+(g+c)
         if not np.array_equal(left, right):
             a, c = map(int, np.argwhere(left != right)[0])
-            expected = f"not associative at ({a},{x},{c})"
-            break
+            return f"not associative at ({a},{x},{c})"
+    return None
+
+
+def _z6_swapped() -> np.ndarray:
+    # Z6 with 1+2 and 1+3 exchanged on both sides: commutative, 0 neutral,
+    # inverses intact, not associative.
+    add = np.array(make_cyclic_product((6,)).add, dtype=np.int32)
+    add[1, 2] = add[2, 1] = 4
+    add[1, 3] = add[3, 1] = 3
+    return add
+
+
+def _z4_z2_swapped() -> np.ndarray:
+    # Z4 x Z2 with (1,0)+(1,1) and (2,0)+(2,1) exchanged: generators 1 and
+    # 2, and Light's test passes at 1 and fails at 2 only.
+    add = np.array(make_cyclic_product((4, 2)).add, dtype=np.int32)
+    add[2, 3] = add[3, 2] = 1
+    add[4, 5] = add[5, 4] = 5
+    return add
+
+
+def test_light_symmetry_witness_matches_two_sided_test():
+    add = _z6_swapped()
+    expected = _two_sided_light_witness(add)
     assert expected is not None
-    assert check_abelian_table(add, neg) == expected
+    assert check_abelian_table(add, make_cyclic_product((6,)).neg) == expected
+
+
+@pytest.mark.parametrize("chunk", [core.CHUNK_ENTRIES, 1])
+@pytest.mark.parametrize("make, moduli", [(_z6_swapped, (6,)), (_z4_z2_swapped, (4, 2))])
+def test_light_witness_is_the_same_for_any_chunk_of_generators(make, moduli, chunk,
+                                                               monkeypatch):
+    # all generators in one gather, or one at a time: the same first witness
+    monkeypatch.setattr(core, "CHUNK_ENTRIES", chunk)
+    add = make()
+    expected = _two_sided_light_witness(add)
+    assert expected is not None
+    assert check_abelian_table(add, make_cyclic_product(moduli).neg) == expected
+
+
+def test_light_witness_at_the_second_generator():
+    add = _z4_z2_swapped()
+    assert generating_indices(add) == [1, 2]
+    assert check_abelian_table(add, make_cyclic_product((4, 2)).neg) == (
+        "not associative at (1,2,2)")
+
+
+@pytest.mark.parametrize("neg, witness", [
+    ([0, -1, 1], "neg(1) = -1 is not in 0..2"),
+    ([0, 2, 4], "neg(2) = 4 is not in 0..2"),
+])
+def test_neg_outside_the_elements_is_refused(neg, witness):
+    # -1 would wrap to the inverse 2, and 4 would index past the table
+    assert check_abelian_table(make_cyclic_product((3,)).add, np.array(neg)) == witness
+
+
+def _relabeled(g) -> AbelianGroup:
+    """g as a table-backed group, its nonzero elements relabeled."""
+    perm = np.concatenate([[0], 1 + np.random.default_rng(7).permutation(g.order - 1)])
+    inv = np.argsort(perm).astype(np.int32)
+    return AbelianGroup(perm[g.add[np.ix_(inv, inv)]].astype(np.int32),
+                        perm[g.neg[inv]].astype(np.int32))
+
+
+def _cover_group_8_2():
+    q = mesh_sum(generate_max_mesh(8, 2))
+    return build_cover(q, optimized_multitransversal(q)).group   # Dis(Q) x (Dis(Q) x Z_5)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _relabeled(make_cyclic_product((2, 6))),
+    lambda: make_cyclic_product((7,)),
+    lambda: make_cyclic_product((3, 4, 2)),
+    _cover_group_8_2,
+])
+def test_plus_is_the_table_on_every_pair(make):
+    g = make()
+    x = np.arange(g.order, dtype=np.int32)
+    table = g.add
+    for args in ((x[:, None], x[None, :]), (x.astype(np.int64)[:, None], x[None, :])):
+        total = g.plus(*args)
+        assert total.dtype == np.int32
+        assert np.array_equal(total, table)
+    assert g.plus(x[-1], x[-1]) == table[-1, -1]
+
+
+def test_table_backed_generators_are_read_once_and_handed_out_fresh(monkeypatch):
+    g = _relabeled(make_cyclic_product((2, 6)))
+    calls = []
+    real = groups.generating_indices
+    monkeypatch.setattr(groups, "generating_indices",
+                        lambda add: calls.append(len(add)) or real(add))
+    first = g.generators()
+    first.append(-1)
+    assert g.generators() == real(g.add) and calls == [12]
 
 
 def test_commutativity_witness_spans_tiles():

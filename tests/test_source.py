@@ -277,3 +277,22 @@ def test_each_search_and_builder_exists_once():
         if name in {"_grow", "_cyclic_tables", "_hom_mismatch", "_hom_witness"}
     ]
     assert found == []
+
+
+def test_group_sums_are_flat_gathers_and_floor_arithmetic():
+    # plus is the kernel of every sum over A: a flat take from a table, or
+    # s - (s // m) * m, with no divmod, remainder or 2-D fancy gather
+    found = []
+    for cls in ast.walk(_tree(SRC / "groups.py")):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for method in cls.body:
+            if getattr(method, "name", None) != "plus":
+                continue
+            found += [f"{cls.name}.plus:{node.lineno}: {_name(node)}"
+                      for node in ast.walk(method)
+                      if _name(node) in {"divmod", "remainder"}]
+            found += [f"{cls.name}.plus:{node.lineno}: tuple index"
+                      for node in ast.walk(method)
+                      if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple)]
+    assert found == []
