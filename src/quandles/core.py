@@ -54,9 +54,9 @@ def _reach(maps: np.ndarray, reached: np.ndarray, frontier) -> None:
     while frontier.size:
         fresh = np.zeros(len(reached), dtype=bool)
         fresh[frontier] = True
-        fresh &= ~reached
-        reached |= fresh
-        frontier = maps[:, np.flatnonzero(fresh)].ravel()
+        new = (fresh > reached).nonzero()[0]
+        reached[new] = True
+        frontier = maps.take(new, axis=1).ravel()
 
 
 def _first_non_integer(arr: np.ndarray) -> tuple[int, ...] | None:

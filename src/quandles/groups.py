@@ -99,7 +99,7 @@ def generating_indices(add: np.ndarray) -> list[int]:
             continue
         gens.append(x)
         # the old reached set is closed under the old generators
-        _reach(add[:, gens].T, reached, add[np.flatnonzero(reached), x])
+        _reach(add[:, gens].T, reached, add[reached, x])
         if reached.all():
             break
     return gens
