@@ -88,23 +88,17 @@ def optimized_multitransversal(q: Quandle) -> Multitransversal:
     each orbit takes the smallest of its elements in its least-loaded
     candidate block.  The orbit of 0 thus takes 0 into block 0, as the
     first and least entry.  Blocks are then padded to the maximum load.
-    An orbit is ascending, so one pass over it finds the first element
-    of each of its blocks.
+    An orbit is ascending, so its first element is its least.
     """
     tr = _homim_translations(q)
     block_of = tr.block_of.tolist()
     loads = [0] * tr.m
     chosen: list[list[int]] = [[] for _ in range(tr.m)]
-    orbits = []
-    for orbit in perms.orbits(q).blocks:
-        first: dict[int, int] = {}
-        for x in orbit:
-            first.setdefault(block_of[x], x)
-        orbits.append((orbit[0] != 0, len(first), orbit[0], first))
-    orbits.sort(key=lambda ob: ob[:3])
-    for *_, first in orbits:
-        b = min(first, key=lambda i: (loads[i], i))
-        chosen[b].append(first[b])
+    orbits = [(orbit, {block_of[x] for x in orbit}) for orbit in perms.orbits(q).blocks]
+    orbits.sort(key=lambda ob: (ob[0][0] != 0, len(ob[1]), ob[0][0]))
+    for orbit, cands in orbits:
+        b = min(cands, key=lambda i: (loads[i], i))
+        chosen[b].append(next(x for x in orbit if block_of[x] == b))
         loads[b] += 1
     return _padded(tr, chosen, max(loads))
 

@@ -38,7 +38,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .core import _as_int32, _chunks, _first_non_integer, _hom_failure, _reach
+from .core import _as_int32, _first_non_integer, _hom_failure, _reach
 from .errors import EmptyModuli, NotAdditive, NotBijective, TooLarge
 
 
@@ -112,9 +112,7 @@ def check_abelian_table(add: np.ndarray, neg: np.ndarray) -> str | None:
     a, c are closed under +, so a generating set suffices.  Once
     commutativity has passed, (a+g)+c = B[a,c] and a+(g+c) = B[c,a] for
     B = add[add[g], :], so the test for g is "B is symmetric", with the
-    same first witness (a, g, c).  The generators are tested in chunks
-    (core._chunks), one gather add[add[gens]] per chunk; only a failing
-    chunk is rescanned generator by generator for its witness.
+    same first witness (a, g, c).
     """
     add, neg = np.asarray(add), np.asarray(neg)
     n = len(add)
@@ -135,16 +133,11 @@ def check_abelian_table(add: np.ndarray, neg: np.ndarray) -> str | None:
     if not np.array_equal(add[rng, neg], np.zeros(n, dtype=add.dtype)):
         a = int(np.argwhere(add[rng, neg] != 0)[0][0])
         return f"neg({a}) is not an inverse"
-    gens = np.array(generating_indices(add), dtype=np.intp)
-    for lo, hi in _chunks(0, len(gens), n * n):
-        b = add[add[gens[lo:hi]]]           # b[i, a, c] = (a + g_i) + c
-        if np.array_equal(b, b.transpose(0, 2, 1)):
-            continue
-        for g in gens[lo:hi].tolist():
-            witness = _first_asymmetry(add[add[g], :])
-            if witness is not None:
-                a, c = witness
-                return f"not associative at ({a},{g},{c})"
+    for g in generating_indices(add):
+        witness = _first_asymmetry(add[add[g], :])
+        if witness is not None:
+            a, c = witness
+            return f"not associative at ({a},{g},{c})"
     return None
 
 
@@ -162,6 +155,8 @@ class AbelianGroup:
     name: str = ""
 
     def __post_init__(self):
+        # plus gathers from the flat table, so keep one C-ordered copy
+        object.__setattr__(self, "add", np.ascontiguousarray(self.add))
         self.add.setflags(write=False)
         self.neg.setflags(write=False)
 

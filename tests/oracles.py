@@ -22,8 +22,7 @@ from quandles.core import (
     connectivity_orbits,
     validate_quandle,
 )
-from quandles import perms
-from quandles.cover import Multitransversal, _homim_translations, _padded
+from quandles.cover import Multitransversal
 from quandles.errors import (
     DegreeMismatch,
     InvalidParams,
@@ -607,23 +606,6 @@ def loop_optimized_multitransversal(q: Quandle) -> Multitransversal:
             entries.append(unused.pop(0) if unused else next(filler))
         elems.extend(entries)
     return Multitransversal(tuple(elems), kappa, tr)
-
-
-def scan_optimized_multitransversal(q: Quandle) -> Multitransversal:
-    """cover.optimized_multitransversal as a set of candidate blocks per
-    orbit, sorted with ``0 in`` and ``min`` over the orbit, and a scan of
-    the orbit for its pick in the chosen block."""
-    tr = _homim_translations(q)
-    block_of = tr.block_of.tolist()
-    loads = [0] * tr.m
-    chosen: list[list[int]] = [[] for _ in range(tr.m)]
-    orbits = [(orbit, {block_of[x] for x in orbit}) for orbit in perms.orbits(q).blocks]
-    orbits.sort(key=lambda ob: (0 not in ob[0], len(ob[1]), min(ob[0])))
-    for orbit, cands in orbits:
-        b = min(cands, key=lambda i: (loads[i], i))
-        chosen[b].append(min(x for x in orbit if block_of[x] == b))
-        loads[b] += 1
-    return _padded(tr, chosen, max(loads))
 
 
 # -- the mesh layer as per-cell loops: the library lays the groups out in one

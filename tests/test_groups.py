@@ -1,5 +1,6 @@
 """Abelian group tables, automorphisms, homomorphism enumeration."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -8,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quandles import core, groups
-from quandles.cover import build_cover, optimized_multitransversal
+from quandles.affine import make_affine
+from quandles.cover import build_cover, optimized_multitransversal, verify_cover
 from quandles.errors import EmptyModuli, NotAdditive, NotBijective, TooLarge
 from quandles.groups import (
     AbelianGroup,
+    GroupAutomorphism,
     _check_table_limit,
     check_abelian_table,
     direct_product,
@@ -393,21 +396,10 @@ def test_light_symmetry_witness_matches_two_sided_test():
     assert check_abelian_table(add, make_cyclic_product((6,)).neg) == expected
 
 
-@pytest.mark.parametrize("chunk", [core.CHUNK_ENTRIES, 1])
-@pytest.mark.parametrize("make, moduli", [(_z6_swapped, (6,)), (_z4_z2_swapped, (4, 2))])
-def test_light_witness_is_the_same_for_any_chunk_of_generators(make, moduli, chunk,
-                                                               monkeypatch):
-    # all generators in one gather, or one at a time: the same first witness
-    monkeypatch.setattr(core, "CHUNK_ENTRIES", chunk)
-    add = make()
-    expected = _two_sided_light_witness(add)
-    assert expected is not None
-    assert check_abelian_table(add, make_cyclic_product(moduli).neg) == expected
-
-
 def test_light_witness_at_the_second_generator():
     add = _z4_z2_swapped()
     assert generating_indices(add) == [1, 2]
+    assert _two_sided_light_witness(add) == "not associative at (1,2,2)"
     assert check_abelian_table(add, make_cyclic_product((4, 2)).neg) == (
         "not associative at (1,2,2)")
 
@@ -449,6 +441,36 @@ def test_plus_is_the_table_on_every_pair(make):
         assert total.dtype == np.int32
         assert np.array_equal(total, table)
     assert g.plus(x[-1], x[-1]) == table[-1, -1]
+
+
+def test_a_table_given_as_a_view_is_kept_as_one_flat_table():
+    add = np.array(make_cyclic_product((3, 4)).add, dtype=np.int32)
+    g = AbelianGroup(add.T, make_cyclic_product((3, 4)).neg)
+    assert g.add.flags.c_contiguous and np.array_equal(g.add, add)
+    x = np.arange(g.order)
+    assert np.array_equal(g.plus(x[:, None], x[None, :]), add)
+
+
+def test_plus_outside_the_elements_is_unchecked():
+    # plus is a flat gather: y = order reads the next row's first entry and
+    # a sum index past the table raises IndexError.  A map given straight
+    # to GroupAutomorphism is not checked either; an image outside the group
+    # is refused by make_affine's neg gather and by verify_cover's claim 2
+    # before any plus
+    g = _relabeled(make_cyclic_product((2, 6)))
+    n = g.order
+    assert g.plus(1, n) == g.add[2, 0]
+    with pytest.raises(IndexError):
+        g.plus(n - 1, n)
+    f = GroupAutomorphism(g, np.r_[1:n, n].astype(np.int32))
+    with pytest.raises(IndexError):
+        make_affine(g, f)
+    q = mesh_sum(generate_max_mesh(8, 2))
+    r = build_cover(q, optimized_multitransversal(q))
+    images = np.array(r.f.images)
+    images[-1] = r.group.order
+    report = verify_cover(dataclasses.replace(r, f=GroupAutomorphism(r.group, images)), q)
+    assert report.failures == ("f is not bijective",)
 
 
 def test_table_backed_generators_are_read_once_and_handed_out_fresh(monkeypatch):
