@@ -126,9 +126,8 @@ def check_abelian_table(add: np.ndarray, neg: np.ndarray) -> str | None:
         return "not commutative at ({},{})".format(*witness)
     if not np.array_equal(add[0], rng):
         return "index 0 is not a neutral element"
-    outside = np.flatnonzero((neg < 0) | (neg >= n))
-    if outside.size:
-        a = int(outside[0])
+    if neg.min() < 0 or neg.max() >= n:
+        a = int(np.flatnonzero((neg < 0) | (neg >= n))[0])
         return f"neg({a}) = {neg[a]} is not in 0..{n - 1}"
     if not np.array_equal(add[rng, neg], np.zeros(n, dtype=add.dtype)):
         a = int(np.argwhere(add[rng, neg] != 0)[0][0])
