@@ -165,8 +165,9 @@ class AbelianGroup:
 
     def plus(self, x, y) -> np.ndarray:
         """Elementwise sum of elements 0..order-1 (broadcast), one flat
-        gather from the table; outside 0..order-1 it is undefined (see
-        the module docstring for the callers that keep to it)."""
+        gather from the table.  Outside 0..order-1 it checks nothing: it
+        reads another row's entry or raises IndexError (the module
+        docstring lists the callers that keep to the elements)."""
         return self.add.reshape(-1).take(x * self.order + y)
 
     def factors(self) -> list[AbelianGroup]:
