@@ -59,6 +59,22 @@ def _reach(maps: np.ndarray, reached: np.ndarray, frontier) -> None:
         frontier = maps.take(new, axis=1).ravel()
 
 
+def _generators(n: int, map_of, reached=()) -> list[int]:
+    """The greedy generating walk over 0..n-1 from the elements reached:
+    each x, ascending, not yet reached becomes a generator, and _reach
+    marks what x and the reached set's images under map_of(x) (which may
+    raise) lead to under all generators' maps (the old ones close it)."""
+    mask = np.zeros(n, dtype=bool)
+    mask[list(reached)] = True
+    gens, maps = [], []
+    while not mask.all():
+        x = int(mask.argmin())
+        maps.append(map_of(x))
+        gens.append(x)
+        _reach(np.array(maps), mask, np.append(maps[-1][mask], x))
+    return gens
+
+
 def _first_non_integer(arr: np.ndarray) -> tuple[int, ...] | None:
     """Index of the first entry of arr that is not an integer, or None.  A
     number is one when it equals its floor; an integer array is not looked
@@ -243,11 +259,11 @@ def _validated(table, classes=None) -> Quandle:
     ``classes`` (first, which) numbers rows known to be equal, such as
     the rows of one line of a file, so that RowSet sorts one per number.
 
-    Distributivity runs over the row classes j in ascending order (the
-    order of ``first``).  ``good`` marks the classes whose rows are
-    automorphisms: those checked, and their images under the class maps
-    k of the checked rows (_reach), since a*b has an automorphism row
-    when a and b do.  _hom_failure runs only on the failing row."""
+    Distributivity is checked on the row classes j that _generators
+    walks to, in ascending order (the order of ``first``), under the class
+    maps k of the checked rows (k[j] = j by idempotence): a class it
+    reaches has an automorphism row, since a*b has one when a and b do.
+    _hom_failure runs only on the failing row."""
     arr = _check_table(table)
     q = Quandle(arr)
     if classes is not None:
@@ -259,16 +275,14 @@ def _validated(table, classes=None) -> Quandle:
         wrong = np.flatnonzero((rows != np.arange(n)).any(axis=1))
         if wrong.size:
             raise RowNotBijective(int(first[lo + wrong[0]]))
-    good = np.zeros(len(first), dtype=bool)
-    maps = []
-    for j, a in enumerate(first.tolist()):
-        if good[j]:
-            continue
-        k = _class_map(arr, first, which, arr[a])
+
+    def class_map(j: int) -> np.ndarray:
+        k = _class_map(arr, first, which, arr[first[j]])
         if k is None:
-            raise NotLeftDistributive(a, *_hom_failure(arr[a], arr, arr))
-        maps.append(k)
-        _reach(np.array(maps), good, np.append(k[good], j))
+            raise NotLeftDistributive(int(first[j]), *_hom_failure(arr[first[j]], arr, arr))
+        return k
+
+    _generators(len(first), class_map)
     return q
 
 
@@ -433,66 +447,68 @@ def _cycle_type(images: list[int]) -> tuple[int, ...]:
     return tuple(sorted(lengths))
 
 
-def _profiles(q: Quandle, rows: list[list[int]]) -> list[tuple]:
+def _profiles(q: Quandle, rows: list[list[int]]) -> tuple[list[tuple], Partition]:
+    """Each element's profile (its row's cycle type, its orbit's size) and the orbits."""
     orb = connectivity_orbits(q)
-    sizes = orb.sizes()
-    return [
-        (_cycle_type(rows[a]), sizes[orb.block_of[a]])
-        for a in range(q.n)
-    ]
+    return [(_cycle_type(rows[a]), len(orb.blocks[orb.block_of[a]])) for a in range(q.n)], orb
+
+
+def _extend(t1: list, t2: list, gens: list[int], b: int, sigma: list[int],
+            inv: list[int], mapped: list[int]) -> bool:
+    """Map the last of gens to b and extend sigma (inverse inv) from what
+    the others generate over what all do, by sigma(x*y) = sigma(x)*sigma(y)
+    for x in gens: _reach's search, carrying values, appending to mapped.
+    False on a clash or an image taken twice."""
+    x = gens[-1]
+    frontier = [(x, b)] + [(t1[x][y], t2[b][sigma[y]]) for y in mapped]
+    while frontier:
+        start = len(mapped)
+        for z, v in frontier:
+            if sigma[z] < 0 and inv[v] < 0:
+                sigma[z], inv[v] = v, z
+                mapped.append(z)
+            elif sigma[z] != v:
+                return False
+        frontier = [(t1[g][y], t2[sigma[g]][sigma[y]]) for y in mapped[start:] for g in gens]
+    return True
 
 
 def is_isomorphic(q1: Quandle, q2: Quandle) -> tuple[int, ...] | None:
     """Search for an element bijection preserving *, or return None.
 
-    Plain backtracking, pruned by orbit sizes and translation cycle types.
+    A homomorphism is fixed by its values on generators, so the search
+    backtracks over unused images of q1's generators (_generators) with
+    equal profiles, one stack level each, and _extend carries sigma over
+    what they generate.  The first one tries only the least element of
+    each orbit of q2, where inner automorphisms move its image.  A full
+    sigma is confirmed with _hom_failure.
     """
     if q1.n != q2.n:
         return None
-    n = q1.n
     t1, t2 = q1.array.tolist(), q2.array.tolist()
-    prof1, prof2 = _profiles(q1, t1), _profiles(q2, t2)
+    (prof1, _), (prof2, orb2) = _profiles(q1, t1), _profiles(q2, t2)
     if sorted(prof1) != sorted(prof2):
         return None
-    candidates = [
-        [b for b in range(n) if prof2[b] == prof1[a]] for a in range(n)
-    ]
-    order = sorted(range(n), key=lambda a: len(candidates[a]))
-    sigma = [-1] * n
-    used = [False] * n
-
-    def fits(a: int, b: int) -> bool:
-        """Does a -> b agree with sigma on every product with a mapped c?"""
-        for c in range(n):
-            sc = sigma[c]
-            if sc < 0:
-                continue
-            im = sigma[t1[a][c]]
-            if im >= 0 and im != t2[b][sc]:
-                return False
-            im = sigma[t1[c][a]]
-            if im >= 0 and im != t2[sc][b]:
-                return False
-        return True
-
-    # depth-first, with one iterator over the candidates of order[pos] per
-    # mapped position pos, so that the depth is not bounded by Python's stack
-    stack = [iter(candidates[order[0]])]
+    gens = _generators(q1.n, q1.array.__getitem__)
+    images: dict[tuple, list[int]] = {}
+    for b, p in enumerate(prof2):
+        images.setdefault(p, []).append(b)
+    sigma, inv, mapped = [-1] * q1.n, [-1] * q1.n, []
+    # one level per chosen generator: its candidates, and len(mapped) below it
+    stack = [(iter([o[0] for o in orb2.blocks if prof2[o[0]] == prof1[0]]), 0)]
     while stack:
-        a = order[len(stack) - 1]
-        if sigma[a] >= 0:   # back at a: unmap it before its next candidate
-            used[sigma[a]] = False
-            sigma[a] = -1
-        b = next((b for b in stack[-1] if not used[b] and fits(a, b)), None)
+        cands, start = stack[-1]
+        for y in mapped[start:]:   # unmap this level's last image
+            inv[sigma[y]] = -1
+            sigma[y] = -1
+        del mapped[start:]
+        b = next((b for b in cands if inv[b] < 0), None)
         if b is None:
             stack.pop()
+        elif not _extend(t1, t2, gens[:len(stack)], b, sigma, inv, mapped):
             continue
-        sigma[a] = b
-        used[b] = True
-        if len(stack) < n:
-            stack.append(iter(candidates[order[len(stack)]]))
-        # pairwise pruning does not see products landing on elements
-        # mapped later, so confirm the full table once at the leaf
+        elif len(stack) < len(gens):
+            stack.append((iter(images[prof1[gens[len(stack)]]]), len(mapped)))
         elif _hom_failure(np.asarray(sigma), q1.array, q2.array) is None:
             return tuple(sigma)
     return None

@@ -38,7 +38,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .core import _as_int32, _first_non_integer, _hom_failure, _reach
+from .core import _as_int32, _first_non_integer, _generators, _hom_failure, _reach
 from .errors import EmptyModuli, NotAdditive, NotBijective, TooLarge
 
 
@@ -83,26 +83,14 @@ def _close_under(add: np.ndarray, seed) -> np.ndarray:
 def generating_indices(add: np.ndarray) -> list[int]:
     """Greedy generating set under the operation table (0 excluded).
 
-    x becomes a generator when the elements reached so far do not include
-    it; the reached set grows by BFS over y -> y + g for every generator g.
-    On a group table this is the generated subgroup, so the list is that of
+    core._generators from 0 under the maps y -> y + x.  On a group table
+    the reached set is the generated subgroup, so the list is that of
     closing under all pairwise sums.  On any table every reached element is
     a sum of generators (0 + g1 + ... + gk) and 0 is the identity, checked
     just before, so Light's closure argument in ``check_abelian_table``
     holds even when the table is not a group.
     """
-    reached = np.zeros(len(add), dtype=bool)
-    reached[0] = True
-    gens: list[int] = []
-    for x in range(len(add)):
-        if reached[x]:
-            continue
-        gens.append(x)
-        # the old reached set is closed under the old generators
-        _reach(add[:, gens].T, reached, add[reached, x])
-        if reached.all():
-            break
-    return gens
+    return _generators(len(add), add.T.__getitem__, [0])
 
 
 def check_abelian_table(add: np.ndarray, neg: np.ndarray) -> str | None:

@@ -317,21 +317,17 @@ def _index(tok: str, k: int) -> int:
 
 
 def format_mesh(mesh: AffineMesh) -> str:
+    """The mesh file, nonzero cells read off P and C.  A group without
+    moduli has no 'group' line, so it is refused with ValueError."""
     lines = [f"mesh {mesh.k}"]
     for i, g in enumerate(mesh.groups):
-        moduli = g.moduli or (g.order,)
-        lines.append(f"group {i} " + "x".join(map(str, moduli)))
-    for i in range(mesh.k):
-        for j in range(mesh.k):
-            images = mesh.phi[i][j]
-            if images.any():
-                lines.append(
-                    f"phi {i} {j} " + " ".join(str(int(x)) for x in images)
-                )
-    for i in range(mesh.k):
-        for j in range(mesh.k):
-            if mesh.c[i][j]:
-                lines.append(f"c {i} {j} {mesh.c[i][j]}")
+        if g.moduli is None:
+            raise ValueError(f"group {i} is not a product of cyclic groups")
+        lines.append(f"group {i} " + "x".join(map(str, g.moduli)))
+    o = mesh.offsets.tolist()
+    for i, j in np.argwhere(np.logical_or.reduceat(mesh.P != 0, o[:-1], axis=0)).tolist():
+        lines.append(f"phi {i} {j} " + " ".join(map(str, mesh.P[o[i]:o[i + 1], j].tolist())))
+    lines += [f"c {i} {j} {mesh.C[i, j]}" for i, j in np.argwhere(mesh.C).tolist()]
     return "\n".join(lines) + "\n"
 
 

@@ -748,3 +748,107 @@ def loop_semiregular_extension_form(mesh: AffineMesh) -> bool:
         for i in range(mesh.k)
         for j in range(mesh.k)
     )
+
+
+def _loop_cycle_type(images: list[int]) -> tuple[int, ...]:
+    """Sorted cycle lengths of the permutation images."""
+    seen = [False] * len(images)
+    lengths = []
+    for start in range(len(images)):
+        if seen[start]:
+            continue
+        length = 0
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            x = images[x]
+            length += 1
+        lengths.append(length)
+    return tuple(sorted(lengths))
+
+
+def loop_profiles(q: Quandle, rows: list[list[int]]) -> list[tuple]:
+    orb = connectivity_orbits(q)
+    sizes = orb.sizes()
+    return [
+        (_loop_cycle_type(rows[a]), sizes[orb.block_of[a]])
+        for a in range(q.n)
+    ]
+
+
+def loop_is_isomorphic(q1: Quandle, q2: Quandle) -> tuple[int, ...] | None:
+    """Search for an element bijection preserving *, or return None.
+
+    Plain backtracking, element by element, pruned by orbit sizes and
+    translation cycle types: the reference for core.is_isomorphic, which
+    extends sigma from generators.
+    """
+    if q1.n != q2.n:
+        return None
+    n = q1.n
+    t1, t2 = q1.array.tolist(), q2.array.tolist()
+    prof1, prof2 = loop_profiles(q1, t1), loop_profiles(q2, t2)
+    if sorted(prof1) != sorted(prof2):
+        return None
+    candidates = [
+        [b for b in range(n) if prof2[b] == prof1[a]] for a in range(n)
+    ]
+    order = sorted(range(n), key=lambda a: len(candidates[a]))
+    sigma = [-1] * n
+    used = [False] * n
+
+    def fits(a: int, b: int) -> bool:
+        """Does a -> b agree with sigma on every product with a mapped c?"""
+        for c in range(n):
+            sc = sigma[c]
+            if sc < 0:
+                continue
+            im = sigma[t1[a][c]]
+            if im >= 0 and im != t2[b][sc]:
+                return False
+            im = sigma[t1[c][a]]
+            if im >= 0 and im != t2[sc][b]:
+                return False
+        return True
+
+    # depth-first, with one iterator over the candidates of order[pos] per
+    # mapped position pos, so that the depth is not bounded by Python's stack
+    stack = [iter(candidates[order[0]])]
+    while stack:
+        a = order[len(stack) - 1]
+        if sigma[a] >= 0:   # back at a: unmap it before its next candidate
+            used[sigma[a]] = False
+            sigma[a] = -1
+        b = next((b for b in stack[-1] if not used[b] and fits(a, b)), None)
+        if b is None:
+            stack.pop()
+            continue
+        sigma[a] = b
+        used[b] = True
+        if len(stack) < n:
+            stack.append(iter(candidates[order[len(stack)]]))
+        # pairwise pruning does not see products landing on elements
+        # mapped later, so confirm the full table once at the leaf
+        elif _hom_failure(np.asarray(sigma), q1.array, q2.array) is None:
+            return tuple(sigma)
+    return None
+
+
+def loop_format_mesh(mesh: AffineMesh) -> str:
+    """A mesh file over cyclic groups, cell by cell through phi and c: the
+    reference for iofmt.format_mesh, which reads P and C."""
+    lines = [f"mesh {mesh.k}"]
+    for i, g in enumerate(mesh.groups):
+        lines.append(f"group {i} " + "x".join(map(str, g.moduli)))
+    for i in range(mesh.k):
+        for j in range(mesh.k):
+            images = mesh.phi[i][j]
+            if images.any():
+                lines.append(
+                    f"phi {i} {j} " + " ".join(str(int(x)) for x in images)
+                )
+    for i in range(mesh.k):
+        for j in range(mesh.k):
+            if mesh.c[i][j]:
+                lines.append(f"c {i} {j} {mesh.c[i][j]}")
+    return "\n".join(lines) + "\n"

@@ -479,7 +479,7 @@ def _fresh_process(*argv, flags=()):
 
 
 def test_iso_search_deeper_than_the_recursion_limit(tmp_path):
-    # The backtracking keeps its own stack, one level per mapped element, so
+    # The backtracking keeps its own stack, one level per generator, so
     # the trivial quandle of order 300 needs no Python recursion.
     n = 300
     path = tmp_path / "trivial.quandle"

@@ -1,7 +1,9 @@
 """Tables, validation witnesses, quotients, subquandles, isomorphism,
 distinct rows."""
 
+import math
 import re
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -40,7 +42,14 @@ from quandles.iofmt import format_quandle, parse_quandle
 from quandles.mesh import coset_criterion, mesh_sum, validate_mesh
 
 from conftest import aff
-from oracles import affine_table_mod, left_division, lexicographic_validate, naive_is_quandle
+from oracles import (
+    affine_table_mod,
+    left_division,
+    lexicographic_validate,
+    loop_is_isomorphic,
+    loop_profiles,
+    naive_is_quandle,
+)
 
 PROJECTION_4 = [[b for b in range(4)] for _ in range(4)]
 
@@ -289,6 +298,63 @@ def test_is_isomorphic_distinguishes_same_profile():
 
 def test_is_isomorphic_size_mismatch():
     assert is_isomorphic(aff(2, 1).quandle, aff(3, 1).quandle) is None
+
+
+def _relabeled(q: Quandle, perm: np.ndarray) -> Quandle:
+    """q with element x renamed perm[x]."""
+    inv = np.argsort(perm)
+    return validate_quandle(perm[q.array[np.ix_(inv, inv)]])
+
+
+def _same_verdict(q1: Quandle, q2: Quandle) -> bool:
+    """is_isomorphic agrees with the element-by-element search, and a
+    sigma it returns is a bijection that carries * over."""
+    sigma = is_isomorphic(q1, q2)
+    if sigma is not None:
+        r = np.asarray(sigma)
+        assert sorted(sigma) == list(range(q1.n))
+        assert np.array_equal(r[q1.array], q2.array[np.ix_(r, r)])
+    return (sigma is None) == (loop_is_isomorphic(q1, q2) is None)
+
+
+def test_is_isomorphic_agrees_with_the_element_search(small_corpus):
+    # equal-order corpus pairs, half of them drawn from pairs whose
+    # profiles agree (where the search has to decide), relabelings of
+    # corpus quandles, and every Aff(Z_m, u) against Aff(Z_m, u'), m <= 16
+    rng = np.random.default_rng(24)
+    by_order, by_profile = {}, {}
+    for _, q in small_corpus:
+        by_order.setdefault(q.n, []).append(q)
+        key = (q.n, tuple(sorted(loop_profiles(q, q.array.tolist()))))
+        by_profile.setdefault(key, []).append(q)
+    pairs = []
+    for groups in (list(by_order.values()), [g for g in by_profile.values() if len(g) > 1]):
+        for _ in range(1500):
+            group = groups[rng.integers(len(groups))]
+            pairs.append((group[rng.integers(len(group))], group[rng.integers(len(group))]))
+    for i in rng.choice(len(small_corpus), 300, replace=False):
+        q = small_corpus[i][1]
+        pairs.append((q, _relabeled(q, rng.permutation(q.n))))
+    units = {m: [u for u in range(m) if math.gcd(u, m) == 1 or m == 1] for m in range(1, 17)}
+    pairs += [(aff(m, u).quandle, aff(m, v).quandle)
+              for m, us in units.items() for u in us for v in us]
+    assert all(_same_verdict(q1, q2) for q1, q2 in pairs)
+    found = sum(is_isomorphic(q1, q2) is not None for q1, q2 in pairs)
+    assert 600 < found < len(pairs) - 600
+
+
+def test_is_isomorphic_decides_equal_profile_affine_pairs_quickly():
+    # 5 and 7 are primitive roots mod 23, 3 and 11 mod 31, 2 and 3 mod 101:
+    # every element has the same profile, and no two of them are
+    # isomorphic.  The element search took 31.7 s on the first pair alone.
+    start = time.perf_counter()
+    for m, u, v in ((23, 5, 7), (31, 3, 11), (101, 2, 3)):
+        assert is_isomorphic(aff(m, u).quandle, aff(m, v).quandle) is None
+    q = aff(256, 3).quandle
+    q2 = _relabeled(q, np.random.default_rng(256).permutation(256))
+    sigma = np.asarray(is_isomorphic(q, q2))
+    assert np.array_equal(sigma[q.array], q2.array[np.ix_(sigma, sigma)])
+    assert time.perf_counter() - start < 5.0
 
 
 def _affine_513() -> np.ndarray:

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import math
+import random
 import tracemalloc
 import warnings
 from unittest import mock
@@ -16,7 +17,12 @@ from quandles import core, iofmt
 from quandles.affine import make_affine
 from quandles.core import RowSet
 from quandles.errors import ParseError, QuandleError
-from quandles.groups import make_cyclic_product, multiplication_automorphism
+from quandles.groups import (
+    AbelianGroup,
+    direct_product,
+    make_cyclic_product,
+    multiplication_automorphism,
+)
 from quandles.iofmt import (
     format_mesh,
     format_quandle,
@@ -28,9 +34,10 @@ from quandles.iofmt import (
     write_affine,
     write_quandle,
 )
-from quandles.mesh import mesh_sum
+from quandles.mesh import AffineMesh, generate_max_mesh, mesh_sum, validate_mesh
 
-from oracles import loop_parse_quandle
+import corpus
+from oracles import loop_format_mesh, loop_parse_quandle
 from test_cli_fuzz import QUANDLES, mutated, raw_bytes
 
 
@@ -376,6 +383,39 @@ def test_mesh_parse_nonzero_phi_round_trip():
     assert list(m.phi[0][0]) == [0, 4, 0, 4, 0, 4, 0, 4]
     again = parse_mesh(format_mesh(m))
     assert list(again.phi[0][0]) == list(m.phi[0][0])
+
+
+def test_format_mesh_reads_p_and_c_byte_for_byte(monkeypatch):
+    # the nonzero cells are read off P and C, in the cell loop's line order
+    raws = random.Random(24).sample(corpus.small_mesh_corpus(), 300)
+    meshes = [corpus.build_mesh(raw) for raw in raws]
+    meshes += [generate_max_mesh(n, k) for n, k in ((4, 1), (8, 2), (16, 3), (32, 4))]
+    expected = [loop_format_mesh(m) for m in meshes]
+    assert sum("\nphi " in text for text in expected) > 50
+
+    def unread(self):
+        raise AssertionError("phi or c read")
+
+    monkeypatch.setattr(AffineMesh, "phi", property(unread))
+    monkeypatch.setattr(AffineMesh, "c", property(unread))
+    assert [format_mesh(m) for m in meshes] == expected
+
+
+def test_format_mesh_refuses_a_group_without_moduli():
+    # Z2 x Z2 as a bare table with phi(a, b) = (b, a + b): written as
+    # "group 0 4" it would read back as Z_4, on which phi is no map at all
+    z2 = make_cyclic_product((2, 2))
+    table = AbelianGroup(np.array(z2.add), np.array(z2.neg))
+    phi = np.array([0, 3, 1, 2], dtype=np.int32)
+    mesh = validate_mesh([table], [[phi]], [[0]])
+    with pytest.raises(ValueError, match="group 0 "):
+        format_mesh(mesh)
+    z3 = make_cyclic_product((3,))
+    mesh = validate_mesh([z3, direct_product(z3, table)],
+                         [[np.zeros(3, dtype=np.int32)] * 2, [np.zeros(12, dtype=np.int32)] * 2],
+                         [[0, 0], [0, 0]])
+    with pytest.raises(ValueError, match="group 1 "):
+        format_mesh(mesh)
 
 
 @pytest.mark.parametrize(

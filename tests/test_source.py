@@ -254,10 +254,13 @@ def test_test_only_helpers_stay_deleted():
 
 
 def test_each_search_and_builder_exists_once():
-    # core._reach is the one frontier search (subgroup and generating set
-    # of a table, subquandle closure, the row classes known to be
-    # automorphisms in validation), ProductGroup.add the one product
-    # table builder, and core._partition the one labels-to-Partition step:
+    # core._reach is the one frontier search (subgroup of a table,
+    # subquandle closure, core._generators) and core._generators the one
+    # greedy generator walk (a group table's generating set, the row classes
+    # that validation checks, the generators whose images the isomorphism
+    # search chooses, with no per-element fits test), ProductGroup.add the
+    # one product table builder, and core._partition the one
+    # labels-to-Partition step:
     # Partition.from_blocks checks blocks from outside only.  A mesh's
     # maps are checked at generators, their witness taken from
     # core._hom_failure, and (M3) shares its fiber rescan
@@ -267,14 +270,15 @@ def test_each_search_and_builder_exists_once():
         return lambda node: isinstance(node, ast.Call) and _name(node.func) == name
 
     assert sorted(_sites(call_of("_reach"))) == [
-        "affine.subquandle_closure", "core._validated", "groups._close_under",
-        "groups.generating_indices"]
+        "affine.subquandle_closure", "core._generators", "groups._close_under"]
+    assert sorted(_sites(call_of("_generators"))) == [
+        "core._validated", "core.is_isomorphic", "groups.generating_indices"]
     assert _sites(call_of("from_blocks")) == ["iofmt.parse_partition"]
     found = [
         f"{path.name}: {name}"
         for path in sorted(SRC.glob("*.py"))
         for name in _names(_tree(path))
-        if name in {"_grow", "_cyclic_tables", "_hom_mismatch", "_hom_witness"}
+        if name in {"_grow", "_cyclic_tables", "_hom_mismatch", "_hom_witness", "fits"}
     ]
     assert found == []
 
