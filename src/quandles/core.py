@@ -28,23 +28,31 @@ LINE_CACHE_BYTES = 1 << 26
 
 def _chunks(start: int, stop: int, width: int):
     """(lo, hi) runs of start..stop-1, at most CHUNK_ENTRIES // width long
-    (at least one), so that a (hi - lo, width) temporary stays in a chunk."""
+    (at least one), so that a (hi - lo, width) temporary stays in a chunk;
+    a check that stops at its first failure takes them via _first_failure."""
     step = max(1, CHUNK_ENTRIES // max(1, width))
     for lo in range(start, stop, step):
         yield lo, min(lo + step, stop)
+
+
+def _first_failure(mismatch, rows: int, width: int) -> tuple[int, ...] | None:
+    """The first index in row-major order at which the mask mismatch(lo, hi)
+    of rows lo..hi-1 holds, lo added to its row, or None: rows 0..rows-1
+    are taken in _chunks of width entries a row, up to the first failing one."""
+    for lo, hi in _chunks(0, rows, width):
+        bad = mismatch(lo, hi)
+        if bad.any():
+            row, *rest = np.argwhere(bad)[0].tolist()
+            return lo + row, *rest
+    return None
 
 
 def _hom_failure(r: np.ndarray, src: np.ndarray, dst: np.ndarray) -> tuple[int, int] | None:
     """The first (b, c) in row-major order with r[src[b, c]] != dst[r[b], r[c]],
     or None if the map r is a homomorphism from the table src to the table
     dst.  Rows b are taken in chunks of at most CHUNK_ENTRIES products."""
-    n = len(r)
-    for lo, hi in _chunks(0, n, n):
-        bad = r.take(src[lo:hi]) != dst.take(r[lo:hi], axis=0).take(r, axis=1)
-        if bad.any():
-            b, c = np.argwhere(bad)[0].tolist()
-            return lo + b, c
-    return None
+    return _first_failure(lambda lo, hi: r.take(src[lo:hi])
+                          != dst.take(r[lo:hi], axis=0).take(r, axis=1), len(r), len(r))
 
 
 def _reach(maps: np.ndarray, reached: np.ndarray, frontier) -> None:
@@ -240,15 +248,13 @@ def _class_map(arr: np.ndarray, first: np.ndarray, which: np.ndarray,
     are arr[first] and row numbers which: the map k of row classes, class
     of b -> class of a*b, if L_a is an endomorphism, else None.  Checks
     (i) which[a*b] = k[which[b]] for every b, then (ii) r o R_j = R_k[j] o r
-    for each distinct row R_j, in chunks of rows (_chunks)."""
+    for each distinct row R_j, in chunks of rows (_first_failure)."""
     k = which[r[first]]
     if not np.array_equal(which[r], k[which]):
         return None
-    for lo, hi in _chunks(0, len(first), len(r)):
-        if not np.array_equal(r.take(arr[first[lo:hi]]),
-                              arr[first[k[lo:hi]]].take(r, axis=1)):
-            return None
-    return k
+    fails = _first_failure(lambda lo, hi: r.take(arr[first[lo:hi]])
+                           != arr[first[k[lo:hi]]].take(r, axis=1), len(first), len(r))
+    return k if fails is None else None
 
 
 def _validated(table, classes=None) -> Quandle:
@@ -269,12 +275,14 @@ def _validated(table, classes=None) -> Quandle:
     if classes is not None:
         q.__dict__["rows"] = RowSet(arr, classes)
     first, which, n = q.rows.first, q.rows.which, q.n
-    for lo, hi in _chunks(0, len(first), n):   # distinct rows sorted per chunk
+
+    def not_bijective(lo, hi):   # distinct rows sorted per chunk, in place
         rows = arr[first[lo:hi]]
         rows.sort(axis=1)
-        wrong = np.flatnonzero((rows != np.arange(n)).any(axis=1))
-        if wrong.size:
-            raise RowNotBijective(int(first[lo + wrong[0]]))
+        return (rows != np.arange(n)).any(axis=1)
+
+    if (wrong := _first_failure(not_bijective, len(first), n)) is not None:
+        raise RowNotBijective(int(first[wrong[0]]))
 
     def class_map(j: int) -> np.ndarray:
         k = _class_map(arr, first, which, arr[first[j]])

@@ -26,6 +26,7 @@ from .errors import InternalAssertionFailure, NotHomImage, OplusUndefined
 from .groups import (
     AbelianGroup,
     GroupAutomorphism,
+    _additive_failure,
     check_abelian_table,
     direct_product,
     make_cyclic_product,
@@ -244,9 +245,9 @@ def verify_cover(result: CoverResult, q: Quandle) -> VerifyReport:
        f(u)+f(g+h), so S is closed under +, and in a finite group a
        nonempty subset closed under + is a subgroup.  The lifted
        generators of the factors generate A, so checking f(u+g) = f(u)+f(g)
-       for every u and each of them (|A| * |gens|) shows S = A.  A
-       table-backed factor reads its generating set off its table once
-       and keeps it, so D's is read once although D is a factor twice.
+       for every u and each of them (|A| * |gens|, _additive_failure) shows
+       S = A.  A table-backed factor reads its generating set off its table
+       once and keeps it, so D's is read once although D is a factor twice.
     4. psi maps into Q: shape |A| and values in 0..|Q|-1.
     5. psi is a homomorphism.  In Aff(A,f), u*v = w(u) + f(v) with
        w = (1-f)(u) = u + neg(f(u)), so u*v depends on u only through w(u).
@@ -271,19 +272,11 @@ def verify_cover(result: CoverResult, q: Quandle) -> VerifyReport:
     witness = _group_witness(a, len(result.dis) * result.transversal.size)
     if witness is not None:
         return VerifyReport((f"A is not an abelian group: {witness}",))
-    rng = np.arange(n, dtype=np.int32)
     f_in_range = im.shape == (n,) and im.min() >= 0 and im.max() < n
     if not (f_in_range and np.bincount(im, minlength=n).all()):
         failures.append("f is not bijective")
-    else:   # generators in chunks, all at once in one: row i is gens[lo + i]
-        gens = np.array(a.generators(), dtype=np.int32)
-        for lo, hi in _chunks(0, len(gens), n):
-            g = gens[lo:hi, None]
-            bad = im.take(a.plus(rng[None, :], g)) != a.plus(im[None, :], im.take(g))
-            if bad.any():
-                i, u = np.argwhere(bad)[0].tolist()
-                failures.append(f"f is not additive at ({u},{int(gens[lo + i])})")
-                break
+    elif (witness := _additive_failure(a, im)) is not None:
+        failures.append("f is not additive at ({1},{0})".format(*witness))
     if psi.shape != (n,) or psi.min() < 0 or psi.max() >= q.n:
         failures.append("psi is not a map into Q")
     else:

@@ -12,14 +12,14 @@ A table whose finished int32 form would exceed 1 GiB (order above
 from the table or floor arithmetic on the indices, and it checks
 nothing.  Its callers pass elements:
 
-- validate_automorphism and affine._same_group: index ranges,
-  generators, and images after the bijectivity check;
+- _additive_failure (validate_automorphism, verify_cover's claim 3) and
+  affine._same_group: index ranges, generators, and f's images once in range;
 - affine.one_minus_f_images, make_affine and iofmt.write_affine: the
   images of a GroupAutomorphism (validated, or the certified cover's f)
   and ``neg`` of a group the package built;
 - verify_cover: claim 1 sums ``neg`` only after check_abelian_table has
-  range-checked each factor's ``neg``, and claims 3 and 5 sum f's
-  images only after claim 2's range check.
+  range-checked each factor's ``neg``, and claim 5 sums f's images only
+  after claim 2's range check.
 
 An AbelianGroup is a plain record, like a Quandle: its constructor
 checks nothing.  Every group the package builds is a group by
@@ -38,7 +38,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .core import _as_int32, _first_non_integer, _generators, _hom_failure, _reach
+from .core import _as_int32, _first_failure, _first_non_integer, _generators, _hom_failure, _reach
 from .errors import EmptyModuli, NotAdditive, NotBijective, TooLarge
 
 
@@ -55,21 +55,17 @@ def _check_table_limit(n: int, what: str = "group order",
                        f"over the {_TABLE_LIMIT_BYTES >> 30} GiB table limit")
 
 
-def _first_mismatch(a: np.ndarray, b: np.ndarray) -> tuple[int, ...]:
-    return tuple(int(x) for x in np.argwhere(a != b)[0])
-
-
-def _first_asymmetry(b: np.ndarray, tile: int = 256) -> tuple[int, int] | None:
+def _first_asymmetry(b: np.ndarray) -> tuple[int, int] | None:
     """First (i, j) in row-major order with b[i,j] != b[j,i], or None.
 
-    Compares tile against transposed tile, so that the transposed reads
-    stay in cache; only a failing table pays for the full witness scan.
+    Compares 256-wide tiles against transposed ones, so that transposed
+    reads stay in cache; only a failing table pays for the witness scan.
     """
-    n = len(b)
+    n, tile = len(b), 256
     for i in range(0, n, tile):
         for j in range(i, n, tile):
             if not np.array_equal(b[i:i + tile, j:j + tile], b[j:j + tile, i:i + tile].T):
-                return _first_mismatch(b, b.T)
+                return _first_failure(lambda lo, hi: b[lo:hi] != b[:, lo:hi].T, n, n)
     return None
 
 
@@ -302,11 +298,10 @@ class GroupAutomorphism:
 
 
 def validate_automorphism(group: AbelianGroup, images) -> GroupAutomorphism:
-    """Check bijectivity and additivity (first witness each).  The g with
-    f(a+g) = f(a)+f(g) for every a are closed under +, so f is additive
-    iff each generator is one: |gens| * order sums through ``plus``, no
-    table read.  Only on a failure does core._hom_failure scan the
-    addition table for the first (a, b) with f(a+b) != f(a)+f(b)."""
+    """Check bijectivity and additivity (first witness each).  Additivity
+    is checked at the generators (_additive_failure, no table read); only
+    on a failure does core._hom_failure scan the addition table for the
+    first (a, b) with f(a+b) != f(a)+f(b)."""
     try:
         im = _as_int32(images)
     except (OverflowError, TypeError):  # an image that is no int32 integer is no element
@@ -316,11 +311,24 @@ def validate_automorphism(group: AbelianGroup, images) -> GroupAutomorphism:
         raise ValueError(f"map has {im.shape} images, expected {n}")
     if not np.array_equal(np.sort(im), np.arange(n)):
         raise NotBijective()
-    x = np.arange(n, dtype=np.int32)
-    for g in group.generators():
-        if not np.array_equal(im[group.plus(x, g)], group.plus(im, im[g])):
-            raise NotAdditive(*_hom_failure(im, group.add, group.add))
+    if _additive_failure(group, im) is not None:
+        raise NotAdditive(*_hom_failure(im, group.add, group.add))
     return GroupAutomorphism(group, im)
+
+
+def _additive_failure(group: AbelianGroup, images: np.ndarray) -> tuple[int, int] | None:
+    """The first (g, u), g in group.generators() order, then u, with f(u+g)
+    != f(u)+f(g) for f = images, or None iff f is additive: the g that pass
+    are closed under +.  |gens| * order sums through ``plus``, no table read."""
+    gens = np.array(group.generators(), dtype=np.int32)
+    rng = np.arange(group.order, dtype=np.int32)
+
+    def mismatch(lo, hi):  # row i is gens[lo + i]
+        g = gens[lo:hi, None]
+        return images.take(group.plus(rng, g)) != group.plus(images, images.take(g))
+
+    found = _first_failure(mismatch, len(gens), group.order)
+    return None if found is None else (int(gens[found[0]]), found[1])
 
 
 def multiplication_automorphism(group: AbelianGroup, u: int) -> GroupAutomorphism:

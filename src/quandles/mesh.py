@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Quandle, RowSet, _as_int32, _chunks, _hom_failure
+from .core import Quandle, RowSet, _as_int32, _chunks, _first_failure, _hom_failure
 from .errors import (
     InvalidParams,
     M1Violation,
@@ -139,18 +139,14 @@ def _param_error(groups, phi, c) -> InvalidParams | None:
 
 
 def _first_failing_fiber(mesh: AffineMesh, mismatch, width: int) -> tuple[int, np.ndarray] | None:
-    """(i, flags) or None: the layout is scanned in core._chunks of width
-    entries a row for mismatch(lo, hi), a (hi - lo, ...) mask per row;
+    """(i, flags) or None: core._first_failure scans the layout, width
+    entries a row, for mismatch(lo, hi), a (hi - lo, ...) mask per row;
     i is the fiber of the first failing row, flags its OR over A_i's rows."""
-    for lo, hi in _chunks(0, mesh.total_size, width):
-        bad = mismatch(lo, hi)
-        if bad.any():
-            i = int(mesh.fiber[lo + np.argwhere(bad)[0, 0]])
-            flags = np.zeros(bad.shape[1:], dtype=bool)
-            for start, stop in _chunks(int(mesh.offsets[i]), int(mesh.offsets[i + 1]), width):
-                flags |= mismatch(start, stop).any(axis=0)
-            return i, flags
-    return None
+    if (at := _first_failure(mismatch, mesh.total_size, width)) is None:
+        return None
+    i = int(mesh.fiber[at[0]])
+    span = _chunks(int(mesh.offsets[i]), int(mesh.offsets[i + 1]), width)
+    return i, np.any([mismatch(start, stop).any(axis=0) for start, stop in span], axis=0)
 
 
 def _check_homomorphisms(mesh: AffineMesh) -> None:
@@ -192,14 +188,13 @@ def _check_m4(mesh: AffineMesh) -> None:
     k = mesh.k
     o, cols = mesh.offsets[:-1], np.arange(k)
     minus = mesh.neg[o + mesh.C]  # [j, kk]: -c[j][kk] in A_kk
-    for lo, hi in _chunks(0, k, k * k):
+
+    def mismatch(lo, hi):  # [i, j, kk]
         ci = mesh.C[lo:hi]
-        lhs = mesh.P[o + ci]  # [i, j, kk]
-        rhs = mesh.P[o + mesh.add(cols, ci[:, None, :], minus), cols]
-        bad = lhs != rhs
-        if bad.any():
-            i, j, kk = map(int, np.argwhere(bad)[0])
-            raise M4Violation(lo + i, j, kk)
+        return mesh.P[o + ci] != mesh.P[o + mesh.add(cols, ci[:, None, :], minus), cols]
+
+    if found := _first_failure(mismatch, k, k * k):
+        raise M4Violation(*found)
 
 
 def validate_mesh(groups, phi, c) -> AffineMesh:
@@ -293,11 +288,8 @@ def coset_criterion(mesh: AffineMesh) -> bool:
     x = mesh.add(cols, rows, mesh.neg[mesh.offsets[cols] + rows[0]])
     members = RowSet(x)
     x = x[members.first]
-    for lo, hi in _chunks(0, len(x), len(x) * len(cols)):
-        sums = mesh.add(cols, x[lo:hi, None, :], x[None, :, :])
-        if (members.index_of(sums) < 0).any():
-            return False
-    return True
+    return _first_failure(lambda lo, hi: members.index_of(
+        mesh.add(cols, x[lo:hi, None, :], x[None, :, :])) < 0, len(x), len(x) * len(cols)) is None
 
 
 def semiregular_extension_form(mesh: AffineMesh) -> bool:

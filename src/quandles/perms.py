@@ -14,7 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Partition, Quandle, RowSet, _as_int32, _chunks, _partition, connectivity_orbits
+from .core import (Partition, Quandle, RowSet, _as_int32, _chunks, _first_failure,
+                   _partition, connectivity_orbits)
 from .errors import DegreeMismatch
 
 # Entries of one chunk of closure's candidates.  The other chunked loops
@@ -109,12 +110,9 @@ def cayley_kernel(q: Quandle) -> Partition:
 def _commute(gens: np.ndarray) -> bool:
     """Do the permutations ``gens`` commute pairwise?  gens[:, gens][i, j]
     is g_i o g_j; it is compared with its transpose in row chunks
-    (core._chunks)."""
-    for lo, hi in _chunks(0, len(gens), gens.size):
-        chunk = gens[lo:hi]
-        if not np.array_equal(chunk[:, gens], gens[:, chunk].transpose(1, 0, 2)):
-            return False
-    return True
+    (core._first_failure)."""
+    return _first_failure(lambda lo, hi: gens[lo:hi][:, gens]
+                          != gens[:, gens[lo:hi]].transpose(1, 0, 2), len(gens), gens.size) is None
 
 
 def is_abelian(g: PermGroup) -> bool:

@@ -484,14 +484,16 @@ def test_table_backed_generators_are_read_once_and_handed_out_fresh(monkeypatch)
     assert g.generators() == real(g.add) and calls == [12]
 
 
-def test_commutativity_witness_spans_tiles():
+def test_commutativity_witness_spans_tiles(monkeypatch):
     # 300 > one 256-wide tile: the witness must still be the first one in
-    # row-major order
+    # row-major order, also when the witness scan takes one row a chunk
     n = 300
     add = make_cyclic_product((n,)).add.copy()
     neg = make_cyclic_product((n,)).neg
     add[280, 10], add[270, 290] = add[280, 11], add[270, 291]
-    assert check_abelian_table(add, neg) == "not commutative at (10,280)"
+    for chunk in (core.CHUNK_ENTRIES, 1):
+        monkeypatch.setattr(core, "CHUNK_ENTRIES", chunk)
+        assert check_abelian_table(add, neg) == "not commutative at (10,280)"
 
 
 def _refusal_peak(build) -> int:

@@ -66,12 +66,18 @@ def raw_corpus():
     return corpus.small_mesh_corpus()
 
 
-def test_every_corpus_mesh_agrees(raw_corpus):
+def test_every_corpus_mesh_agrees(raw_corpus, monkeypatch):
+    # coset_criterion also at chunk 1, its pairwise sums one row of the
+    # shifted set a chunk (three in four corpus meshes are no coset)
     for tup, phi, c in raw_corpus:
         groups = [corpus.group_for(m) for m in tup]
         phi = [[np.asarray(p, dtype=np.int32) for p in row] for row in phi]
         assert _agree(groups, phi, c) == "mesh"
-        _same_verdicts(validate_mesh(groups, phi, c))
+        m = validate_mesh(groups, phi, c)
+        _same_verdicts(m)
+        with monkeypatch.context() as patch:
+            patch.setattr(core, "CHUNK_ENTRIES", 1)
+            assert coset_criterion(m) == loop_coset_criterion(m)
 
 
 @pytest.mark.parametrize("n,k", [(4, 1), (8, 2), (16, 3), (32, 4), (64, 5)])

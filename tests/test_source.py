@@ -278,9 +278,35 @@ def test_each_search_and_builder_exists_once():
         f"{path.name}: {name}"
         for path in sorted(SRC.glob("*.py"))
         for name in _names(_tree(path))
-        if name in {"_grow", "_cyclic_tables", "_hom_mismatch", "_hom_witness", "fits"}
+        if name in {"_grow", "_cyclic_tables", "_hom_mismatch", "_hom_witness", "fits",
+                    "_first_mismatch"}
     ]
     assert found == []
+
+
+def test_one_first_failure_scan():
+    # core._first_failure is the one loop that stops a core._chunks scan at
+    # its first failing mask and adds the chunk's row offset to the witness;
+    # every other _chunks loop fills an output.  groups._additive_failure is
+    # the one scan of f(u+g) = f(u)+f(g) at the generators, for a map from
+    # outside and for the cover's f.
+    def call_of(name):
+        return lambda node: isinstance(node, ast.Call) and _name(node.func) == name
+
+    assert sorted(_sites(call_of("_first_failure"))) == [
+        "core._class_map", "core._hom_failure", "core._validated",
+        "groups._additive_failure", "groups._first_asymmetry", "mesh._check_m4",
+        "mesh._first_failing_fiber", "mesh.coset_criterion", "perms._commute"]
+    assert sorted(_sites(call_of("_additive_failure"))) == [
+        "cover.verify_cover", "groups.validate_automorphism"]
+
+    def stops_a_chunk_loop(node):
+        return (isinstance(node, ast.For) and isinstance(node.iter, ast.Call)
+                and _name(node.iter.func) == "_chunks"
+                and any(isinstance(sub, (ast.Return, ast.Break, ast.Raise))
+                        for stmt in node.body for sub in ast.walk(stmt)))
+
+    assert _sites(stops_a_chunk_loop) == ["core._first_failure"]
 
 
 def test_group_sums_are_flat_gathers_and_floor_arithmetic():
