@@ -48,10 +48,11 @@ _TABLE_LIMIT_BYTES = 1 << 30
 
 
 def _check_table_limit(n: int, what: str = "group order",
-                       table: str = "addition table") -> None:
-    """Refuse a table whose finished n^2 int32 form exceeds the limit."""
-    if 4 * n * n > _TABLE_LIMIT_BYTES:
-        raise TooLarge(f"{what} {n} needs a {4 * n * n}-byte {table}, "
+                       table: str = "addition table", width: int | None = None) -> None:
+    """Refuse a table whose finished n x width int32 form (n x n by default)
+    exceeds the limit."""
+    if (size := 4 * n * (width or n)) > _TABLE_LIMIT_BYTES:
+        raise TooLarge(f"{what} {n} needs a {size}-byte {table}, "
                        f"over the {_TABLE_LIMIT_BYTES >> 30} GiB table limit")
 
 

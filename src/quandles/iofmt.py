@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import io
 import re
-from itertools import chain
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -17,17 +17,19 @@ from .core import (
     WRITE_BLOCK_BYTES,
     Partition,
     Quandle,
+    _as_int32,
     _validated,
 )
-from .errors import ParseError
+from .errors import InvalidParams, ParseError
 from .groups import (
     AbelianGroup,
     GroupAutomorphism,
+    _check_table_limit,
     make_cyclic_product,
     multiplication_automorphism,
     validate_automorphism,
 )
-from .mesh import AffineMesh, validate_mesh
+from .mesh import AffineMesh, _validated_mesh
 
 
 # A piece of text is looked up by its length and its first FINGERPRINT
@@ -298,12 +300,22 @@ def parse_mesh(text: str) -> AffineMesh:
     for i in range(k):  # ends at the first index without a line, however large k is
         if i not in groups:
             raise ParseError(f"missing 'group {i}' line")
-    phi = [
-        [phi_entries.get((i, j), [0] * groups[i].order) for j in range(k)]
-        for i in range(k)
-    ]
-    c = [[c_entries.get((i, j), 0) for j in range(k)] for i in range(k)]
-    return validate_mesh([groups[i] for i in range(k)], phi, c)
+    o = [0, *accumulate(groups[i].order for i in range(k))]
+    _check_table_limit(o[-1], "mesh size", "map matrix", k)
+    _check_table_limit(k, "mesh index count", "constant matrix", 2 * k)  # int64: 2 int32s
+    P, C = np.zeros((o[-1], k), dtype=np.int32), np.zeros((k, k), dtype=np.int64)
+    short = np.zeros((k, k), dtype=bool)
+    for (i, j), images in phi_entries.items():
+        try:
+            images = _as_int32(images)
+        except OverflowError:  # an image that no int32 holds is no element
+            raise InvalidParams("phi maps outside its target group") from None
+        short[i, j] = len(images) != groups[i].order
+        if not short[i, j]:
+            P[o[i]:o[i + 1], j] = images
+    for (i, j), x in c_entries.items():
+        C[i, j] = x if x in range(groups[j].order) else -1  # -1: no element, even beyond int64
+    return _validated_mesh(AffineMesh.from_arrays([groups[i] for i in range(k)], P, C), short)
 
 
 def _index(tok: str, k: int) -> int:

@@ -8,7 +8,6 @@ disjoint union with a*b = c[i][j] + phi[i][j](a) + (1-phi[j][j])(b).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,9 +28,9 @@ from .groups import AbelianGroup, _check_table_limit, _close_under, make_cyclic_
 
 @dataclass(frozen=True, eq=False)
 class AffineMesh:
-    """A mesh, its k groups side by side in one index space 0..N-1;
-    construct via :func:`validate_mesh`, or via ``from_cells`` for a
-    family that is a mesh by construction.
+    """A mesh, its k groups side by side in one index space 0..N-1, made by
+    its one constructor ``from_arrays``: validate_mesh and parse_mesh check
+    the arrays they give it, generate_max_mesh's are a mesh by construction.
 
     Element a of A_i is o_i + a, o_i = ``offsets[i]``.  ``flat`` holds the
     addition tables one after another, so a + b in A_i is
@@ -52,29 +51,21 @@ class AffineMesh:
     C: np.ndarray
 
     @classmethod
-    def from_cells(cls, groups, phi, c) -> AffineMesh:
-        """The mesh of the int32 maps phi[i][j] and constants c[i][j],
-        unchecked; nothing of phi or c is kept."""
+    def from_arrays(cls, groups, P: np.ndarray, C: np.ndarray) -> AffineMesh:
+        """The mesh of the (N, k) int32 maps P and (k, k) int64 constants C,
+        unchecked: P and C are kept, not copied; the rest comes from groups."""
         groups = tuple(groups)
         sizes = np.array([g.order for g in groups], dtype=np.int64)
-        offsets = np.concatenate([[0], np.cumsum(sizes)])
-        k = len(groups)
-        # phi in (i, j) order: source i's block holds its k maps one after another
-        images = np.concatenate([p for row in phi for p in row])
         tables = [g.add.reshape(-1) for g in groups]
         mesh = cls(
             groups=groups,
-            offsets=offsets,
+            offsets=np.concatenate([[0], np.cumsum(sizes)]),
             sizes=sizes,
             bases=np.concatenate([[0], np.cumsum(sizes * sizes)[:-1]]),
-            fiber=np.repeat(np.arange(k), sizes),
-            flat=tables[0] if k == 1 else np.concatenate(tables),  # no copy of one table
+            fiber=np.repeat(np.arange(len(groups)), sizes),
+            flat=tables[0] if len(groups) == 1 else np.concatenate(tables),  # no copy of one table
             neg=np.concatenate([g.neg for g in groups]),
-            P=np.concatenate([
-                images[k * o:k * (o + n)].reshape(k, n).T
-                for o, n in zip(offsets[:-1].tolist(), sizes.tolist())
-            ]),
-            C=np.array(c, dtype=np.int64),
+            P=P, C=C,
         )
         for a in vars(mesh).values():
             if isinstance(a, np.ndarray):
@@ -121,21 +112,6 @@ class AffineMesh:
             out[lo:hi] = self.add(cols, self.P[lo:hi], self.C[self.fiber[lo:hi]])
         out.setflags(write=False)
         return out
-
-
-def _param_error(groups, phi, c) -> InvalidParams | None:
-    """The first bad cell (i, j) in row-major order: its length, then its
-    images, then its constant."""
-    k = len(groups)
-    for i in range(k):
-        for j in range(k):
-            if phi[i][j].shape != (groups[i].order,):
-                return InvalidParams(f"phi[{i}][{j}] has the wrong length")
-            if phi[i][j].min(initial=0) < 0 or phi[i][j].max(initial=0) >= groups[j].order:
-                return InvalidParams(f"phi[{i}][{j}] maps outside the target group")
-            if c[i][j] not in range(groups[j].order):
-                return InvalidParams(f"c[{i}][{j}] is not an element of the target group")
-    return None
 
 
 def _first_failing_fiber(mesh: AffineMesh, mismatch, width: int) -> tuple[int, np.ndarray] | None:
@@ -198,36 +174,49 @@ def _check_m4(mesh: AffineMesh) -> None:
 
 
 def validate_mesh(groups, phi, c) -> AffineMesh:
-    """Verify homomorphisms and (M1)-(M4), first witness each.
-
-    Each check runs over the whole layout at once, in chunks of at most
-    core.CHUNK_ENTRIES entries; only a failing check goes back for its witness,
-    the first failure in the order of the per-cell loops: parameters per
-    (i, j), homomorphisms per (i, j) then (a, b), (M1) and (M2) per i,
-    (M3) per (i, kk) then j, (M4) per (i, j, kk).  phi[i][j] is checked
-    at the generators s of A_i only: it is additive iff
-    phi(a + s) = phi(a) + phi(s) for every a and each s, since the s that
-    pass are closed under +.  The witness (a, b) of a failing phi[i][j]
-    comes from core._hom_failure.
-    """
+    """The mesh of k rows of k cells phi[i][j] and c[i][j], checked by _validated_mesh."""
     groups = tuple(groups)
     k = len(groups)
     if k == 0:
         raise InvalidParams("mesh needs at least one index")
+    for name, cells in (("phi", phi), ("c", c)):
+        if len(cells) != k or any(len(row) != k for row in cells):
+            raise InvalidParams(f"{name} needs {k} rows of {k} cells")
     try:
-        phi = tuple(tuple(_as_int32(phi[i][j]) for j in range(k)) for i in range(k))
+        phi = [[_as_int32(p) for p in row] for row in phi]
     except (OverflowError, TypeError):  # an image that is no int32 integer is no element
         raise InvalidParams("phi maps outside its target group") from None
-    c = tuple(tuple(c[i][j] for j in range(k)) for i in range(k))  # a non-integer is in no range
     orders = [g.order for g in groups]
-    if not (
-        all(p.shape == (orders[i],) for i, row in enumerate(phi) for p in row)
-        and all(x in range(orders[j]) for row in c for j, x in enumerate(row))
-    ):
-        raise _param_error(groups, phi, c)
-    mesh = AffineMesh.from_cells(groups, phi, c)
-    if mesh.P.min(initial=0) < 0 or (mesh.P >= mesh.sizes).any():
-        raise _param_error(groups, phi, c)
+    short = np.array([[p.shape != (n,) for p in row] for row, n in zip(phi, orders)])
+    P = np.concatenate([  # source i's k maps as columns, zeros for a wrong length
+        np.array([np.zeros(n, np.int32) if s else p for p, s in zip(row, flags)]).T
+        for row, flags, n in zip(phi, short.tolist(), orders)])
+    # -1 stands for a constant that is no element: a non-integer is in no range
+    C = np.array([[x if x in range(n) else -1 for x, n in zip(row, orders)] for row in c],
+                 dtype=np.int64)
+    return _validated_mesh(AffineMesh.from_arrays(groups, P, C), short)
+
+
+def _validated_mesh(mesh: AffineMesh, short: np.ndarray) -> AffineMesh:
+    """Verify parameters, homomorphisms and (M1)-(M4) on mesh's arrays, the
+    first failure in the order of the per-cell loops: parameters per (i, j)
+    (length: short[i, j], the map zero in P; images; constant: -1 in C for
+    one that is no element), homomorphisms per (i, j) then (a, b), (M1) and
+    (M2) per i, (M3) per (i, kk) then j, (M4) per (i, j, kk).  Each check
+    runs over the whole layout in chunks of at most core.CHUNK_ENTRIES
+    entries, and only a failing one goes back for its witness; phi[i][j] is
+    checked at the generators of A_i only."""
+    # a negative image read as uint32 is 2^31 or more, beyond every group
+    outside = np.logical_or.reduceat(mesh.P.view(np.uint32) >= mesh.sizes,
+                                     mesh.offsets[:-1], axis=0)
+    bad = short | outside | (mesh.C < 0)
+    if bad.any():
+        i, j = divmod(int(bad.argmax()), mesh.k)
+        if short[i, j]:
+            raise InvalidParams(f"phi[{i}][{j}] has the wrong length")
+        if outside[i, j]:
+            raise InvalidParams(f"phi[{i}][{j}] maps outside the target group")
+        raise InvalidParams(f"c[{i}][{j}] is not an element of the target group")
     _check_homomorphisms(mesh)
     unseen = np.ones(mesh.total_size, dtype=bool)
     unseen[mesh.offsets[mesh.fiber] + mesh.one_minus] = False
@@ -330,15 +319,13 @@ def generate_max_mesh(n: int, k: int) -> AffineMesh:
         raise TooLarge(f"mesh size {n + k} does not fit int32 element indices")
     z2 = make_cyclic_product((2,))
     z1 = make_cyclic_product((1,))
-    groups = tuple([z2] * k + [z1] * (n - k))
+    groups = (z2,) * k + (z1,) * (n - k)
+    C = np.zeros((n, n), dtype=np.int64)
     if k == 1:
-        rows = [(0,)] + [(1,)] * (n - 1)
+        C[1:, 0] = 1
     else:
-        zero = (0,) * k
-        units = [tuple(int(t == (i + 1) % k) for t in range(k)) for i in range(k)]
-        rest = [v for v in itertools.product((0, 1), repeat=k) if v != zero and v not in units]
-        rows = units + rest + [zero] * (n - 2 ** k + 1)
-    c = np.zeros((n, n), dtype=np.int64)
-    c[:, :k] = rows
-    phi = [[np.zeros(g.order, dtype=np.int32)] * n for g in groups]
-    return AffineMesh.from_cells(groups, phi, c)
+        C[:k, :k] = np.roll(np.eye(k, dtype=np.int64), 1, axis=1)  # row i: bit (i + 1) % k
+        v = np.arange(2 ** k)[:, None] >> np.arange(k - 1, -1, -1) & 1  # Z2^k, product order
+        rest = v[v.sum(axis=1) > 1]  # neither zero nor a unit
+        C[k:k + len(rest), :k] = rest
+    return AffineMesh.from_arrays(groups, np.zeros((n + k, n), dtype=np.int32), C)

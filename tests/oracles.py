@@ -660,7 +660,8 @@ def loop_validate_mesh(groups, phi, c) -> AffineMesh:
         rhs = int(phi[kk][kk][groups[kk].add[c[i][kk], groups[kk].neg[c[j][kk]]]])
         if lhs != rhs:
             raise M4Violation(i, j, kk)
-    return AffineMesh.from_cells(groups, phi, c)
+    P = np.concatenate([np.column_stack(row) for row in phi])
+    return AffineMesh.from_arrays(groups, P, np.array(c, dtype=np.int64))
 
 
 def loop_mesh_sum(mesh: AffineMesh) -> Quandle:

@@ -435,6 +435,22 @@ def test_oversized_affine_exits_invalid():
     assert "Traceback" not in proc.stderr
 
 
+def test_oversized_mesh_is_refused_before_its_arrays(tmp_path):
+    # 20,000 trivial groups in about 300 KB: P would take 1.6 GB and C
+    # 3.2 GB, so the file is refused before either is allocated
+    path = tmp_path / "big.mesh"
+    path.write_text("mesh 20000\n" + "".join(f"group {i} 1\n" for i in range(20000)))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "quandles.cli", "mesh", "validate", str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=_cap_address_space,
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("error=mesh size 20000 needs a 1600000000-byte map matrix")
+    assert "table limit" in proc.stderr and proc.stderr.count("\n") == 1
+
+
 def _cap_file_size():
     limit = 64 << 20
     resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))

@@ -13,10 +13,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quandles import core, iofmt
+from quandles import core, groups, iofmt
 from quandles.affine import make_affine
 from quandles.core import RowSet
-from quandles.errors import ParseError, QuandleError
+from quandles.errors import ParseError, QuandleError, TooLarge
 from quandles.groups import (
     AbelianGroup,
     direct_product,
@@ -399,6 +399,31 @@ def test_format_mesh_reads_p_and_c_byte_for_byte(monkeypatch):
     monkeypatch.setattr(AffineMesh, "phi", property(unread))
     monkeypatch.setattr(AffineMesh, "c", property(unread))
     assert [format_mesh(m) for m in meshes] == expected
+
+
+@pytest.mark.parametrize("n,k", [(4, 1), (8, 2), (16, 3), (32, 4), (200, 3)])
+def test_genmax_mesh_round_trip(n, k):
+    # the file names the nonzero constants only; parsing fills the rest of
+    # P and C with zeros, at k = 200 too
+    m = generate_max_mesh(n, k)
+    text = format_mesh(m)
+    again = parse_mesh(text)
+    assert np.array_equal(again.P, m.P) and np.array_equal(again.C, m.C)
+    assert [g.moduli for g in again.groups] == [g.moduli for g in m.groups]
+    assert format_mesh(again) == text
+
+
+def test_mesh_arrays_over_the_table_limit_are_refused(monkeypatch):
+    # two trivial groups: P is 2 x 2 int32 (16 bytes), C 2 x 2 int64 (32)
+    text = "mesh 2\ngroup 0 1\ngroup 1 1\n"
+    monkeypatch.setattr(groups, "_TABLE_LIMIT_BYTES", 15)
+    with pytest.raises(TooLarge, match="mesh size 2 needs a 16-byte map matrix"):
+        parse_mesh(text)
+    monkeypatch.setattr(groups, "_TABLE_LIMIT_BYTES", 31)
+    with pytest.raises(TooLarge, match="mesh index count 2 needs a 32-byte constant matrix"):
+        parse_mesh(text)
+    monkeypatch.setattr(groups, "_TABLE_LIMIT_BYTES", 32)
+    assert parse_mesh(text).C.shape == (2, 2)
 
 
 def test_format_mesh_refuses_a_group_without_moduli():

@@ -129,6 +129,16 @@ def test_empty_mesh_rejected():
         validate_mesh([], [], [])
 
 
+def test_misshapen_cells_rejected():
+    # phi and c must each be k rows of k cells
+    g = make_cyclic_product((2,))
+    z = np.zeros(2, dtype=np.int32)
+    with pytest.raises(InvalidParams, match="c needs 2 rows of 2 cells"):
+        validate_mesh([g, g], [[z, z], [z, z]], [[0]])
+    with pytest.raises(InvalidParams, match="phi needs 2 rows of 2 cells"):
+        validate_mesh([g, g], [[z, z]], [[0, 0], [0, 0]])
+
+
 def test_coset_criterion_verdicts(mesh_three_z2, mesh_two_z3, mesh_z2_z1):
     assert coset_criterion(mesh_three_z2)
     assert not coset_criterion(mesh_two_z3)

@@ -184,7 +184,7 @@ def test_only_outside_input_is_checked_and_only_the_cover_certified():
                              and _name(getattr(node.exc, "func", node.exc)) == name)
 
     assert _sites(call_of("_validated")) == ["core.validate_quandle", "iofmt.parse_quandle"]
-    assert _sites(call_of("validate_mesh")) == ["iofmt.parse_mesh"]
+    assert sorted(_sites(call_of("_validated_mesh"))) == ["iofmt.parse_mesh", "mesh.validate_mesh"]
     assert _sites(raise_of("InternalAssertionFailure")) == ["cover.build_cover"]
     found = [
         f"{path.name}: {name}"
@@ -193,6 +193,17 @@ def test_only_outside_input_is_checked_and_only_the_cover_certified():
         if name in path.read_text()
     ]
     assert found == []
+
+
+def test_one_mesh_constructor():
+    # A mesh is its arrays: AffineMesh.from_arrays takes (groups, P, C), for
+    # the nested cells validate_mesh converts, the cells a mesh file names
+    # and the worst-case family's zero maps alike.
+    def call_of(node):
+        return isinstance(node, ast.Call) and _name(node.func) == "from_arrays"
+
+    assert sorted(_sites(call_of)) == [
+        "iofmt.parse_mesh", "mesh.generate_max_mesh", "mesh.validate_mesh"]
 
 
 def test_one_homomorphism_check():
@@ -236,9 +247,11 @@ def test_one_writer_of_affine_tables():
 def test_test_only_helpers_stay_deleted():
     # Names that only tests called; tests read the primitives instead
     # (g.add[a, b], g.neg[a], f.images, Partition.from_blocks, g.array).
+    # AffineMesh.from_cells, which assembled a mesh from k^2 per-cell maps,
+    # gave way to from_arrays.
     gone = {"add_el", "neg_el", "sub_el", "element_tuple", "inverse_images",
             "singleton_partition", "fiber_partition", "identity_automorphism",
-            "image_of_one_minus_f"}
+            "image_of_one_minus_f", "from_cells"}
     gone_from = {"Quandle": {"elements", "ldiv_table"},
                  "PermGroup": {"__contains__", "_rows"},
                  "Translations": {"blocks"}, "GroupAutomorphism": {"__call__"}}
