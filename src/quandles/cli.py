@@ -61,9 +61,12 @@ def analysis_report(q: Quandle) -> list[tuple[str, object]]:
     ]
 
 
-def _read_text(path: str) -> str:
+def _read(parse, path: str, *args):
+    """parse(fh, *args), fh the file at path open for binary reading: the
+    parsers read it line by line.  A file that is not UTF-8 is a ParseError."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, "rb") as fh:
+            return parse(fh, *args)
     except UnicodeDecodeError as exc:
         raise ParseError(
             f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}"
@@ -71,13 +74,14 @@ def _read_text(path: str) -> str:
 
 
 def _read_quandle(path: str) -> Quandle:
-    return iofmt.parse_quandle(_read_text(path))
+    return _read(iofmt.parse_quandle, path)
 
 
 def _write_to(path: str | Path | None, write, *args) -> None:
-    """Stream write(*args, fh) to the file at path, or to stdout without one."""
+    """Stream write(*args, fh) to the file at path, open for binary writing,
+    or to stdout without one."""
     if path:
-        with Path(path).open("w") as fh:
+        with Path(path).open("wb") as fh:
             write(*args, fh)
     else:
         write(*args, sys.stdout)
@@ -106,7 +110,7 @@ def cmd_cover(args) -> int:
     table_path = out / f"{stem}.cover.quandle"
     sidecar_path = out / f"{stem}.cover.sidecar"
     _write_to(table_path, iofmt.write_affine, result.group, result.f)
-    sidecar_path.write_text(iofmt.format_cover_sidecar(result))
+    sidecar_path.write_bytes(iofmt.format_cover_sidecar(result).encode())
     _emit([
         ("A_order", result.group.order),
         ("T_size", result.transversal.size),
@@ -119,7 +123,7 @@ def cmd_cover(args) -> int:
 
 
 def _read_mesh(path: str) -> mesh_mod.AffineMesh:
-    return iofmt.parse_mesh(_read_text(path))
+    return _read(iofmt.parse_mesh, path)
 
 
 def cmd_mesh(args) -> int:
@@ -154,7 +158,7 @@ def cmd_mesh(args) -> int:
 
 def cmd_quotient(args) -> int:
     q = _read_quandle(args.path)
-    p = iofmt.parse_partition(_read_text(args.partition), q.n)
+    p = _read(iofmt.parse_partition, args.partition, q.n)
     iofmt.write_quandle(quotient(q, p), sys.stdout)
     return EXIT_OK
 

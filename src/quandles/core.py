@@ -21,9 +21,11 @@ from .errors import (
 # Largest temporary, in entries, that a table or mesh check builds at once.
 CHUNK_ENTRIES = 1 << 20
 # A table file is written in blocks of at least WRITE_BLOCK_BYTES, one
-# write each, and keeps its formatted lines while they fit LINE_CACHE_BYTES.
+# write each, and keeps its formatted lines while they fit LINE_CACHE_BYTES;
+# a file is read in blocks of READ_BLOCK_BYTES.
 WRITE_BLOCK_BYTES = 1 << 20
 LINE_CACHE_BYTES = 1 << 26
+READ_BLOCK_BYTES = 1 << 18
 
 
 def _chunks(start: int, stop: int, width: int):
@@ -182,8 +184,10 @@ class Partition:
         return tuple(len(b) for b in self.blocks)
 
 
-def _check_table(table) -> np.ndarray:
-    """Shape, integer entries, range and idempotence, first witness each.
+def _check_table(table, first=None) -> np.ndarray:
+    """Shape, integer entries, range and idempotence, first witness each;
+    the range is read on the rows ``first`` only, if given (every other
+    row equals one of them).
 
     Returns the table as an int32 array.
     """
@@ -205,7 +209,8 @@ def _check_table(table) -> np.ndarray:
     arr = arr.reshape(-1, n)
     if (at := _first_non_integer(arr)) is not None:
         raise ValueError(f"entry {arr[at]} in row {at[0]} is not an integer")
-    if arr.size and (arr.min() < 0 or arr.max() >= n):
+    read = arr if first is None else arr[first]
+    if read.size and (read.min() < 0 or read.max() >= n):
         a, b = map(int, np.argwhere((arr < 0) | (arr >= n))[0])
         raise ValueError(f"entry {arr[a, b]} in row {a} out of range 0..{n - 1}")
     if bad is not None:
@@ -263,14 +268,15 @@ def _validated(table, classes=None) -> Quandle:
     from outside (validate_quandle, iofmt.parse_quandle) only: a table
     the library builds from checked parts is a quandle by construction.
     ``classes`` (first, which) numbers rows known to be equal, such as
-    the rows of one line of a file, so that RowSet sorts one per number.
+    the rows of one line of a file, so that the range check reads and
+    RowSet sorts one row per number.
 
     Distributivity is checked on the row classes j that _generators
     walks to, in ascending order (the order of ``first``), under the class
     maps k of the checked rows (k[j] = j by idempotence): a class it
     reaches has an automorphism row, since a*b has one when a and b do.
     _hom_failure runs only on the failing row."""
-    arr = _check_table(table)
+    arr = _check_table(table, None if classes is None else classes[0])
     q = Quandle(arr)
     if classes is not None:
         q.__dict__["rows"] = RowSet(arr, classes)

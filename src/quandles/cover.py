@@ -247,7 +247,8 @@ def verify_cover(result: CoverResult, q: Quandle) -> VerifyReport:
        generators of the factors generate A, so checking f(u+g) = f(u)+f(g)
        for every u and each of them (|A| * |gens|, _additive_failure) shows
        S = A.  A table-backed factor reads its generating set off its table
-       once and keeps it, so D's is read once although D is a factor twice.
+       once and keeps it, so D's is read once, for claims 1 and 3, although
+       D is a factor twice.
     4. psi maps into Q: shape |A| and values in 0..|Q|-1.
     5. psi is a homomorphism.  In Aff(A,f), u*v = w(u) + f(v) with
        w = (1-f)(u) = u + neg(f(u)), so u*v depends on u only through w(u).
@@ -292,9 +293,10 @@ def verify_cover(result: CoverResult, q: Quandle) -> VerifyReport:
 
 def _group_witness(a: AbelianGroup, order: int) -> str | None:
     """Claim 1: each distinct factor table is an abelian group, |A| is
-    ``order``, and neg inverts."""
+    ``order``, and neg inverts.  Light's test reads the generating set
+    the factor keeps, walked off its table once, which claim 3 reads too."""
     for g in {id(g): g for g in a.factors()}.values():
-        witness = check_abelian_table(g.add, g.neg)
+        witness = check_abelian_table(g.add, g.neg, lambda: g._generators)
         if witness is not None:
             return witness
     if a.order != order:

@@ -90,11 +90,13 @@ def generating_indices(add: np.ndarray) -> list[int]:
     return _generators(len(add), add.T.__getitem__, [0])
 
 
-def check_abelian_table(add: np.ndarray, neg: np.ndarray) -> str | None:
+def check_abelian_table(add: np.ndarray, neg: np.ndarray, generators=None) -> str | None:
     """Return a description of the first axiom failure, or None.
 
     Associativity is Light's test: the g with (a+g)+c == a+(g+c) for all
-    a, c are closed under +, so a generating set suffices.  Once
+    a, c are closed under +, so a generating set suffices: the one
+    ``generators()`` returns, if given, which must be
+    generating_indices(add) (a group keeps its own), else that walk.  Once
     commutativity has passed, (a+g)+c = B[a,c] and a+(g+c) = B[c,a] for
     B = add[add[g], :], so the test for g is "B is symmetric", with the
     same first witness (a, g, c).
@@ -117,7 +119,7 @@ def check_abelian_table(add: np.ndarray, neg: np.ndarray) -> str | None:
     if not np.array_equal(add[rng, neg], np.zeros(n, dtype=add.dtype)):
         a = int(np.argwhere(add[rng, neg] != 0)[0][0])
         return f"neg({a}) is not an inverse"
-    for g in generating_indices(add):
+    for g in generators() if generators else generating_indices(add):
         witness = _first_asymmetry(add[add[g], :])
         if witness is not None:
             a, c = witness

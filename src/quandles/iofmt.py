@@ -6,7 +6,7 @@ All formats are line oriented; comment lines start with '#'.
 from __future__ import annotations
 
 import io
-import re
+import os
 from itertools import accumulate, chain
 
 import numpy as np
@@ -14,6 +14,7 @@ import numpy as np
 from .affine import one_minus_f_images
 from .core import (
     LINE_CACHE_BYTES,
+    READ_BLOCK_BYTES,
     WRITE_BLOCK_BYTES,
     Partition,
     Quandle,
@@ -33,53 +34,98 @@ from .mesh import AffineMesh, _validated_mesh
 
 
 # A piece of text is looked up by its length and its first FINGERPRINT
-# characters before it is compared in full.
+# characters (bytes, when read from a file) before it is compared in full.
 FINGERPRINT = 48
 
 
-def _numbered_pieces(text: str) -> tuple[list[str], list[int]]:
-    """The distinct pieces of text.split("\n"), by first occurrence, and
-    the number of every piece in order.  The pieces are numbered in place:
-    a piece is looked up by its length and first FINGERPRINT characters,
-    and the match, the last piece seen with them, is confirmed with
-    startswith; only a piece not confirmed is sliced and hashed."""
+def _numbered_pieces(source) -> tuple[list[str], list[int]]:
+    """The distinct pieces of the text split at "\n", by first occurrence,
+    and the number of every piece in order.  The source is a str or a
+    binary file, read in blocks of READ_BLOCK_BYTES: only the distinct
+    pieces are kept, each decoded once as UTF-8, so the file is never held
+    whole.  The pieces are numbered in place: a piece is looked up by its
+    length and first FINGERPRINT characters (bytes), and the match, the
+    last piece seen with them, is confirmed with startswith; only a piece
+    not confirmed is sliced and hashed."""
+    raw: list = []   # the distinct pieces as found, str or bytes
     pieces: list[str] = []
     which: list[int] = []
-    by_print: dict[tuple[int, str], int] = {}   # (length, start) -> number
-    by_piece: dict[str, int] = {}
-    pos, stop = 0, len(text)
-    while True:
-        end = text.find("\n", pos)
-        if end < 0:
-            end = stop
-        key = (end - pos, text[pos:min(end, pos + FINGERPRINT)])
-        j = by_print.get(key)
-        if j is None or not text.startswith(pieces[j], pos):
-            piece = text[pos:end]
-            j = by_piece.setdefault(piece, len(pieces))
-            if j == len(pieces):
-                pieces.append(piece)
-            by_print[key] = j
-        which.append(j)
-        if end == stop:
-            return pieces, which
-        pos = end + 1
+    by_print: dict[tuple, int] = {}   # (length, start) -> number
+    by_piece: dict = {}
+
+    def number(buf, pos: int, at: int, final: bool) -> int:
+        """Number the pieces of buf from pos (at its file offset at) that
+        end in "\n", and the rest too if final; return where the rest starts."""
+        nl = b"\n" if isinstance(buf, bytes) else "\n"
+        stop = len(buf)
+        while True:
+            end = buf.find(nl, pos)
+            if end < 0:
+                if not final:
+                    return pos
+                end = stop
+            key = (end - pos, buf[pos:min(end, pos + FINGERPRINT)])
+            j = by_print.get(key)
+            if j is None or not buf.startswith(raw[j], pos):
+                piece = buf[pos:end]
+                j = by_piece.setdefault(piece, len(raw))
+                if j == len(raw):
+                    raw.append(piece)
+                    pieces.append(piece if nl == "\n" else _decoded(piece, at + pos, end < stop))
+                by_print[key] = j
+            which.append(j)
+            if end == stop:
+                return stop
+            pos = end + 1
+
+    if isinstance(source, str):
+        number(source, 0, 0, True)
+        return pieces, which
+    head, at, offset = [], 0, 0   # the start of a piece cut by a block's end, at offset at
+    while block := source.read(READ_BLOCK_BYTES):
+        cut = block.find(b"\n")
+        if cut < 0:
+            head.append(block)
+        else:
+            number(b"".join([*head, block[:cut + 1]]), 0, at, False)
+            rest = number(block, cut + 1, offset, False)
+            head, at = [block[rest:]], offset + rest
+        offset += len(block)
+    number(b"".join(head), 0, at, True)
+    return pieces, which
 
 
-def _numbered_lines(text: str) -> tuple[list[str], set[int], list[int]]:
-    """The distinct data lines of text, by first occurrence, the numbers of
-    those that _PLAIN_ROW matched as a whole piece, and the number of every
-    data line in order.  The data lines are those of str.splitlines,
-    stripped, that are neither blank nor '#' comments, and each distinct
-    piece of _numbered_pieces is read once: a piece that _PLAIN_ROW matches
-    is one data line (less a closing "\r"); any other piece is split into
+def _decoded(piece: bytes, at: int, ended: bool) -> str:
+    """The UTF-8 text of a piece of a file, found at its offset at.  A piece
+    that is not UTF-8 raises the UnicodeDecodeError that decoding the whole
+    file would, at file offsets: a piece that ended in "\n" is decoded
+    again with it, since the "\n" is what cuts short a sequence at its end."""
+    try:
+        return piece.decode()
+    except UnicodeDecodeError as exc:
+        error = exc
+    if ended:
+        try:
+            (piece + b"\n").decode()
+        except UnicodeDecodeError as exc:
+            error = exc
+    raise UnicodeDecodeError("utf-8", piece, at + error.start, at + error.end, error.reason)
+
+
+def _numbered_lines(source) -> tuple[list[str], set[int], list[int]]:
+    """The distinct data lines of the text, by first occurrence, the numbers
+    of those that were a plain row (_plain_row) as a whole piece, and the
+    number of every data line in order.  The data lines are those of
+    str.splitlines, stripped, that are neither blank nor '#' comments, and
+    each distinct piece of _numbered_pieces is read once: a plain row is
+    one data line (less a closing "\r"); any other piece is split into
     lines, stripped and filtered."""
-    pieces, which = _numbered_pieces(text)
+    pieces, which = _numbered_pieces(source)
     number: dict[str, int] = {}
     plain: set[int] = set()
     ids_of: list[list[int]] = []   # the line numbers of each piece
     for piece in pieces:
-        if _PLAIN_ROW.fullmatch(piece):
+        if _plain_row(piece):
             j = number.setdefault(piece.rstrip("\r"), len(number))
             plain.add(j)
             ids_of.append([j])
@@ -91,9 +137,9 @@ def _numbered_lines(text: str) -> tuple[list[str], set[int], list[int]]:
     return list(number), plain, ids
 
 
-def _data_lines(text: str) -> list[str]:
-    """The data lines of text, in order (see _numbered_lines)."""
-    lines, _, ids = _numbered_lines(text)
+def _data_lines(source) -> list[str]:
+    """The data lines of a text or binary file, in order (see _numbered_lines)."""
+    lines, _, ids = _numbered_lines(source)
     return [lines[j] for j in ids]
 
 
@@ -104,24 +150,42 @@ def _ints(line: str) -> list[int]:
         raise ParseError(f"expected integers, got {line!r}") from exc
 
 
-# A table row that one C call converts exactly as _ints would: ASCII
-# decimal tokens of 1 to 9 digits, one space between two of them; as a
-# piece of text, it may end in the "\r" of a "\r\n".
-_PLAIN_ROW = re.compile(r"[0-9]{1,9}(?: [0-9]{1,9})*\r?")
+# Each byte of an ASCII row as _plain_row reads it: a digit as "0", the
+# space as itself, any other byte as "x".
+_ROW_BYTES = bytes(48 if 48 <= b <= 57 else b if b == 32 else 120 for b in range(256))
 
 
-def parse_quandle(text: str) -> Quandle:
+def _plain_row(piece: str) -> bool:
+    """Whether piece is a table row that one C call converts exactly as
+    _ints would: ASCII decimal tokens of 1 to 9 digits, one space between
+    two of them; as a piece of text, it may end in the "\r" of a "\r\n".
+    A translation and three substring searches read it, with no
+    backtracking: it starts and ends in a digit and holds no other byte,
+    no two spaces and no ten digits in a row."""
+    if piece.endswith("\r"):
+        piece = piece[:-1]
+    if not piece.isascii():
+        return False
+    shape = piece.encode().translate(_ROW_BYTES)
+    return (shape[:1] == shape[-1:] == b"0" and b"x" not in shape
+            and b"  " not in shape and b"0" * 10 not in shape)
+
+
+def parse_quandle(source) -> Quandle:
     """Line 1: n; then n rows of n entries (row a = a*b for b = 0..n-1).
+    The source is the text, or a binary file read line by line (a file
+    that is not UTF-8 raises UnicodeDecodeError at its first bad byte).
 
     Each distinct table line is converted once, into its first row of a
     preallocated int32 table and, in one more call, into its other rows,
-    so the parse holds one table and no copy of it.  The numbering of the lines goes to the
-    validation, so that numbering the table's rows sorts one row per
-    distinct line.  A plain row of n in-range entries is converted in one
-    numpy call; any other line takes the per-token path, which alone
-    raises the ParseErrors, in file order: a ragged or non-integer row
-    anywhere comes before the first out-of-range entry."""
-    lines, plain, ids = _numbered_lines(text)
+    so the parse holds one table and no copy of it, nor the text.  The
+    numbering of the lines goes to the validation, so that its range check
+    and the numbering of the table's rows read one row per distinct line.
+    A plain row of n in-range entries is converted in one numpy call; any
+    other line takes the per-token path, which alone raises the
+    ParseErrors, in file order: a ragged or non-integer row anywhere comes
+    before the first out-of-range entry."""
+    lines, plain, ids = _numbered_lines(source)
     if not ids:
         raise ParseError("empty quandle file")
     header = _ints(lines[ids[0]])
@@ -141,7 +205,7 @@ def parse_quandle(text: str) -> Quandle:
     for j, a, lo, c in zip(number, first.tolist(), start.tolist(), count.tolist()):
         line = lines[j]
         row = None
-        if j in plain or _PLAIN_ROW.fullmatch(line):
+        if j in plain or _plain_row(line):
             row = np.fromstring(line, dtype=np.int64, sep=" ")
             if len(row) != n or row.max() >= n:
                 row = None
@@ -172,31 +236,58 @@ def _write_table(fh, n: int, row, which) -> None:
     """Write the size line n, then row(k), a permutation of 0..n-1, for
     each k in which.  Every line then has the same length, so the rows go
     in blocks of one count, at least WRITE_BLOCK_BYTES characters, one
-    write each.  A distinct row is formatted by gathering its entries from
-    the n decimal strings (_tokens), and kept while the kept lines fit
-    LINE_CACHE_BYTES; one past that is formatted once per block that has
-    it."""
+    write each: to a binary file, the block's lines as they are kept, by
+    os.writev (_writev); to any other sink, joined, as text.  A distinct
+    row is formatted by gathering its entries from the n decimal strings
+    (_tokens), and kept while the kept lines fit LINE_CACHE_BYTES; one
+    past that is formatted once per block that has it."""
     tok = _tokens(n)
     size = len(" ".join(tok.tolist())) + 1
     step, keep = -(-WRITE_BLOCK_BYTES // size), LINE_CACHE_BYTES // size
-    lines: dict[int, str] = {}   # the kept lines, and the block's others
+    binary = isinstance(fh, (io.RawIOBase, io.BufferedIOBase))
+    form = str.encode if binary else str   # a line as it is kept and written
+    lines: dict[int, str | bytes] = {}   # the kept lines, and the block's others
     kept = 0
-    fh.write(f"{n}\n")
+    out = [form(f"{n}\n")]
     for lo in range(0, len(which), step):
         block = which[lo:lo + step].tolist()
         fresh = [k for k in dict.fromkeys(block) if k not in lines]
         for k in fresh:
-            lines[k] = " ".join(tok[row(k)].tolist()) + "\n"
-        fh.write("".join(map(lines.__getitem__, block)))
+            lines[k] = form(" ".join(tok[row(k)].tolist()) + "\n")
+        out += map(lines.__getitem__, block)
+        if binary:
+            _writev(fh, out)
+        else:
+            fh.write("".join(out))
+        out = []
         stay = min(len(fresh), keep - kept)
         kept += stay
         for k in fresh[stay:]:
             del lines[k]
 
 
+# The most buffers one os.writev call takes (POSIX allows no fewer than 16).
+IOV_MAX = os.sysconf("SC_IOV_MAX") if hasattr(os, "sysconf") else 16
+
+
+def _writev(fh, parts: list[bytes]) -> None:
+    """Write parts, in order, to the descriptor of the binary file fh (once
+    fh is flushed): os.writev of at most IOV_MAX parts a call, from the
+    first byte not yet written, until a short write is made good."""
+    fh.flush()
+    fd, i = fh.fileno(), 0
+    while i < len(parts):
+        done = os.writev(fd, parts[i:i + IOV_MAX])
+        while i < len(parts) and done >= len(parts[i]):
+            done -= len(parts[i])
+            i += 1
+        if done:
+            parts[i] = memoryview(parts[i])[done:]
+
+
 def write_quandle(q: Quandle, fh) -> None:
-    """Write a quandle table to a text file: its size, then one line per
-    row.  Equal rows share one formatted line."""
+    """Write a quandle table to a text sink or a binary file: its size, then
+    one line per row.  Equal rows share one formatted line."""
     first = q.rows.first
     _write_table(fh, q.n, lambda k: q.array[first[k]], q.rows.which)
 
@@ -208,9 +299,10 @@ def format_quandle(q: Quandle) -> str:
     return out.getvalue()
 
 
-def parse_partition(text: str, n: int | None = None) -> Partition:
-    """One block per line, space-separated elements."""
-    lines = _data_lines(text)
+def parse_partition(source, n: int | None = None) -> Partition:
+    """One block per line, space-separated elements; the source is the
+    text or a binary file."""
+    lines = _data_lines(source)
     if not lines:
         raise ParseError("empty partition file")
     blocks = [_ints(line) for line in lines]
@@ -259,10 +351,11 @@ def parse_affine_spec(spec: str) -> tuple[AbelianGroup, GroupAutomorphism]:
     return group, validate_automorphism(group, images)
 
 
-def parse_mesh(text: str) -> AffineMesh:
+def parse_mesh(source) -> AffineMesh:
     """Mesh file: 'mesh <k>'; 'group <i> <moduli>'; optional 'phi <i> <j>
-    <images...>' (default zero map); optional 'c <i> <j> <element>'."""
-    lines = _data_lines(text)
+    <images...>' (default zero map); optional 'c <i> <j> <element>'.  The
+    source is the text or a binary file."""
+    lines = _data_lines(source)
     if not lines or not lines[0].startswith("mesh"):
         raise ParseError("mesh file must start with 'mesh <k>'")
     head = lines[0].split()
@@ -353,13 +446,14 @@ def write_affine(group: AbelianGroup, f: GroupAutomorphism, fh) -> None:
 
 
 def format_cover_sidecar(result) -> str:
-    """Per A-element: index, (alpha-index, T-index), f image, psi image."""
+    """Per A-element: index, (alpha-index, T-index), f image, psi image,
+    the numbers gathered from the decimal strings (_tokens) at once."""
     u = np.arange(result.group.order)
     columns = np.column_stack([u, *result.pair_of(u), result.f.images, result.psi])
     lines = [
         "# columns: element alpha_index t_index f_image psi_image",
         f"# |A|={result.group.order} |T|={result.transversal.size} "
         f"kappa={result.transversal.kappa}",
-        *("%d %d %d %d %d" % tuple(row) for row in columns.tolist()),
+        *map(" ".join, _tokens(int(columns.max()) + 1)[columns].tolist()),
     ]
     return "\n".join(lines) + "\n"

@@ -53,9 +53,13 @@ class AffineMesh:
     @classmethod
     def from_arrays(cls, groups, P: np.ndarray, C: np.ndarray) -> AffineMesh:
         """The mesh of the (N, k) int32 maps P and (k, k) int64 constants C,
-        unchecked: P and C are kept, not copied; the rest comes from groups."""
+        unchecked: P and C are kept, not copied; the rest comes from groups.
+        The addition tables, side by side in ``flat``, are refused with
+        TooLarge over the table limit before any group's table is read."""
         groups = tuple(groups)
         sizes = np.array([g.order for g in groups], dtype=np.int64)
+        _check_table_limit(int((sizes * sizes).sum()), "mesh addition entries",
+                           "table of the groups' sums", 1)
         tables = [g.add.reshape(-1) for g in groups]
         mesh = cls(
             groups=groups,

@@ -8,7 +8,9 @@ library is evidence, not tautology.
 from __future__ import annotations
 
 import itertools
+import re
 from functools import lru_cache
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -44,7 +46,7 @@ from quandles.groups import (
     generating_indices,
     make_cyclic_product,
 )
-from quandles.iofmt import _ints
+from quandles.iofmt import _ints, parse_quandle
 from quandles.mesh import AffineMesh
 from quandles.perms import Translations, cayley_kernel
 
@@ -255,6 +257,23 @@ def _data_lines(text: str) -> list[str]:
     blank lines and '#' comments."""
     lines = (raw.strip() for raw in text.splitlines())
     return [line for line in lines if line and not line.startswith("#")]
+
+
+# A plain table row as the parser first tested for it, by a backtracking
+# regular expression: ASCII decimal tokens of 1 to 9 digits, one space
+# between two of them, at most a closing "\r".
+PLAIN_ROW = re.compile(r"[0-9]{1,9}(?: [0-9]{1,9})*\r?")
+
+
+def read_then_parse_quandle(path) -> Quandle:
+    """A quandle file read as the command line read it before it streamed
+    the file: the whole text at once (universal newlines), a file that is
+    not UTF-8 refused with the offset of its first bad byte, then parsed."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    return parse_quandle(text)
 
 
 def loop_parse_quandle(text: str) -> Quandle:

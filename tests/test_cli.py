@@ -346,9 +346,9 @@ def test_group_axioms_checked_once_per_cover_factor(capsys, tmp_path, q1_file,
     orders = []
     real = groups.check_abelian_table
 
-    def counted(add, neg):
+    def counted(add, neg, *generators):
         orders.append(len(add))
-        return real(add, neg)
+        return real(add, neg, *generators)
 
     monkeypatch.setattr(groups, "check_abelian_table", counted)
     monkeypatch.setattr(cover, "check_abelian_table", counted)
@@ -448,6 +448,25 @@ def test_oversized_mesh_is_refused_before_its_arrays(tmp_path):
     )
     assert (proc.returncode, proc.stdout) == (3, "")
     assert proc.stderr.startswith("error=mesh size 20000 needs a 1600000000-byte map matrix")
+    assert "table limit" in proc.stderr and proc.stderr.count("\n") == 1
+
+
+def test_oversized_mesh_tables_are_refused_before_any_is_built(tmp_path):
+    # ten groups Z_16000: each addition table (1.02 GB) is under the table
+    # limit and P takes 6.4 MB, but the tables side by side would take
+    # 10.2 GB, so the file is refused before any group's table is built
+    # (run only in a child with its address space capped)
+    path = tmp_path / "wide.mesh"
+    path.write_text("mesh 10\n" + "".join(f"group {i} 16000\n" for i in range(10)))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "quandles.cli", "mesh", "validate", str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=_cap_address_space,
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("error=mesh addition entries 2560000000 needs a "
+                                  "10240000000-byte table of the groups' sums")
     assert "table limit" in proc.stderr and proc.stderr.count("\n") == 1
 
 

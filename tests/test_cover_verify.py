@@ -199,9 +199,9 @@ def test_32_4_builds_no_table_of_the_cover_group(monkeypatch):
     orders = []
     real = groups.check_abelian_table
 
-    def counted(add, neg):
+    def counted(add, neg, *generators):
         orders.append(len(add))
-        return real(add, neg)
+        return real(add, neg, *generators)
 
     monkeypatch.setattr(groups, "check_abelian_table", counted)
     monkeypatch.setattr(cover, "check_abelian_table", counted)
