@@ -277,12 +277,17 @@ def _writev(fh, parts: list[bytes]) -> None:
     fh.flush()
     fd, i = fh.fileno(), 0
     while i < len(parts):
-        done = os.writev(fd, parts[i:i + IOV_MAX])
-        while i < len(parts) and done >= len(parts[i]):
-            done -= len(parts[i])
+        batch = parts[i:i + IOV_MAX]
+        done = os.writev(fd, batch)
+        if done == sum(map(len, batch)):
+            i += len(batch)
+            continue
+        for part in batch:   # a short write: skip the parts it wrote whole
+            if done < len(part):
+                break
+            done -= len(part)
             i += 1
-        if done:
-            parts[i] = memoryview(parts[i])[done:]
+        parts[i] = memoryview(parts[i])[done:]
 
 
 def write_quandle(q: Quandle, fh) -> None:
