@@ -33,8 +33,8 @@ from .groups import (
 from .mesh import AffineMesh, _validated_mesh
 
 
-# A piece of text is looked up by its length and its first FINGERPRINT
-# characters (bytes, when read from a file) before it is compared in full.
+# A piece of text is looked up by its first FINGERPRINT characters (bytes,
+# when read from a file) before its length and the rest are compared.
 FINGERPRINT = 48
 
 
@@ -44,13 +44,13 @@ def _numbered_pieces(source) -> tuple[list[str], list[int]]:
     binary file, read in blocks of READ_BLOCK_BYTES: only the distinct
     pieces are kept, each decoded once as UTF-8, so the file is never held
     whole.  The pieces are numbered in place: a piece is looked up by its
-    length and first FINGERPRINT characters (bytes), and the match, the
-    last piece seen with them, is confirmed with startswith; only a piece
-    not confirmed is sliced and hashed."""
+    first FINGERPRINT characters (bytes), and the match, the last piece
+    seen with them, is confirmed by its length and startswith; only a
+    piece not confirmed is sliced and hashed."""
     raw: list = []   # the distinct pieces as found, str or bytes
     pieces: list[str] = []
     which: list[int] = []
-    by_print: dict[tuple, int] = {}   # (length, start) -> number
+    by_print: dict = {}   # start -> number
     by_piece: dict = {}
 
     def number(buf, pos: int, at: int, final: bool) -> int:
@@ -64,9 +64,9 @@ def _numbered_pieces(source) -> tuple[list[str], list[int]]:
                 if not final:
                     return pos
                 end = stop
-            key = (end - pos, buf[pos:min(end, pos + FINGERPRINT)])
+            key = buf[pos:end if end - pos < FINGERPRINT else pos + FINGERPRINT]
             j = by_print.get(key)
-            if j is None or not buf.startswith(raw[j], pos):
+            if j is None or len(raw[j]) != end - pos or not buf.startswith(raw[j], pos):
                 piece = buf[pos:end]
                 j = by_piece.setdefault(piece, len(raw))
                 if j == len(raw):
