@@ -266,8 +266,9 @@ def _write_table(fh, n: int, row, which) -> None:
             del lines[k]
 
 
-# The most buffers one os.writev call takes (POSIX allows no fewer than 16).
-IOV_MAX = os.sysconf("SC_IOV_MAX") if hasattr(os, "sysconf") else 16
+# The most buffers one os.writev call takes (POSIX allows no fewer than 16;
+# sysconf gives -1 for no limit).
+IOV_MAX = max(16, os.sysconf("SC_IOV_MAX")) if hasattr(os, "sysconf") else 16
 
 
 def _writev(fh, parts: list[bytes]) -> None:
