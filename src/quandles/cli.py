@@ -79,12 +79,13 @@ def _read_quandle(path: str) -> Quandle:
 
 def _write_to(path: str | Path | None, write, *args) -> None:
     """Stream write(*args, fh) to the file at path, open for binary writing,
-    or to stdout without one."""
+    or without one to stdout's binary buffer, once its text is flushed."""
     if path:
         with Path(path).open("wb") as fh:
             write(*args, fh)
     else:
-        write(*args, sys.stdout)
+        sys.stdout.flush()
+        write(*args, sys.stdout.buffer)
 
 
 def cmd_analyze(args) -> int:
@@ -159,7 +160,7 @@ def cmd_mesh(args) -> int:
 def cmd_quotient(args) -> int:
     q = _read_quandle(args.path)
     p = _read(iofmt.parse_partition, args.partition, q.n)
-    iofmt.write_quandle(quotient(q, p), sys.stdout)
+    _write_to(None, iofmt.write_quandle, quotient(q, p))
     return EXIT_OK
 
 

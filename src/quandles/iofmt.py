@@ -6,7 +6,6 @@ All formats are line oriented; comment lines start with '#'.
 from __future__ import annotations
 
 import io
-import os
 from itertools import accumulate, chain
 
 import numpy as np
@@ -42,11 +41,13 @@ def _numbered_pieces(source) -> tuple[list[str], list[int]]:
     """The distinct pieces of the text split at "\n", by first occurrence,
     and the number of every piece in order.  The source is a str or a
     binary file, read in blocks of READ_BLOCK_BYTES: only the distinct
-    pieces are kept, each decoded once as UTF-8, so the file is never held
-    whole.  The pieces are numbered in place: a piece is looked up by its
-    first FINGERPRINT characters (bytes), and the match, the last piece
-    seen with them, is confirmed by its length and startswith; only a
-    piece not confirmed is sliced and hashed."""
+    pieces are kept, each decoded once as UTF-8, so repeated lines are
+    held once, but a file of distinct lines is held twice until the
+    numbering ends, as the pieces' bytes and as their text.  The pieces
+    are numbered in place: a piece is looked up by its first FINGERPRINT
+    characters (bytes), and the match, the last piece seen with them, is
+    confirmed by its length and startswith; only a piece not confirmed is
+    sliced and hashed."""
     raw: list = []   # the distinct pieces as found, str or bytes
     pieces: list[str] = []
     which: list[int] = []
@@ -223,6 +224,7 @@ def parse_quandle(source) -> Quandle:
             table[order[lo + 1:lo + c]] = row
     if out_of_range is not None:
         raise ParseError(out_of_range)
+    del lines   # the text is not held through the validation
     return _validated(table, (first, which))
 
 
@@ -234,31 +236,25 @@ def _tokens(n: int) -> np.ndarray:
 
 def _write_table(fh, n: int, row, which) -> None:
     """Write the size line n, then row(k), a permutation of 0..n-1, for
-    each k in which.  Every line then has the same length, so the rows go
-    in blocks of one count, at least WRITE_BLOCK_BYTES characters, one
-    write each: to a binary file, the block's lines as they are kept, by
-    os.writev (_writev); to any other sink, joined, as text.  A distinct
-    row is formatted by gathering its entries from the n decimal strings
-    (_tokens), and kept while the kept lines fit LINE_CACHE_BYTES; one
-    past that is formatted once per block that has it."""
+    each k in which, to the binary file fh.  Every line then has the same
+    length, so the rows go in blocks of one count, at least
+    WRITE_BLOCK_BYTES bytes, one write each.  A distinct row is formatted
+    by gathering its entries from the n decimal strings (_tokens), and
+    kept, as bytes, while the kept lines fit LINE_CACHE_BYTES; one past
+    that is formatted once per block that has it."""
     tok = _tokens(n)
     size = len(" ".join(tok.tolist())) + 1
     step, keep = -(-WRITE_BLOCK_BYTES // size), LINE_CACHE_BYTES // size
-    binary = isinstance(fh, (io.RawIOBase, io.BufferedIOBase))
-    form = str.encode if binary else str   # a line as it is kept and written
-    lines: dict[int, str | bytes] = {}   # the kept lines, and the block's others
+    lines: dict[int, bytes] = {}   # the kept lines, and the block's others
     kept = 0
-    out = [form(f"{n}\n")]
+    out = [b"%d\n" % n]
     for lo in range(0, len(which), step):
         block = which[lo:lo + step].tolist()
         fresh = [k for k in dict.fromkeys(block) if k not in lines]
         for k in fresh:
-            lines[k] = form(" ".join(tok[row(k)].tolist()) + "\n")
+            lines[k] = (" ".join(tok[row(k)].tolist()) + "\n").encode()
         out += map(lines.__getitem__, block)
-        if binary:
-            _writev(fh, out)
-        else:
-            fh.write("".join(out))
+        fh.write(b"".join(out))
         out = []
         stay = min(len(fresh), keep - kept)
         kept += stay
@@ -266,43 +262,18 @@ def _write_table(fh, n: int, row, which) -> None:
             del lines[k]
 
 
-# The most buffers one os.writev call takes (POSIX allows no fewer than 16;
-# sysconf gives -1 for no limit).
-IOV_MAX = max(16, os.sysconf("SC_IOV_MAX")) if hasattr(os, "sysconf") else 16
-
-
-def _writev(fh, parts: list[bytes]) -> None:
-    """Write parts, in order, to the descriptor of the binary file fh (once
-    fh is flushed): os.writev of at most IOV_MAX parts a call, from the
-    first byte not yet written, until a short write is made good."""
-    fh.flush()
-    fd, i = fh.fileno(), 0
-    while i < len(parts):
-        batch = parts[i:i + IOV_MAX]
-        done = os.writev(fd, batch)
-        if done == sum(map(len, batch)):
-            i += len(batch)
-            continue
-        for part in batch:   # a short write: skip the parts it wrote whole
-            if done < len(part):
-                break
-            done -= len(part)
-            i += 1
-        parts[i] = memoryview(parts[i])[done:]
-
-
 def write_quandle(q: Quandle, fh) -> None:
-    """Write a quandle table to a text sink or a binary file: its size, then
-    one line per row.  Equal rows share one formatted line."""
+    """Write a quandle table to a binary file, as UTF-8 text: its size,
+    then one line per row.  Equal rows share one formatted line."""
     first = q.rows.first
     _write_table(fh, q.n, lambda k: q.array[first[k]], q.rows.which)
 
 
 def format_quandle(q: Quandle) -> str:
     """The text write_quandle writes, as one string."""
-    out = io.StringIO()
+    out = io.BytesIO()
     write_quandle(q, out)
-    return out.getvalue()
+    return out.getvalue().decode()
 
 
 def parse_partition(source, n: int | None = None) -> Partition:
@@ -443,7 +414,7 @@ def format_mesh(mesh: AffineMesh) -> str:
 
 
 def write_affine(group: AbelianGroup, f: GroupAutomorphism, fh) -> None:
-    """Write Aff(A,f) to a text file, byte for byte as
+    """Write Aff(A,f) to a binary file, byte for byte as
     write_quandle(make_affine(group, f).quandle, fh) would, without building
     the table: row u is w(u) + f(v) over v, with w = (1-f)(u), so there is
     one distinct row per distinct value of w."""

@@ -129,7 +129,9 @@ def _exit_code(command) -> tuple[int, str]:
                 argv = argv + [str(path)]
         if argv[0] == "cover":
             argv = argv + ["--out", tmp]
-        out, err = io.StringIO(), io.StringIO()
+        # stdout as the process has it: text over a binary buffer, which
+        # the table writers write to
+        out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = main(argv)

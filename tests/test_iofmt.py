@@ -269,11 +269,11 @@ class _CountingFile(io.FileIO):
 
 def test_table_written_in_blocks(tmp_path):
     # Aff(Z_1024, 257): about 4 MB of text, in 1 MiB blocks, not in the
-    # 8 KiB pieces of TextIOWrapper's own chunking
+    # 8 KiB pieces of a buffered file's own chunking
     g = make_cyclic_product((1024,))
     f = multiplication_automorphism(g, 257)
     raw = _CountingFile(tmp_path / "aff.quandle", "w")
-    with io.TextIOWrapper(io.BufferedWriter(raw), encoding="utf-8") as fh:
+    with io.BufferedWriter(raw) as fh:
         write_affine(g, f, fh)
     data = (tmp_path / "aff.quandle").read_text()
     assert data == format_quandle(make_affine(g, f).quandle)
@@ -281,13 +281,13 @@ def test_table_written_in_blocks(tmp_path):
 
 
 class _HashingSink:
-    """A text sink that keeps only a running hash of what it is given."""
+    """A binary sink that keeps only a running hash of what it is given."""
 
     def __init__(self):
         self.hash = hashlib.sha256()
 
-    def write(self, text):
-        self.hash.update(text.encode())
+    def write(self, data):
+        self.hash.update(data)
 
 
 def test_writer_keeps_lines_within_its_budget(monkeypatch):

@@ -2,23 +2,20 @@
 the same tables, errors, bytes and messages as reading the whole text."""
 
 import io
-import os
-import random
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quandles import cli, iofmt
+from quandles import cli, core, iofmt
 from quandles.affine import make_affine
 from quandles.errors import QuandleError
 from quandles.groups import make_cyclic_product, multiplication_automorphism
-from quandles.iofmt import format_quandle, write_affine, write_quandle
-from quandles.mesh import generate_max_mesh, mesh_sum
+from quandles.iofmt import format_quandle, write_affine
 
 from oracles import PLAIN_ROW, read_then_parse_quandle
 from test_cli_fuzz import QUANDLES, raw_bytes
@@ -178,57 +175,63 @@ def test_cli_reader_holds_no_text_of_the_file(tmp_path):
     assert peak < 2 * table, peak
 
 
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cli_reader_on_distinct_lines_holds_the_text_only_while_numbering(tmp_path):
+    # Aff(Z_1023, 2): every line distinct, so the numbering keeps each
+    # piece's bytes and its text, about twice the file; the text is gone
+    # before the validation, whose own peak on the table then sets the
+    # read's (reading the file whole peaked 7 MiB above it)
+    path = tmp_path / "aff.quandle"
+    path.write_bytes(_affine_text(1023, 2).encode())
+    with path.open("rb") as fh:
+        _, numbering = _traced_peak(lambda: iofmt._numbered_lines(fh))
+    q, read = _traced_peak(lambda: cli._read_quandle(path))
+    table = q.array.copy()
+    _, validation = _traced_peak(lambda: core._validated(table))
+    assert len(q.rows.first) == 1023
+    assert numbering < 2.5 * path.stat().st_size, numbering
+    assert read < table.nbytes + validation + (1 << 20), (read, validation)
+
+
 # -- the writer --------------------------------------------------------------
 
 @pytest.mark.parametrize("m, u", [(1, 0), (8, 5), (64, 5), (1024, 257), (1023, 2)])
-def test_binary_file_gets_the_text_of_the_sinks(tmp_path, m, u):
+def test_file_and_stdout_get_the_text_of_format_quandle(tmp_path, monkeypatch, m, u):
+    # one bytes path: to the file, and to stdout's buffer after the text
+    # printed before it
     group, f = _affine(m, u)
     path = tmp_path / "aff.quandle"
     cli._write_to(path, write_affine, group, f)
     text = _affine_text(m, u)
     assert path.read_bytes() == text.encode()
-    sink = io.StringIO()
-    write_affine(group, f, sink)
-    assert sink.getvalue() == text
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    print("before")
+    cli._write_to(None, write_affine, group, f)
+    print("after")
+    stdout.flush()
+    assert stdout.buffer.getvalue() == f"before\n{text}after\n".encode()
 
 
-def test_short_writes_are_made_good(tmp_path, monkeypatch):
-    # os.writev that takes at most IOV_MAX buffers and writes a random
-    # prefix of them: every byte still arrives once, in order
-    rng = random.Random(2718)
+def test_table_goes_to_a_file_in_few_writes(tmp_path):
+    # Aff(Z_1024, 257), about 4 MB: its 1,025 lines go in blocks of at
+    # least 1 MiB, one write each
     calls = []
 
-    def short_writev(fd, buffers):
-        assert 1 <= len(buffers) <= iofmt.IOV_MAX
-        data = b"".join(buffers)
-        calls.append(len(buffers))
-        return os.write(fd, data[:rng.randint(1, len(data))])
+    class Counted(io.BytesIO):
+        def write(self, data):
+            calls.append(len(data))
+            return super().write(data)
 
-    monkeypatch.setattr(iofmt, "IOV_MAX", 3)
-    monkeypatch.setattr(os, "writev", short_writev)
-    for m, u in [(8, 5), (256, 193), (1024, 3)]:
-        path = tmp_path / f"aff_{m}.quandle"
-        cli._write_to(path, write_affine, *_affine(m, u))
-        assert path.read_bytes() == _affine_text(m, u).encode()
-    q = mesh_sum(generate_max_mesh(16, 3))
-    cli._write_to(tmp_path / "sum.quandle", write_quandle, q)
-    assert (tmp_path / "sum.quandle").read_bytes() == format_quandle(q).encode()
-    assert max(calls) == 3 and len(calls) > 100
-
-
-def test_table_goes_to_a_file_in_few_calls(tmp_path, monkeypatch):
-    # Aff(Z_1024, 257), about 4 MB: its 1,025 lines go by os.writev in
-    # blocks of at least 1 MiB, at most IOV_MAX lines a call
-    real, calls = os.writev, []
-
-    def counted(fd, buffers):
-        calls.append(len(buffers))
-        return real(fd, buffers)
-
-    monkeypatch.setattr(os, "writev", counted)
-    path = tmp_path / "aff.quandle"
-    cli._write_to(path, write_affine, *_affine(1024, 257))
-    assert sum(calls) == 1025 and max(calls) <= iofmt.IOV_MAX
-    assert len(calls) <= -(-path.stat().st_size // (1 << 20)) + 2
-    np.testing.assert_array_equal(read_then_parse_quandle(path).array,
-                                  make_affine(*_affine(1024, 257)).quandle.array)
+    sink = Counted()
+    write_affine(*_affine(1024, 257), sink)
+    assert sink.getvalue() == _affine_text(1024, 257).encode()
+    assert len(calls) <= -(-len(sink.getvalue()) // (1 << 20)) + 1
+    assert min(calls[:-1]) >= 1 << 20
