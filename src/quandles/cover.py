@@ -296,7 +296,7 @@ def _group_witness(a: AbelianGroup, order: int) -> str | None:
     ``order``, and neg inverts.  Light's test reads the generating set
     the factor keeps, walked off its table once, which claim 3 reads too."""
     for g in {id(g): g for g in a.factors()}.values():
-        witness = check_abelian_table(g.add, g.neg, lambda: g._generators)
+        witness = check_abelian_table(g)
         if witness is not None:
             return witness
     if a.order != order:

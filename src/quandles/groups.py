@@ -25,7 +25,7 @@ An AbelianGroup is a plain record, like a Quandle: its constructor
 checks nothing.  Every group the package builds is a group by
 construction (a cyclic product from its moduli, Dis(Q) from a D that is
 closed and commutative, a direct product from two groups).
-check_abelian_table checks a table from outside: commutativity, identity
+check_abelian_table checks a group's tables from outside: commutativity, identity
 and inverses exhaustively, associativity by Light's test over a
 generating set (equivalent to the exhaustive cubic scan, but quadratic).
 """
@@ -90,18 +90,19 @@ def generating_indices(add: np.ndarray) -> list[int]:
     return _generators(len(add), add.T.__getitem__, [0])
 
 
-def check_abelian_table(add: np.ndarray, neg: np.ndarray, generators=None) -> str | None:
-    """Return a description of the first axiom failure, or None.
+def check_abelian_table(group: AbelianGroup) -> str | None:
+    """Return a description of the first axiom failure of the group's
+    tables, or None.
 
     Associativity is Light's test: the g with (a+g)+c == a+(g+c) for all
-    a, c are closed under +, so a generating set suffices: the one
-    ``generators()`` returns, if given, which must be
-    generating_indices(add) (a group keeps its own), else that walk.  Once
+    a, c are closed under +, so a generating set suffices, the one the
+    group keeps (``_generators``, walked off its own table once and read
+    only after the identity has passed).  Once
     commutativity has passed, (a+g)+c = B[a,c] and a+(g+c) = B[c,a] for
     B = add[add[g], :], so the test for g is "B is symmetric", with the
     same first witness (a, g, c).
     """
-    add, neg = np.asarray(add), np.asarray(neg)
+    add, neg = np.asarray(group.add), np.asarray(group.neg)
     n = len(add)
     rng = np.arange(n, dtype=add.dtype)
     if add.shape != (n, n) or neg.shape != (n,):
@@ -119,7 +120,7 @@ def check_abelian_table(add: np.ndarray, neg: np.ndarray, generators=None) -> st
     if not np.array_equal(add[rng, neg], np.zeros(n, dtype=add.dtype)):
         a = int(np.argwhere(add[rng, neg] != 0)[0][0])
         return f"neg({a}) is not an inverse"
-    for g in generators() if generators else generating_indices(add):
+    for g in group._generators:
         witness = _first_asymmetry(add[add[g], :])
         if witness is not None:
             a, c = witness
@@ -132,7 +133,7 @@ class AbelianGroup:
     """Finite abelian group on elements 0..order-1, zero at index 0.
 
     The tables are taken as given: build one from a table that is an
-    abelian group, or check the table with check_abelian_table first.
+    abelian group, or check it with check_abelian_table before use.
     """
 
     add: np.ndarray

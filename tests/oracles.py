@@ -369,7 +369,7 @@ def exhaustive_verify_cover(result, q: Quandle) -> tuple[str, ...]:
     built here from (1-f)(u) + f(v) and not through make_affine."""
     failures: list[str] = []
     add, neg = result.group.add, result.group.neg
-    witness = check_abelian_table(add, neg)
+    witness = check_abelian_table(AbelianGroup(add, neg))
     if witness is not None:
         failures.append(f"A is not an abelian group: {witness}")
     im = result.f.images

@@ -225,9 +225,9 @@ def test_build_cover_checks_the_cover_group_once(monkeypatch):
     orders = []
     real = groups.check_abelian_table
 
-    def counted(add, neg, *generators):
-        orders.append(len(add))
-        return real(add, neg, *generators)
+    def counted(g):
+        orders.append(g.order)
+        return real(g)
 
     monkeypatch.setattr(groups, "check_abelian_table", counted)
     monkeypatch.setattr(cover, "check_abelian_table", counted)

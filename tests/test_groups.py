@@ -74,7 +74,7 @@ def test_group_table_validation_rejects_nonassociative():
     add = np.array(g.add, dtype=np.int32)
     add[1, 1], add[1, 2] = add[1, 2], add[1, 1]
     neg = np.array(g.neg, dtype=np.int32)
-    assert check_abelian_table(add, neg) is not None
+    assert check_abelian_table(AbelianGroup(add, neg)) is not None
 
 
 def test_check_abelian_table_rejects_noncommutative():
@@ -91,7 +91,7 @@ def test_check_abelian_table_rejects_noncommutative():
         dtype=np.int32,
     )
     neg = np.array([idx[tuple(np.argsort(p))] for p in perms], dtype=np.int32)
-    assert check_abelian_table(add, neg) is not None
+    assert check_abelian_table(AbelianGroup(add, neg)) is not None
 
 
 def test_generating_indices_generate():
@@ -158,14 +158,14 @@ def test_cyclic_product_is_a_group(moduli):
     # make_cyclic_product checks nothing; its tables are a group by
     # construction, and this is the check of that.
     g = make_cyclic_product(moduli)
-    assert check_abelian_table(g.add, g.neg) is None
+    assert check_abelian_table(g) is None
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(1, 12), min_size=1, max_size=3))
 def test_cyclic_product_is_a_group_for_any_moduli(moduli):
     g = make_cyclic_product(moduli)
-    assert check_abelian_table(g.add, g.neg) is None
+    assert check_abelian_table(g) is None
 
 
 @pytest.mark.parametrize("moduli", [(4096,), (64, 64)])
@@ -393,14 +393,14 @@ def test_light_symmetry_witness_matches_two_sided_test():
     add = _z6_swapped()
     expected = _two_sided_light_witness(add)
     assert expected is not None
-    assert check_abelian_table(add, make_cyclic_product((6,)).neg) == expected
+    assert check_abelian_table(AbelianGroup(add, make_cyclic_product((6,)).neg)) == expected
 
 
 def test_light_witness_at_the_second_generator():
     add = _z4_z2_swapped()
     assert generating_indices(add) == [1, 2]
     assert _two_sided_light_witness(add) == "not associative at (1,2,2)"
-    assert check_abelian_table(add, make_cyclic_product((4, 2)).neg) == (
+    assert check_abelian_table(AbelianGroup(add, make_cyclic_product((4, 2)).neg)) == (
         "not associative at (1,2,2)")
 
 
@@ -410,7 +410,7 @@ def test_light_witness_at_the_second_generator():
 ])
 def test_neg_outside_the_elements_is_refused(neg, witness):
     # -1 would wrap to the inverse 2, and 4 would index past the table
-    assert check_abelian_table(make_cyclic_product((3,)).add, np.array(neg)) == witness
+    assert check_abelian_table(AbelianGroup(make_cyclic_product((3,)).add, np.array(neg))) == witness
 
 
 def _relabeled(g) -> AbelianGroup:
@@ -493,7 +493,7 @@ def test_commutativity_witness_spans_tiles(monkeypatch):
     add[280, 10], add[270, 290] = add[280, 11], add[270, 291]
     for chunk in (core.CHUNK_ENTRIES, 1):
         monkeypatch.setattr(core, "CHUNK_ENTRIES", chunk)
-        assert check_abelian_table(add, neg) == "not commutative at (10,280)"
+        assert check_abelian_table(AbelianGroup(add, neg)) == "not commutative at (10,280)"
 
 
 def _refusal_peak(build) -> int:
