@@ -187,7 +187,7 @@ def test_cli_reader_on_distinct_lines_holds_the_text_only_while_numbering(tmp_pa
     # Aff(Z_1023, 2): every line distinct, so the numbering keeps each
     # piece's bytes and its text, about twice the file; the text is gone
     # before the validation, whose own peak on the table then sets the
-    # read's (reading the file whole peaked 7 MiB above it)
+    # read's (reading the file whole peaked 8 MiB above it)
     path = tmp_path / "aff.quandle"
     path.write_bytes(_affine_text(1023, 2).encode())
     with path.open("rb") as fh:
