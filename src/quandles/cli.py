@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import sys
 from pathlib import Path
 
@@ -62,10 +63,13 @@ def analysis_report(q: Quandle) -> list[tuple[str, object]]:
 
 
 def _read(parse, path: str, *args):
-    """parse(fh, *args), fh the file at path open for binary reading: the
-    parsers read it line by line.  A file that is not UTF-8 is a ParseError."""
+    """parse(fh, *args), fh the file at path open for binary reading through
+    a buffer of iofmt.READ_BLOCK_BYTES: the parsers read it line by line.  A
+    file that is not UTF-8 is a ParseError.  The buffered reader is built
+    as open builds it, so that it takes any size, where open would take 1
+    for line buffering and use its default."""
     try:
-        with open(path, "rb") as fh:
+        with io.BufferedReader(io.FileIO(path), iofmt.READ_BLOCK_BYTES) as fh:
             return parse(fh, *args)
     except UnicodeDecodeError as exc:
         raise ParseError(

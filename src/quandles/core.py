@@ -20,12 +20,6 @@ from .errors import (
 
 # Largest temporary, in entries, that a table or mesh check builds at once.
 CHUNK_ENTRIES = 1 << 20
-# A table file is written in blocks of at least WRITE_BLOCK_BYTES, one
-# write each, and keeps its formatted lines while they fit LINE_CACHE_BYTES;
-# a file is read in blocks of READ_BLOCK_BYTES.
-WRITE_BLOCK_BYTES = 1 << 20
-LINE_CACHE_BYTES = 1 << 26
-READ_BLOCK_BYTES = 1 << 18
 
 
 def _chunks(start: int, stop: int, width: int):

@@ -11,15 +11,7 @@ from itertools import accumulate, chain
 import numpy as np
 
 from .affine import one_minus_f_images
-from .core import (
-    LINE_CACHE_BYTES,
-    READ_BLOCK_BYTES,
-    WRITE_BLOCK_BYTES,
-    Partition,
-    Quandle,
-    _as_int32,
-    _validated,
-)
+from .core import Partition, Quandle, _as_int32, _validated
 from .errors import InvalidParams, ParseError
 from .groups import (
     AbelianGroup,
@@ -32,85 +24,68 @@ from .groups import (
 from .mesh import AffineMesh, _validated_mesh
 
 
-# A piece of text is looked up by its first FINGERPRINT characters (bytes,
-# when read from a file) before its length and the rest are compared.
+# A file is read through a buffer of READ_BLOCK_BYTES (cli._read).  A table
+# file is written in blocks of at least WRITE_BLOCK_BYTES, one write each,
+# and keeps its formatted lines while they fit LINE_CACHE_BYTES.
+READ_BLOCK_BYTES = 1 << 18
+WRITE_BLOCK_BYTES = 1 << 20
+LINE_CACHE_BYTES = 1 << 26
+
+# A line is looked up by its first FINGERPRINT characters (bytes, when read
+# from a file) before the whole of it is compared.
 FINGERPRINT = 48
 
 
+def _lines(text: str):
+    """The lines of text, each with its "\n" (the last maybe without),
+    sliced from it one at a time."""
+    pos = 0
+    while pos < len(text):
+        end = text.find("\n", pos) + 1 or len(text)
+        yield text[pos:end]
+        pos = end
+
+
 def _numbered_pieces(source) -> tuple[list[str], list[int]]:
-    """The distinct pieces of the text split at "\n", by first occurrence,
-    and the number of every piece in order.  The source is a str or a
-    binary file, read in blocks of READ_BLOCK_BYTES: only the distinct
-    pieces are kept, each decoded once as UTF-8, so repeated lines are
-    held once, but a file of distinct lines is held twice until the
-    numbering ends, as the pieces' bytes and as their text.  The pieces
-    are numbered in place: a piece is looked up by its first FINGERPRINT
-    characters (bytes), and the match, the last piece seen with them, is
-    confirmed by its length and startswith; only a piece not confirmed is
-    sliced and hashed."""
-    raw: list = []   # the distinct pieces as found, str or bytes
+    """The distinct lines of the text, each with its "\n", by first
+    occurrence, and the number of every line in order.  The source is a
+    str, or a binary file whose own readline splits it: only the distinct
+    lines are kept, each decoded once as UTF-8, so repeated lines are held
+    once, but a file of distinct lines is held twice until the numbering
+    ends, as the lines' bytes and as their text.  A line is looked up by
+    its first FINGERPRINT characters (bytes), and the match, the last line
+    seen with them, is confirmed by comparing the two; only a line not
+    confirmed is hashed whole."""
+    binary = not isinstance(source, str)
+    raw: list = []   # the distinct lines as read, str or bytes
     pieces: list[str] = []
     which: list[int] = []
     by_print: dict = {}   # start -> number
     by_piece: dict = {}
-
-    def number(buf, pos: int, at: int, final: bool) -> int:
-        """Number the pieces of buf from pos (at its file offset at) that
-        end in "\n", and the rest too if final; return where the rest starts."""
-        nl = b"\n" if isinstance(buf, bytes) else "\n"
-        stop = len(buf)
-        while True:
-            end = buf.find(nl, pos)
-            if end < 0:
-                if not final:
-                    return pos
-                end = stop
-            key = buf[pos:end if end - pos < FINGERPRINT else pos + FINGERPRINT]
-            j = by_print.get(key)
-            if j is None or len(raw[j]) != end - pos or not buf.startswith(raw[j], pos):
-                piece = buf[pos:end]
-                j = by_piece.setdefault(piece, len(raw))
-                if j == len(raw):
-                    raw.append(piece)
-                    pieces.append(piece if nl == "\n" else _decoded(piece, at + pos, end < stop))
-                by_print[key] = j
-            which.append(j)
-            if end == stop:
-                return stop
-            pos = end + 1
-
-    if isinstance(source, str):
-        number(source, 0, 0, True)
-        return pieces, which
-    head, at, offset = [], 0, 0   # the start of a piece cut by a block's end, at offset at
-    while block := source.read(READ_BLOCK_BYTES):
-        cut = block.find(b"\n")
-        if cut < 0:
-            head.append(block)
-        else:
-            number(b"".join([*head, block[:cut + 1]]), 0, at, False)
-            rest = number(block, cut + 1, offset, False)
-            head, at = [block[rest:]], offset + rest
-        offset += len(block)
-    number(b"".join(head), 0, at, True)
+    at = 0   # the file offset of the line
+    for line in source if binary else _lines(source):
+        key = line[:FINGERPRINT]
+        j = by_print.get(key)
+        if j is None or raw[j] != line:
+            j = by_piece.setdefault(line, len(raw))
+            if j == len(raw):
+                raw.append(line)
+                pieces.append(_decoded(line, at) if binary else line)
+            by_print[key] = j
+        which.append(j)
+        at += len(line)
     return pieces, which
 
 
-def _decoded(piece: bytes, at: int, ended: bool) -> str:
-    """The UTF-8 text of a piece of a file, found at its offset at.  A piece
+def _decoded(line: bytes, at: int) -> str:
+    """The UTF-8 text of a line of a file, found at its offset at.  A line
     that is not UTF-8 raises the UnicodeDecodeError that decoding the whole
-    file would, at file offsets: a piece that ended in "\n" is decoded
-    again with it, since the "\n" is what cuts short a sequence at its end."""
+    file would, at file offsets: no UTF-8 sequence holds the "\n"."""
     try:
-        return piece.decode()
+        return line.decode()
     except UnicodeDecodeError as exc:
-        error = exc
-    if ended:
-        try:
-            (piece + b"\n").decode()
-        except UnicodeDecodeError as exc:
-            error = exc
-    raise UnicodeDecodeError("utf-8", piece, at + error.start, at + error.end, error.reason)
+        raise UnicodeDecodeError("utf-8", line, at + exc.start, at + exc.end,
+                                 exc.reason) from None
 
 
 def _numbered_lines(source) -> tuple[list[str], set[int], list[int]]:
@@ -119,15 +94,15 @@ def _numbered_lines(source) -> tuple[list[str], set[int], list[int]]:
     number of every data line in order.  The data lines are those of
     str.splitlines, stripped, that are neither blank nor '#' comments, and
     each distinct piece of _numbered_pieces is read once: a plain row is
-    one data line (less a closing "\r"); any other piece is split into
-    lines, stripped and filtered."""
+    one data line (less its closing "\n" and "\r"); any other piece is
+    split into lines, stripped and filtered."""
     pieces, which = _numbered_pieces(source)
     number: dict[str, int] = {}
     plain: set[int] = set()
     ids_of: list[list[int]] = []   # the line numbers of each piece
     for piece in pieces:
-        if _plain_row(piece):
-            j = number.setdefault(piece.rstrip("\r"), len(number))
+        if _plain_row(row := piece.removesuffix("\n")):
+            j = number.setdefault(row.rstrip("\r"), len(number))
             plain.add(j)
             ids_of.append([j])
         else:
@@ -176,6 +151,8 @@ def parse_quandle(source) -> Quandle:
     """Line 1: n; then n rows of n entries (row a = a*b for b = 0..n-1).
     The source is the text, or a binary file read line by line (a file
     that is not UTF-8 raises UnicodeDecodeError at its first bad byte).
+    Once the rows are counted, a table over the 1 GiB limit is refused
+    (TooLarge) before it is allocated.
 
     Each distinct table line is converted once, into its first row of a
     preallocated int32 table and, in one more call, into its other rows,
@@ -195,6 +172,7 @@ def parse_quandle(source) -> Quandle:
     n = header[0]
     if len(ids) != n + 1:
         raise ParseError(f"expected {n} table rows, got {len(ids) - 1}")
+    _check_table_limit(n, "quandle order", "table")
     number: dict[int, int] = {}   # line -> its number among the rows
     which = np.array([number.setdefault(j, len(number)) for j in ids[1:]])
     count = np.bincount(which)

@@ -321,6 +321,8 @@ def generate_max_mesh(n: int, k: int) -> AffineMesh:
         raise InvalidParams(f"need 2^k < n, got n={n}, k={k}")
     if n + k > np.iinfo(np.int32).max:
         raise TooLarge(f"mesh size {n + k} does not fit int32 element indices")
+    _check_table_limit(n + k, "mesh size", "map matrix", n)
+    _check_table_limit(n, "mesh index count", "constant matrix", 2 * n)  # int64: 2 int32s
     z2 = make_cyclic_product((2,))
     z1 = make_cyclic_product((1,))
     groups = (z2,) * k + (z1,) * (n - k)

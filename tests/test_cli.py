@@ -470,6 +470,43 @@ def test_oversized_mesh_tables_are_refused_before_any_is_built(tmp_path):
     assert "table limit" in proc.stderr and proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("n, size", [(1_000_000, 4_000_000_000_000), (20_000, 1_600_000_000)])
+def test_oversized_quandle_is_refused_before_its_table(tmp_path, n, size):
+    # n rows of "0" (2 MB at n = 10^6): the table is refused for its size,
+    # whatever n is, before it is allocated and before any row is read
+    # (run only in a child with its address space capped)
+    path = tmp_path / "big.quandle"
+    path.write_bytes(b"%d\n" % n + b"0\n" * n)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "quandles.cli", "analyze", str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=_cap_address_space,
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith(f"error=quandle order {n} needs a {size}-byte table")
+    assert "table limit" in proc.stderr and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("n, refusal", [
+    (20_000, "mesh size 20003 needs a 1600240000-byte map matrix"),
+    (12_000, "mesh index count 12000 needs a 1152000000-byte constant matrix"),
+])
+def test_oversized_genmax_is_refused_before_its_arrays(n, refusal):
+    # P is (n + 3) x n int32 and C n x n int64, as parse_mesh counts them:
+    # at n = 12,000 only C is over the limit (run only in a child with its
+    # address space capped)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "quandles.cli", "mesh", "genmax", str(n), "3"],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=_cap_address_space,
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith(f"error={refusal}")
+    assert "table limit" in proc.stderr and proc.stderr.count("\n") == 1
+
+
 def _cap_file_size():
     limit = 64 << 20
     resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))

@@ -229,9 +229,11 @@ def test_rows_numbered_from_respelled_lines(text):
 
 
 def _split_numbering(text: str) -> tuple[list[str], list[int]]:
-    """text.split("\n") numbered by first occurrence, through a dict."""
+    """The lines of text, split after each "\n" (by a StringIO that ends
+    lines at "\n" alone), numbered by first occurrence, through a dict."""
     number: dict[str, int] = {}
-    which = [number.setdefault(piece, len(number)) for piece in text.split("\n")]
+    which = [number.setdefault(piece, len(number))
+             for piece in io.StringIO(text, newline="\n")]
     return list(number), which
 
 
@@ -255,6 +257,23 @@ A48, B48 = "7" * 48 + " 1", "7" * 48 + " 2"   # one length, one fingerprint
 def test_pieces_numbered_in_place_match_split(fingerprint, text):
     with mock.patch.object(iofmt, "FINGERPRINT", fingerprint):
         assert iofmt._numbered_pieces(text) == _split_numbering(text)
+
+
+@given(st.one_of(
+    mutated(QUANDLES),
+    raw_bytes(QUANDLES).map(lambda data: data.decode("utf-8", "replace")),
+), st.sampled_from([1, 2, 3, 7, 16]))
+@settings(max_examples=200, deadline=None)
+@example("", 1)
+@example("\n", 1)
+@example("0 1\n0 1", 3)                     # no trailing "\n"
+@example("\u00e9\n\u00e9\u20ac\n\u00e9\n", 2)   # two- and three-byte sequences cut
+@example("a\u2028b\n\x85\r\n\ufffd", 3)
+def test_file_lines_numbered_as_the_text(text, size):
+    # the lines of a binary file, cut by its buffer at any place, are the
+    # lines sliced from its text
+    fh = io.BufferedReader(io.BytesIO(text.encode()), size)
+    assert iofmt._numbered_pieces(fh) == iofmt._numbered_pieces(text)
 
 
 class _CountingFile(io.FileIO):
@@ -411,6 +430,20 @@ def test_genmax_mesh_round_trip(n, k):
     assert np.array_equal(again.P, m.P) and np.array_equal(again.C, m.C)
     assert [g.moduli for g in again.groups] == [g.moduli for g in m.groups]
     assert format_mesh(again) == text
+
+
+def test_quandle_table_over_the_limit_is_refused(monkeypatch):
+    # order 2: a 16-byte table, refused once the rows are counted and
+    # before any row is read
+    monkeypatch.setattr(groups, "_TABLE_LIMIT_BYTES", 15)
+    with pytest.raises(TooLarge, match="quandle order 2 needs a 16-byte table"):
+        parse_quandle("2\n0\n0\n")
+    with pytest.raises(ParseError, match="expected 2 table rows, got 1"):
+        parse_quandle("2\n0 1\n")
+    monkeypatch.setattr(groups, "_TABLE_LIMIT_BYTES", 16)
+    assert parse_quandle("2\n0 1\n0 1\n").n == 2
+    with pytest.raises(ParseError, match="row '0' has 1 entries"):
+        parse_quandle("2\n0\n0\n")
 
 
 def test_mesh_arrays_over_the_table_limit_are_refused(monkeypatch):

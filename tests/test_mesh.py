@@ -190,6 +190,19 @@ def test_genmax_structure(n, k):
     assert is_indecomposable(m)
 
 
+def test_genmax_arrays_over_the_table_limit_are_refused(monkeypatch):
+    # n = 8, k = 2: P is 10 x 8 int32 (320 bytes), C 8 x 8 int64 (512), the
+    # sizes parse_mesh checks on the mesh's file
+    monkeypatch.setattr(groups, "_TABLE_LIMIT_BYTES", 319)
+    with pytest.raises(TooLarge, match="mesh size 10 needs a 320-byte map matrix"):
+        generate_max_mesh(8, 2)
+    monkeypatch.setattr(groups, "_TABLE_LIMIT_BYTES", 511)
+    with pytest.raises(TooLarge, match="mesh index count 8 needs a 512-byte constant matrix"):
+        generate_max_mesh(8, 2)
+    monkeypatch.setattr(groups, "_TABLE_LIMIT_BYTES", 512)
+    assert generate_max_mesh(8, 2).C.shape == (8, 8)
+
+
 def test_mesh_sum_over_the_table_limit_is_refused(monkeypatch, mesh_three_z2):
     # 6 elements: a 144-byte table
     monkeypatch.setattr(groups, "_TABLE_LIMIT_BYTES", 143)

@@ -339,3 +339,20 @@ def test_group_sums_are_flat_gathers_and_floor_arithmetic():
                       for node in ast.walk(method)
                       if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple)]
     assert found == []
+
+
+def test_files_are_read_through_their_own_lines():
+    # cli._read opens a file with a buffer of iofmt.READ_BLOCK_BYTES, and
+    # the parsers take its lines from the file's own readline: none reads
+    # blocks of it to split by hand.  The read and write sizes are iofmt's.
+    sizes = {"READ_BLOCK_BYTES", "WRITE_BLOCK_BYTES", "LINE_CACHE_BYTES"}
+    defined = sorted(
+        f"{path.stem}.{target.id}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(_tree(path))
+        for target in (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        if isinstance(target, ast.Name) and target.id in sizes
+    )
+    assert defined == [f"iofmt.{name}" for name in sorted(sizes)]
+    assert _sites(lambda node: isinstance(node, ast.Call) and _name(node.func) == "read") == []

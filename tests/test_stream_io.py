@@ -116,12 +116,12 @@ FILES = {
 
 
 @pytest.mark.parametrize("name, block", [
-    (name, block) for name in sorted(FILES) for block in (1, 2, 7, 64, None)
-    if name != "long-lines" or block in (64, None)   # 4 KB lines: not byte by byte
+    (name, block) for name in sorted(FILES) for block in (1, 2, 3, 7, 16, 64, None)
+    if name != "long-lines" or block in (64, None)   # 4 MB: not a few bytes a read
 ])
 def test_streamed_file_reads_as_the_whole_text(tmp_path, monkeypatch, name, block):
-    # blocks of one byte up to the default cut every piece, line end and
-    # UTF-8 sequence at every place
+    # read buffers of one byte up to the default cut every line, line end
+    # and UTF-8 sequence at every place
     if block is not None:
         monkeypatch.setattr(iofmt, "READ_BLOCK_BYTES", block)
     path = tmp_path / "q.quandle"
@@ -144,7 +144,7 @@ def test_streamed_errors_keep_their_messages(tmp_path):
         cli._read_quandle(path)
 
 
-@given(raw_bytes(QUANDLES), st.sampled_from([1, 3, 16, None]))
+@given(raw_bytes(QUANDLES), st.sampled_from([1, 2, 3, 16, None]))
 @settings(max_examples=300, deadline=None)
 def test_streamed_fuzzed_files_read_as_the_whole_text(data, block):
     with tempfile.TemporaryDirectory() as tmp:
