@@ -110,8 +110,8 @@ class Quandle:
 
     The only stored field is ``array``, the table as a read-only
     C-contiguous int32 array, a*b at ``array[a, b]``; such an array is
-    taken over without a copy.  Equality compares its shape and bytes,
-    hashing its bytes.
+    taken over without a copy.  Equality compares its shape and bytes
+    (an object equals itself at once), hashing its bytes.
     """
 
     array: np.ndarray
@@ -122,6 +122,8 @@ class Quandle:
         object.__setattr__(self, "array", arr)
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, Quandle):
             return NotImplemented
         return np.array_equal(self.array, other.array)
@@ -424,10 +426,11 @@ def _partition(labels: np.ndarray) -> Partition:
     return Partition(tuple(tuple(elems[lo:hi]) for lo, hi in zip(cuts, cuts[1:])))
 
 
-def connectivity_orbits(q: Quandle) -> Partition:
-    """Orbit partition of LMlt(Q), the components of x ~ a*x: each round a
-    label drops to the least label of its images and preimages under the
-    distinct rows, then to its label's label, until no label changes."""
+def _orbit_labels(q: Quandle) -> np.ndarray:
+    """Each element's LMlt(Q) orbit, the components of x ~ a*x, labeled by
+    its least element: each round a label drops to the least label of its
+    images and preimages under the distinct rows, then to its label's
+    label, until no label changes."""
     rows = q.array[q.rows.first]
     rows = np.concatenate([rows, np.argsort(rows, axis=1)])
     label = np.arange(q.n)
@@ -435,8 +438,13 @@ def connectivity_orbits(q: Quandle) -> Partition:
         new = np.minimum(label, label[rows].min(axis=0))
         new = new[new]
         if np.array_equal(new, label):
-            return _partition(label)   # each label is its orbit's least element
+            return label
         label = new
+
+
+def connectivity_orbits(q: Quandle) -> Partition:
+    """Orbit partition of LMlt(Q), from the orbit labels (_orbit_labels)."""
+    return _partition(_orbit_labels(q))
 
 
 def _cycle_type(images: list[int]) -> tuple[int, ...]:

@@ -19,9 +19,8 @@ from functools import cached_property
 
 import numpy as np
 
-from . import perms
 from .affine import AffineQuandle, make_affine, one_minus_f_images
-from .core import Quandle, _chunks
+from .core import Quandle, _chunks, _orbit_labels
 from .errors import InternalAssertionFailure, NotHomImage, OplusUndefined
 from .groups import (
     AbelianGroup,
@@ -78,7 +77,7 @@ class Multitransversal:
 def simple_multitransversal(q: Quandle) -> Multitransversal:
     """All of Q, cycled per block up to the largest block size."""
     tr = _homim_translations(q)
-    return _padded(tr, [[]] * tr.m, int(np.bincount(tr.block_of).max()))
+    return _padded(tr, np.zeros(q.n, dtype=bool), int(np.bincount(tr.block_of).max()))
 
 
 def optimized_multitransversal(q: Quandle) -> Multitransversal:
@@ -89,32 +88,57 @@ def optimized_multitransversal(q: Quandle) -> Multitransversal:
     each orbit takes the smallest of its elements in its least-loaded
     candidate block.  The orbit of 0 thus takes 0 into block 0, as the
     first and least entry.  Blocks are then padded to the maximum load.
-    An orbit is ascending, so its first element is its least.
+
+    Orbits are labeled by their least elements (core._orbit_labels), so
+    np.unique of label * m + block lists each orbit's candidate blocks,
+    ascending, with its least element in each.  An orbit with one
+    candidate has no choice, and the orbit of 0 meets empty blocks only
+    and takes its first, block 0: these are placed at once, by one
+    bincount, and only the orbits with several candidates run the loop.
+    Every orbit has as many candidates, so these go by least element: for
+    alpha in Dis(Q), abelian, L_{alpha(x)} L_0^{-1} is L_x L_0^{-1} times
+    alpha L_0 alpha^{-1} L_0^{-1}, and as alpha runs over Dis(Q) the
+    latter runs over one subgroup, so an orbit's blocks are a coset of it.
     """
     tr = _homim_translations(q)
-    block_of = tr.block_of.tolist()
-    loads = [0] * tr.m
-    chosen: list[list[int]] = [[] for _ in range(tr.m)]
-    orbits = [(orbit, {block_of[x] for x in orbit}) for orbit in perms.orbits(q).blocks]
-    orbits.sort(key=lambda ob: (ob[0][0] != 0, len(ob[1]), ob[0][0]))
-    for orbit, cands in orbits:
-        b = min(cands, key=lambda i: (loads[i], i))
-        chosen[b].append(next(x for x in orbit if block_of[x] == b))
-        loads[b] += 1
-    return _padded(tr, chosen, max(loads))
+    m = tr.m
+    pairs, least = np.unique(_orbit_labels(q) * m + tr.block_of, return_index=True)
+    block = pairs % m
+    first = np.flatnonzero(np.diff(pairs // m, prepend=-1))   # each orbit's first pair
+    count = np.diff(first, append=len(pairs))
+    several = count > 1
+    several[0] = False   # the orbit of 0, labeled 0
+    placed = first[~several]
+    loads = np.bincount(block[placed], minlength=m).tolist()
+    chosen = placed.tolist()
+    blocks = block.tolist()
+    for lo, hi in zip(first[several].tolist(), (first + count)[several].tolist()):
+        cand = [loads[b] for b in blocks[lo:hi]]
+        j = lo + cand.index(min(cand))   # the least block among the least loaded
+        loads[blocks[j]] += 1
+        chosen.append(j)
+    picked = np.zeros(q.n, dtype=bool)
+    picked[least[chosen]] = True
+    return _padded(tr, picked, max(loads))
 
 
-def _padded(tr: Translations, chosen: list[list[int]], kappa: int) -> Multitransversal:
+def _padded(tr: Translations, picked: np.ndarray, kappa: int) -> Multitransversal:
     """kappa entries per Cayley-kernel block, block-major: the block's
-    chosen entries ascending, then its unused elements, then the block
-    again in turn from its start."""
-    elems: list[int] = []
-    for picks, b in zip(chosen, perms.cayley_kernel(tr.q).blocks):
-        taken = set(picks)
-        entries = sorted(picks) + [x for x in b if x not in taken]
-        entries += [b[j % len(b)] for j in range(kappa - len(entries))]
-        elems.extend(entries[:kappa])
-    return Multitransversal(tuple(elems), kappa, tr)
+    picked elements ascending, then its unused elements, then the block
+    again in turn from its start.  Entry j of a block of size s is the
+    j-th of its elements listed picks first for j < s, else the
+    ((j - s) mod s)-th of its elements ascending: two stable argsorts and
+    one gather."""
+    block = tr.block_of
+    size = np.bincount(block, minlength=tr.m)[:, None]   # a column, one row a block
+    start = np.cumsum(size, axis=0) - size
+    listed = np.argsort(block * 2 + ~picked, kind="stable")   # picks first
+    ascending = np.argsort(block, kind="stable")
+    j = np.arange(kappa)
+    head = j < size
+    at = start + np.where(head, j, (j - size) % size)
+    elems = np.where(head, listed[at], ascending[at])
+    return Multitransversal(tuple(elems.ravel().tolist()), kappa, tr)
 
 
 def _transversal_translations(q: Quandle, t: Multitransversal) -> Translations:
@@ -248,7 +272,7 @@ def verify_cover(result: CoverResult, q: Quandle) -> VerifyReport:
        for every u and each of them (|A| * |gens|, _additive_failure) shows
        S = A.  A table-backed factor reads its generating set off its table
        once and keeps it, so D's is read once, for claims 1 and 3, although
-       D is a factor twice.
+       D is a factor twice; Z_kappa states its generator 1.
     4. psi maps into Q: shape |A| and values in 0..|Q|-1.
     5. psi is a homomorphism.  In Aff(A,f), u*v = w(u) + f(v) with
        w = (1-f)(u) = u + neg(f(u)), so u*v depends on u only through w(u).
@@ -293,8 +317,9 @@ def verify_cover(result: CoverResult, q: Quandle) -> VerifyReport:
 
 def _group_witness(a: AbelianGroup, order: int) -> str | None:
     """Claim 1: each distinct factor table is an abelian group, |A| is
-    ``order``, and neg inverts.  Light's test reads the generating set
-    the factor keeps, walked off its table once, which claim 3 reads too."""
+    ``order``, and neg inverts.  Light's test reads each factor's
+    ``generators()``, as claim 3 does: D's walked off its table once and
+    kept, Z_kappa's stated."""
     for g in {id(g): g for g in a.factors()}.values():
         witness = check_abelian_table(g)
         if witness is not None:

@@ -95,18 +95,26 @@ def check_abelian_table(group: AbelianGroup) -> str | None:
     tables, or None.
 
     Associativity is Light's test: the g with (a+g)+c == a+(g+c) for all
-    a, c are closed under +, so a generating set suffices, the one the
-    group keeps (``_generators``, walked off its own table once and read
-    only after the identity has passed).  Once
+    a, c are closed under +, so a generating set suffices, the group's
+    ``generators()``, read only after the identity has passed: a
+    table-backed group walks its own table once and keeps the set, and a
+    cyclic group or product states its unit coordinates, which are the
+    walk's.  Once
     commutativity has passed, (a+g)+c = B[a,c] and a+(g+c) = B[c,a] for
     B = add[add[g], :], so the test for g is "B is symmetric", with the
-    same first witness (a, g, c).
+    same first witness (a, g, c).  Both tables must have an integer
+    dtype, which the generating walk and the gathers index with.
     """
     add, neg = np.asarray(group.add), np.asarray(group.neg)
     n = len(add)
-    rng = np.arange(n, dtype=add.dtype)
     if add.shape != (n, n) or neg.shape != (n,):
         return "shape mismatch"
+    if n == 0:
+        return "empty table"
+    for name, arr in (("table", add), ("neg", neg)):
+        if arr.dtype.kind not in "iu":
+            return f"{name} entries of type {arr.dtype} are not integers"
+    rng = np.arange(n, dtype=add.dtype)
     if add.min() < 0 or add.max() >= n:
         return "entry out of range"
     witness = _first_asymmetry(add)
@@ -120,7 +128,7 @@ def check_abelian_table(group: AbelianGroup) -> str | None:
     if not np.array_equal(add[rng, neg], np.zeros(n, dtype=add.dtype)):
         a = int(np.argwhere(add[rng, neg] != 0)[0][0])
         return f"neg({a}) is not an inverse"
-    for g in group._generators:
+    for g in group.generators():
         witness = _first_asymmetry(add[add[g], :])
         if witness is not None:
             a, c = witness

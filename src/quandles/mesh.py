@@ -8,6 +8,7 @@ disjoint union with a*b = c[i][j] + phi[i][j](a) + (1-phi[j][j])(b).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -315,8 +316,14 @@ def generate_max_mesh(n: int, k: int) -> AffineMesh:
     value held only by singleton fibers, so the largest kernel block has
     exactly n - 2^k + 1 elements.  It is not validated: zero maps satisfy
     (M1), (M3) and (M4), the zero diagonal (M2), and the Z2 columns'
-    constants run over Z2, so it is an indecomposable mesh.
+    constants run over Z2, so it is an indecomposable mesh.  n and k are
+    integers of any type operator.index takes (numpy's too); anything
+    else is refused with InvalidParams.
     """
+    try:
+        n, k = operator.index(n), operator.index(k)
+    except TypeError:
+        raise InvalidParams(f"n and k must be integers, got n={n!r}, k={k!r}") from None
     if not (1 <= k < n.bit_length() and 2 ** k < n):  # 2^k computed if <= n
         raise InvalidParams(f"need 2^k < n, got n={n}, k={k}")
     if n + k > np.iinfo(np.int32).max:

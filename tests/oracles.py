@@ -24,7 +24,8 @@ from quandles.core import (
     connectivity_orbits,
     validate_quandle,
 )
-from quandles.cover import Multitransversal
+from quandles import perms
+from quandles.cover import Multitransversal, _homim_translations
 from quandles.errors import (
     DegreeMismatch,
     InvalidParams,
@@ -626,6 +627,51 @@ def loop_optimized_multitransversal(q: Quandle) -> Multitransversal:
         elems.extend(entries)
     return Multitransversal(tuple(elems), kappa, tr)
 
+
+
+# -- cover.simple_multitransversal and cover.optimized_multitransversal as
+# loops over the orbit and Cayley-kernel Partitions, one element at a time
+
+def element_loop_simple_multitransversal(q: Quandle) -> Multitransversal:
+    """All of Q, cycled per block up to the largest block size."""
+    tr = _homim_translations(q)
+    return _element_loop_padded(tr, [[]] * tr.m, int(np.bincount(tr.block_of).max()))
+
+
+def element_loop_optimized_multitransversal(q: Quandle) -> Multitransversal:
+    """Greedy transversal keeping the per-block multiplicity low.
+
+    Picks one element per orbit, the orbit of 0 first and then the
+    most constrained first (fewest candidate blocks, then least element):
+    each orbit takes the smallest of its elements in its least-loaded
+    candidate block.  The orbit of 0 thus takes 0 into block 0, as the
+    first and least entry.  Blocks are then padded to the maximum load.
+    An orbit is ascending, so its first element is its least.
+    """
+    tr = _homim_translations(q)
+    block_of = tr.block_of.tolist()
+    loads = [0] * tr.m
+    chosen: list[list[int]] = [[] for _ in range(tr.m)]
+    orbits = [(orbit, {block_of[x] for x in orbit}) for orbit in perms.orbits(q).blocks]
+    orbits.sort(key=lambda ob: (ob[0][0] != 0, len(ob[1]), ob[0][0]))
+    for orbit, cands in orbits:
+        b = min(cands, key=lambda i: (loads[i], i))
+        chosen[b].append(next(x for x in orbit if block_of[x] == b))
+        loads[b] += 1
+    return _element_loop_padded(tr, chosen, max(loads))
+
+
+def _element_loop_padded(tr: Translations, chosen: list[list[int]], kappa: int) -> Multitransversal:
+    """kappa entries per Cayley-kernel block, block-major: the block's
+    chosen entries ascending, then its unused elements, then the block
+    again in turn from its start."""
+    elems: list[int] = []
+    for picks, b in zip(chosen, perms.cayley_kernel(tr.q).blocks):
+        taken = set(picks)
+        entries = sorted(picks) + [x for x in b if x not in taken]
+        entries += [b[j % len(b)] for j in range(kappa - len(entries))]
+        elems.extend(entries[:kappa])
+    return Multitransversal(tuple(elems), kappa, tr)
 
 # -- the mesh layer as per-cell loops: the library lays the groups out in one
 # index space and checks each axiom with a few gathers

@@ -73,6 +73,7 @@ def sweep(affine_corpus):
         "cover_failures": [],
         "order_failures": [],
         "negative_tables": {},  # table -> quandle, |Q| <= 6 only
+        "positive_tables": {},  # table -> quandle
     }
     for raw in corpus.big_mesh_corpus_iter():
         mesh = corpus.build_mesh(raw)
@@ -85,6 +86,7 @@ def sweep(affine_corpus):
             continue
         if homim:
             stats["positives"] += 1
+            stats["positive_tables"].setdefault(q, q)
             t = optimized_multitransversal(q)
             r = build_cover(q, t)
             report = verify_cover(r, q)
@@ -182,6 +184,19 @@ def test_criterion_4_constructive_soundness(sweep):
         f"{len(sweep['cover_failures'])} verify failures, "
         f"{len(sweep['order_failures'])} order failures",
     )
+
+
+def test_multitransversals_match_the_element_loops_on_the_corpus(sweep):
+    # every distinct positive mesh sum of the sweep: the array passes give
+    # the transversals of the orbit and kernel Partition loops
+    cases = sweep["positive_tables"].values()
+    assert len(cases) > 9000
+    for q in cases:
+        for make, loop in ((simple_multitransversal, oracles.element_loop_simple_multitransversal),
+                           (optimized_multitransversal,
+                            oracles.element_loop_optimized_multitransversal)):
+            t, ref = make(q), loop(q)
+            assert (t.elements, t.kappa) == (ref.elements, ref.kappa)
 
 
 def test_criterion_5_coset_equals_homim(sweep):

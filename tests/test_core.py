@@ -397,6 +397,16 @@ def test_quandle_equality_is_by_table():
     assert q3 != q1
 
 
+def test_a_quandle_equals_itself_without_reading_its_table(monkeypatch):
+    # a cover of Q compares the Q of its transversal with Q itself: the
+    # same object, told at once, however large its table
+    q = Quandle(_affine_513())
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "array_equal", lambda *args: pytest.fail("table compared"))
+        assert q == q
+    assert q == Quandle(_affine_513()) and q != Quandle(np.zeros((1, 1), dtype=np.int32))
+
+
 def _oracle_numbers(rows: np.ndarray) -> dict:
     """Each distinct row, as a tuple, numbered by first occurrence."""
     number: dict = {}

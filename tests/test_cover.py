@@ -23,7 +23,12 @@ from quandles.perms import Translations, cayley_kernel, displacement_group
 
 import corpus
 from conftest import aff
-from oracles import identity_perm, loop_optimized_multitransversal
+from oracles import (
+    element_loop_optimized_multitransversal,
+    element_loop_simple_multitransversal,
+    identity_perm,
+    loop_optimized_multitransversal,
+)
 
 
 def proj(n: int):
@@ -282,6 +287,40 @@ def test_hand_built_transversal_over_non_closed_d_is_refused(sum_two_z3):
             build(sum_two_z3, t)
 
 
+def _product(q1, q2):
+    """Q1 x Q2 with the componentwise operation, (a, b) at a * |Q2| + b."""
+    a, b = q1.array, q2.array
+    table = a[:, None, :, None] * len(b) + b[None, :, None, :]
+    return validate_quandle(table.reshape(len(a) * len(b), -1))
+
+
+def _trivial(n: int):
+    return validate_quandle([list(range(n))] * n)
+
+
+def test_multitransversals_match_the_element_loops():
+    # the array passes against the orbit and kernel Partition loops they
+    # replaced; on the products every orbit meets several kernel blocks,
+    # as many as every other (optimized_multitransversal's lemma), so every
+    # orbit but 0's takes the least-loaded one in turn
+    several = [_product(aff(3, 2).quandle, _trivial(4)),
+               _product(aff(5, 2).quandle, mesh_sum(generate_max_mesh(8, 2))),
+               _product(aff(7, 3).quandle, _product(aff(3, 2).quandle, _trivial(5))),
+               _product(aff(5, 3).quandle, mesh_sum(generate_max_mesh(16, 3)))]
+    for q in several:
+        block_of = q.rows.which.tolist()
+        counts = {len({block_of[x] for x in orbit}) for orbit in perms.orbits(q).blocks}
+        assert len(counts) == 1 and counts.pop() > 1
+    cases = several + [aff(m, u).quandle for m, u in corpus.affine_family(69)]
+    cases += [mesh_sum(generate_max_mesh(n, k))
+              for n, k in ((4, 1), (8, 2), (16, 3), (32, 4), (64, 5))]
+    for q in cases:
+        for make, loop in ((simple_multitransversal, element_loop_simple_multitransversal),
+                           (optimized_multitransversal, element_loop_optimized_multitransversal)):
+            t, ref = make(q), loop(q)
+            assert (t.elements, t.kappa) == (ref.elements, ref.kappa)
+
+
 def test_optimized_multitransversal_matches_the_forced_base_point_loop(small_corpus):
     cases = [q for _, q in small_corpus if is_homim_of_affine(q)]
     cases += [aff(m, u).quandle for m, u in corpus.affine_family(16)]
@@ -292,18 +331,36 @@ def test_optimized_multitransversal_matches_the_forced_base_point_loop(small_cor
         assert (t.elements, t.kappa) == (ref.elements, ref.kappa)
 
 
-def test_build_cover_reads_each_generating_set_once(monkeypatch):
-    # claims 1 and 3 share one generating set per factor table: D's and
-    # Z_kappa's are read once each, though D is a factor of A twice
-    q = mesh_sum(generate_max_mesh(16, 3))
-    t = optimized_multitransversal(q)
+def _walked_tables(monkeypatch) -> list[int]:
+    """The orders of the tables generating_indices walks from now on."""
     tables = []
     real = groups.generating_indices
     monkeypatch.setattr(groups, "generating_indices",
                         lambda add: tables.append(len(add)) or real(add))
+    return tables
+
+
+def test_build_cover_reads_each_generating_set_once(monkeypatch):
+    # claims 1 and 3 share one generating set per factor table: D's is
+    # walked once, though D is a factor of A twice, and Z_kappa states its
+    # generator 1
+    q = mesh_sum(generate_max_mesh(16, 3))
+    t = optimized_multitransversal(q)
+    tables = _walked_tables(monkeypatch)
     r = build_cover(q, t)
     assert len(r.dis) == 8 and t.kappa == 9
-    assert sorted(tables) == [8, 9]
+    assert tables == [8]
+
+
+def test_cover_walks_no_cyclic_factor(monkeypatch):
+    # Aff(Z_1024, 257): |D| = 4 and kappa = 64; claim 1 would walk Z_64
+    # one element a round if it read the table instead of the generator 1
+    q = aff(1024, 257).quandle
+    t = optimized_multitransversal(q)
+    tables = _walked_tables(monkeypatch)
+    r = build_cover(q, t)
+    assert len(r.dis) == 4 and t.kappa == 64
+    assert tables == [4]
 
 
 def test_build_oplus_matches_the_tagged_addition():

@@ -178,6 +178,14 @@ def test_genmax_rejects_bad_params():
         generate_max_mesh(8, 0)
 
 
+def test_genmax_takes_integers_of_any_type_and_refuses_the_rest():
+    same = generate_max_mesh(np.int64(16), np.int32(3))
+    assert format_mesh(same) == format_mesh(generate_max_mesh(16, 3))
+    for n, k in (("16", 3), (16.0, 3), (16, "3"), (None, 3)):
+        with pytest.raises(InvalidParams, match="must be integers"):
+            generate_max_mesh(n, k)
+
+
 @pytest.mark.parametrize("n,k", [(4, 1), (8, 2), (16, 3)])
 def test_genmax_structure(n, k):
     m = generate_max_mesh(n, k)

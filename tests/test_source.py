@@ -356,3 +356,16 @@ def test_files_are_read_through_their_own_lines():
     )
     assert defined == [f"iofmt.{name}" for name in sorted(sizes)]
     assert _sites(lambda node: isinstance(node, ast.Call) and _name(node.func) == "read") == []
+
+
+def test_cover_builds_no_partition():
+    # The multitransversal reads two labels per element, its orbit
+    # (core._orbit_labels) and its Cayley-kernel block (q.rows.which): the
+    # cover path builds neither the orbit nor the kernel Partition.
+    found = [
+        f"cover.py:{node.lineno}: {_name(node.func)}"
+        for node in ast.walk(_tree(SRC / "cover.py"))
+        if isinstance(node, ast.Call)
+        and _name(node.func) in {"orbits", "cayley_kernel", "connectivity_orbits", "_partition"}
+    ]
+    assert found == []
