@@ -331,36 +331,21 @@ def test_optimized_multitransversal_matches_the_forced_base_point_loop(small_cor
         assert (t.elements, t.kappa) == (ref.elements, ref.kappa)
 
 
-def _walked_tables(monkeypatch) -> list[int]:
-    """The orders of the tables generating_indices walks from now on."""
+def test_build_cover_reads_each_generating_set_once(monkeypatch):
+    # claims 1 and 3 share one generating set per factor table: D's is
+    # walked once, though D is a factor of A twice, and Z_kappa states its
+    # generator 1 (on Aff(Z_1024, 257) a walk of Z_64 would take 64 rounds)
     tables = []
     real = groups.generating_indices
     monkeypatch.setattr(groups, "generating_indices",
                         lambda add: tables.append(len(add)) or real(add))
-    return tables
-
-
-def test_build_cover_reads_each_generating_set_once(monkeypatch):
-    # claims 1 and 3 share one generating set per factor table: D's is
-    # walked once, though D is a factor of A twice, and Z_kappa states its
-    # generator 1
-    q = mesh_sum(generate_max_mesh(16, 3))
-    t = optimized_multitransversal(q)
-    tables = _walked_tables(monkeypatch)
-    r = build_cover(q, t)
-    assert len(r.dis) == 8 and t.kappa == 9
-    assert tables == [8]
-
-
-def test_cover_walks_no_cyclic_factor(monkeypatch):
-    # Aff(Z_1024, 257): |D| = 4 and kappa = 64; claim 1 would walk Z_64
-    # one element a round if it read the table instead of the generator 1
-    q = aff(1024, 257).quandle
-    t = optimized_multitransversal(q)
-    tables = _walked_tables(monkeypatch)
-    r = build_cover(q, t)
-    assert len(r.dis) == 4 and t.kappa == 64
-    assert tables == [4]
+    for q, d, kappa in ((mesh_sum(generate_max_mesh(16, 3)), 8, 9),
+                        (aff(1024, 257).quandle, 4, 64)):
+        t = optimized_multitransversal(q)
+        tables.clear()
+        r = build_cover(q, t)
+        assert len(r.dis) == d and t.kappa == kappa
+        assert tables == [d]
 
 
 def test_build_oplus_matches_the_tagged_addition():

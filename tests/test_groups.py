@@ -534,16 +534,3 @@ def test_non_integer_table_is_described(dtype):
     assert check_abelian_table(AbelianGroup(g.add, g.neg.astype(dtype))) == (
         f"neg entries of type {np.dtype(dtype)} are not integers")
 
-
-def test_light_test_reads_the_stated_generators_of_a_cyclic_group(monkeypatch):
-    # Z_64 states its generator 1, pinned equal to the walk above, so it is
-    # checked without walking its table; a table-backed group walks once
-    calls = []
-    real = groups.generating_indices
-    monkeypatch.setattr(groups, "generating_indices",
-                        lambda add: calls.append(len(add)) or real(add))
-    z64 = make_cyclic_product((64,))
-    assert check_abelian_table(z64) is None and calls == []
-    table_backed = AbelianGroup(z64.add, z64.neg)
-    assert check_abelian_table(table_backed) is None and calls == [64]
-    assert check_abelian_table(table_backed) is None and calls == [64]
