@@ -89,37 +89,27 @@ def optimized_multitransversal(q: Quandle) -> Multitransversal:
     candidate block.  The orbit of 0 thus takes 0 into block 0, as the
     first and least entry.  Blocks are then padded to the maximum load.
 
-    Orbits are labeled by their least elements (core._orbit_labels), so
-    np.unique of label * m + block lists each orbit's candidate blocks,
-    ascending, with its least element in each.  An orbit with one
-    candidate has no choice, and the orbit of 0 meets empty blocks only
-    and takes its first, block 0: these are placed at once, by one
-    bincount, and only the orbits with several candidates run the loop.
-    Every orbit has as many candidates, so these go by least element: for
+    An orbit's candidate blocks are a coset of one subgroup of D: for
     alpha in Dis(Q), abelian, L_{alpha(x)} L_0^{-1} is L_x L_0^{-1} times
     alpha L_0 alpha^{-1} L_0^{-1}, and as alpha runs over Dis(Q) the
-    latter runs over one subgroup, so an orbit's blocks are a coset of it.
+    latter runs over one subgroup.  So every orbit has c candidates, the
+    order above is by least element, and two orbits' candidates are equal
+    or disjoint: the greedy deals the orbits of one coset to its blocks in
+    turn, the k-th orbit to the (k mod c)-th block.  Orbits are labeled
+    by their least elements (core._orbit_labels), and np.unique of
+    label * m + block lists them in that order, c rows of candidate
+    blocks ascending, with the least element in each.
     """
     tr = _homim_translations(q)
-    m = tr.m
-    pairs, least = np.unique(_orbit_labels(q) * m + tr.block_of, return_index=True)
-    block = pairs % m
-    first = np.flatnonzero(np.diff(pairs // m, prepend=-1))   # each orbit's first pair
-    count = np.diff(first, append=len(pairs))
-    several = count > 1
-    several[0] = False   # the orbit of 0, labeled 0
-    placed = first[~several]
-    loads = np.bincount(block[placed], minlength=m).tolist()
-    chosen = placed.tolist()
-    blocks = block.tolist()
-    for lo, hi in zip(first[several].tolist(), (first + count)[several].tolist()):
-        cand = [loads[b] for b in blocks[lo:hi]]
-        j = lo + cand.index(min(cand))   # the least block among the least loaded
-        loads[blocks[j]] += 1
-        chosen.append(j)
+    pairs, least = np.unique(_orbit_labels(q) * tr.m + tr.block_of, return_index=True)
+    c = int(np.count_nonzero(pairs < tr.m))   # the candidates of the orbit of 0
+    coset = pairs[::c] % tr.m   # each orbit's least candidate names its coset
+    order = np.argsort(coset, kind="stable")
+    k = np.empty_like(order)   # the orbit's rank among those of its coset
+    k[order] = np.arange(len(order)) - np.searchsorted(coset[order], coset[order])
     picked = np.zeros(q.n, dtype=bool)
-    picked[least[chosen]] = True
-    return _padded(tr, picked, max(loads))
+    picked[least.reshape(-1, c)[np.arange(len(k)), k % c]] = True
+    return _padded(tr, picked, int(k.max()) // c + 1)
 
 
 def _padded(tr: Translations, picked: np.ndarray, kappa: int) -> Multitransversal:
@@ -135,9 +125,8 @@ def _padded(tr: Translations, picked: np.ndarray, kappa: int) -> Multitransversa
     listed = np.argsort(block * 2 + ~picked, kind="stable")   # picks first
     ascending = np.argsort(block, kind="stable")
     j = np.arange(kappa)
-    head = j < size
-    at = start + np.where(head, j, (j - size) % size)
-    elems = np.where(head, listed[at], ascending[at])
+    at = start + np.where(j < size, j, len(block) + (j - size) % size)
+    elems = np.concatenate([listed, ascending])[at]
     return Multitransversal(tuple(elems.ravel().tolist()), kappa, tr)
 
 

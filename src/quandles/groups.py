@@ -111,9 +111,8 @@ def check_abelian_table(group: AbelianGroup) -> str | None:
         return "shape mismatch"
     if n == 0:
         return "empty table"
-    for name, arr in (("table", add), ("neg", neg)):
-        if arr.dtype.kind not in "iu":
-            return f"{name} entries of type {arr.dtype} are not integers"
+    if add.dtype.kind not in "iu" or neg.dtype.kind not in "iu":
+        return f"entries of types {add.dtype} and {neg.dtype} are not all integers"
     rng = np.arange(n, dtype=add.dtype)
     if add.min() < 0 or add.max() >= n:
         return "entry out of range"
@@ -125,9 +124,8 @@ def check_abelian_table(group: AbelianGroup) -> str | None:
     if neg.min() < 0 or neg.max() >= n:
         a = int(np.flatnonzero((neg < 0) | (neg >= n))[0])
         return f"neg({a}) = {neg[a]} is not in 0..{n - 1}"
-    if not np.array_equal(add[rng, neg], np.zeros(n, dtype=add.dtype)):
-        a = int(np.argwhere(add[rng, neg] != 0)[0][0])
-        return f"neg({a}) is not an inverse"
+    if (bad := np.flatnonzero(add[rng, neg])).size:
+        return f"neg({bad[0]}) is not an inverse"
     for g in group.generators():
         witness = _first_asymmetry(add[add[g], :])
         if witness is not None:

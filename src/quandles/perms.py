@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import (Partition, Quandle, RowSet, _as_int32, _chunks, _first_failure,
-                   _partition, connectivity_orbits)
+                   _orbit_labels, _partition)
 from .errors import DegreeMismatch
 
 # Entries of one chunk of closure's candidates.  The other chunked loops
@@ -97,8 +97,9 @@ def displacement_group(q: Quandle) -> PermGroup:
 
 
 def orbits(q: Quandle) -> Partition:
-    """Orbit partition of the Dis(Q) action, equal to the LMlt(Q) one."""
-    return connectivity_orbits(q)
+    """Orbit partition of the Dis(Q) action, equal to the LMlt(Q) one, from
+    the orbit labels (core._orbit_labels)."""
+    return _partition(_orbit_labels(q))
 
 
 def cayley_kernel(q: Quandle) -> Partition:

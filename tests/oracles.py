@@ -21,7 +21,6 @@ from quandles.core import (
     _check_table,
     _chunks,
     _hom_failure,
-    connectivity_orbits,
     validate_quandle,
 )
 from quandles import perms
@@ -586,7 +585,7 @@ def loop_optimized_multitransversal(q: Quandle) -> Multitransversal:
     blocks = [list(b) for b in cayley_kernel(q).blocks]
     m = len(blocks)
     block_of = tr.block_of.tolist()
-    orbit_list = [list(b) for b in connectivity_orbits(q).blocks]
+    orbit_list = [list(b) for b in perms.orbits(q).blocks]
     loads = [0] * m
     chosen: list[list[int]] = [[] for _ in range(m)]
 
@@ -834,7 +833,7 @@ def _loop_cycle_type(images: list[int]) -> tuple[int, ...]:
 
 
 def loop_profiles(q: Quandle, rows: list[list[int]]) -> list[tuple]:
-    orb = connectivity_orbits(q)
+    orb = perms.orbits(q)
     sizes = orb.sizes()
     return [
         (_loop_cycle_type(rows[a]), sizes[orb.block_of[a]])

@@ -19,7 +19,6 @@ from quandles.core import (
     Partition,
     Quandle,
     RowSet,
-    connectivity_orbits,
     induced_subquandle,
     is_isomorphic,
     quotient,
@@ -40,6 +39,7 @@ from quandles.groups import (
 )
 from quandles.iofmt import format_quandle, parse_quandle
 from quandles.mesh import coset_criterion, mesh_sum, validate_mesh
+from quandles.perms import orbits
 
 from conftest import aff
 from oracles import (
@@ -261,13 +261,13 @@ def test_induced_subquandle_relabels_in_order():
 
 def test_connectivity_orbits_projection_all_singletons():
     q = validate_quandle(PROJECTION_4)
-    assert connectivity_orbits(q).blocks == ((0,), (1,), (2,), (3,))
+    assert orbits(q).blocks == ((0,), (1,), (2,), (3,))
 
 
 def test_connectivity_orbits_affine_are_cosets():
     # Orbits of Aff(Z8, 5) are the cosets of Im(1-5) = 4Z8 = {0, 4}.
     q = aff(8, 5).quandle
-    assert connectivity_orbits(q).blocks == (
+    assert orbits(q).blocks == (
         (0, 4), (1, 5), (2, 6), (3, 7),
     )
 

