@@ -458,12 +458,10 @@ def _cycle_type(images: list[int]) -> tuple[int, ...]:
     return tuple(sorted(lengths))
 
 
-def _profiles(q: Quandle, rows: list[list[int]]) -> tuple[list[tuple], list[int]]:
-    """Each element's profile (its row's cycle type, its orbit's size) and
-    the orbits' least elements, ascending."""
-    label = _orbit_labels(q)
-    size = np.bincount(label)[label].tolist()
-    return [(_cycle_type(rows[a]), size[a]) for a in range(q.n)], np.unique(label).tolist()
+def _profiles(q: Quandle, rows: list[list[int]]) -> tuple[list[tuple], Partition]:
+    """Each element's profile (its row's cycle type, its orbit's size) and the orbits."""
+    orb = _partition(_orbit_labels(q))
+    return [(_cycle_type(rows[a]), len(orb.blocks[orb.block_of[a]])) for a in range(q.n)], orb
 
 
 def _extend(t1: list, t2: list, gens: list[int], b: int, sigma: list[int],
@@ -499,7 +497,7 @@ def is_isomorphic(q1: Quandle, q2: Quandle) -> tuple[int, ...] | None:
     if q1.n != q2.n:
         return None
     t1, t2 = q1.array.tolist(), q2.array.tolist()
-    (prof1, _), (prof2, least2) = _profiles(q1, t1), _profiles(q2, t2)
+    (prof1, _), (prof2, orb2) = _profiles(q1, t1), _profiles(q2, t2)
     if sorted(prof1) != sorted(prof2):
         return None
     gens = _generators(q1.n, q1.array.__getitem__)
@@ -508,7 +506,7 @@ def is_isomorphic(q1: Quandle, q2: Quandle) -> tuple[int, ...] | None:
         images.setdefault(p, []).append(b)
     sigma, inv, mapped = [-1] * q1.n, [-1] * q1.n, []
     # one level per chosen generator: its candidates, and len(mapped) below it
-    stack = [(iter([b for b in least2 if prof2[b] == prof1[0]]), 0)]
+    stack = [(iter([o[0] for o in orb2.blocks if prof2[o[0]] == prof1[0]]), 0)]
     while stack:
         cands, start = stack[-1]
         for y in mapped[start:]:   # unmap this level's last image
