@@ -124,8 +124,9 @@ def check_abelian_table(group: AbelianGroup) -> str | None:
     if neg.min() < 0 or neg.max() >= n:
         a = int(np.flatnonzero((neg < 0) | (neg >= n))[0])
         return f"neg({a}) = {neg[a]} is not in 0..{n - 1}"
-    if (bad := np.flatnonzero(add[rng, neg])).size:
-        return f"neg({bad[0]}) is not an inverse"
+    if not np.array_equal(add[rng, neg], np.zeros(n, dtype=add.dtype)):
+        a = int(np.argwhere(add[rng, neg] != 0)[0][0])
+        return f"neg({a}) is not an inverse"
     for g in group.generators():
         witness = _first_asymmetry(add[add[g], :])
         if witness is not None:
